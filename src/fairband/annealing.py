@@ -122,7 +122,7 @@ def softmax_probabilities(
     The max feasible value is subtracted before exponentiating, so adding
     any constant to all values changes nothing. Infeasible entries get
     probability exactly 0. At T = 0 the distribution degenerates to the
-    first argmax, matching greedy tie-breaking.
+    first exact argmax; greedy_step also counts near-equal values as ties.
     """
     values = np.asarray(values, dtype=float)
     feasible = np.asarray(feasible, dtype=bool) & np.isfinite(values)
@@ -156,20 +156,6 @@ def delta_u_association_exact(state: SystemState, client_id: str, target_vap: st
     if not feasible[b]:
         return -math.inf
     return float(values[b] - values[state.assoc[i]])
-
-
-def delta_u_association_approx(state: SystemState, client_id: str, target_vap: str) -> float:
-    """Neighborhood-local association score (shared constants dropped).
-
-    Valid as a stand-in for the exact delta when every affected neighborhood
-    load is much larger than the moving client's weight.
-    """
-    i = state.net.client_index[client_id]
-    b = state.net.vap_index[target_vap]
-    scores, feasible = state.association_scores_approx(i)
-    if not feasible[b]:
-        return -math.inf
-    return float(scores[b])
 
 
 def delta_u_channel_exact(state: SystemState, vap_id: str, channel_id: str) -> float:
@@ -284,7 +270,13 @@ def gibbs_step(
 def greedy_step(
     state: SystemState, t: int, policy: OptimizerPolicy, record: bool = False
 ) -> tuple[MoveProposal, float | None]:
-    """One argmax move; ties go to the lowest target index."""
+    """One argmax move; ties go to the lowest target index.
+
+    Candidates within 1e-12 max(1, |U|) of the best, U the current energy,
+    count as tied, and the mover moves only when the best gains more than
+    that margin over staying, so float noise between equal energies never
+    makes a move.
+    """
     net = state.net
     m = _mover_count(net)
     index = (t - 1) % m
@@ -298,9 +290,13 @@ def greedy_step(
             None, record
         )
         return prop, None
-    choice = int(np.argmax(np.where(feasible, values, -np.inf)))
+    masked = np.where(feasible, values, -np.inf)
+    best = masked.max()
     current = _current_index(state, kind, idx)
-    changed = choice != current and values[choice] > values[current]
+    u_cur = masked[current]
+    margin = 1e-12 * max(1.0, abs(u_cur)) if feasible[current] else 0.0
+    choice = int(np.argmax(masked >= best - margin))
+    changed = choice != current and best - u_cur > margin
     if not changed:
         choice = current
     else:

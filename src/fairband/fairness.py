@@ -148,27 +148,21 @@ def throughput(
     _validate_allocation(network, config, allocation)
     chan = network.channel_array(config.channel)
     assoc = network.association_array(config.association)
-    I, V = network.n_clients, network.n_vaps
-    same_ch_adj = _same_channel_adjacency(network, chan)
-
+    I = network.n_clients
     rates_now = network.rates[np.arange(I), assoc, chan[assoc]]
-    if allocation.scheme == SCHEME_SERVER:
-        p = np.array([allocation.access[v] for v in network.vap_ids], dtype=float)
-        succ = np.empty(V)
-        for n in range(V):
-            others = same_ch_adj[n].copy()
-            others[n] = False
-            succ[n] = p[n] * np.prod(1.0 - p[others])
-        phi = np.array([allocation.schedule[c] for c in network.client_ids], dtype=float)
-        r = rates_now * phi * succ[assoc]
-    else:
-        p = np.array([allocation.access[c] for c in network.client_ids], dtype=float)
-        cadj = same_ch_adj[assoc][:, assoc]
-        r = np.empty(I)
-        for i in range(I):
-            others = cadj[i].copy()
-            others[i] = False
-            r[i] = rates_now[i] * p[i] * np.prod(1.0 - p[others])
+    phi = (
+        np.array([allocation.schedule[c] for c in network.client_ids], dtype=float)
+        if allocation.scheme == SCHEME_SERVER
+        else None
+    )
+    r = _slot_rates(
+        allocation.scheme,
+        _same_channel_adjacency(network, chan),
+        assoc,
+        rates_now,
+        _access_vector(network, allocation),
+        phi,
+    )
 
     feasible = bool((r > 0).all())
     w = network.weights
@@ -198,12 +192,57 @@ def _same_channel_adjacency(network: Network, chan: np.ndarray) -> np.ndarray:
     return adj_cur & (chan[None, :] == chan[:, None])
 
 
+def _access_vector(network: Network, allocation: Allocation) -> np.ndarray:
+    """An allocation's access probabilities in radio (server) or client order."""
+    keys = network.vap_ids if allocation.scheme == SCHEME_SERVER else network.client_ids
+    return np.array([allocation.access[k] for k in keys], dtype=float)
+
+
+def _others_mask(scheme: str, same_ch_adj: np.ndarray, assoc: np.ndarray) -> np.ndarray:
+    """Row k marks the transmitters, other than k itself, whose transmission
+    collides with k's: radios under the server scheme, clients under the
+    client scheme."""
+    if scheme == SCHEME_SERVER:
+        others = same_ch_adj.copy()
+    else:
+        others = same_ch_adj[np.ix_(assoc, assoc)]
+    np.fill_diagonal(others, False)
+    return others
+
+
+def _slot_rates(
+    scheme: str,
+    same_ch_adj: np.ndarray,
+    assoc: np.ndarray,
+    rates_now: np.ndarray,
+    p: np.ndarray,
+    phi: np.ndarray | None,
+) -> np.ndarray:
+    """Per-client expected rates from access probabilities p (per radio under
+    the server scheme, per client under the client scheme) and, under the
+    server scheme, the schedule phi.
+
+    A transmitter succeeds with p_k times the product of (1 - p_m) over the
+    others in its contention set. The product runs along each row in index
+    order with 1.0 filled in elsewhere; numpy multiplies a row sequentially,
+    so the result equals a loop over the set bit for bit.
+    """
+    idle = np.where(_others_mask(scheme, same_ch_adj, assoc), 1.0 - p, 1.0).prod(axis=1)
+    if scheme == SCHEME_SERVER:
+        return rates_now * phi * (p * idle)[assoc]
+    return rates_now * p * idle
+
+
 class SystemState:
     """Mutable configuration with vectorized energy and candidate evaluation.
 
-    Aggregates are rebuilt from scratch after every applied move, so they
-    can never drift; candidate evaluation works incrementally on copies.
-    All arrays are indexed in network order.
+    The same-channel adjacency ``same_ch_adj`` (with a float copy for
+    mat-vecs) is updated in place: a channel move rewrites only the mover's
+    row and column, and both hold exact booleans, so nothing can drift. The
+    loads ``w_ap`` and ``z`` and the link term are rebuilt from scratch
+    after every applied move. Association candidates are neighborhood-local
+    closed forms: O(I + V) vector work plus one mat-vec with the adjacency,
+    and no V x V temporaries. All arrays are indexed in network order.
     """
 
     def __init__(self, network: Network, scheme: str, assoc: np.ndarray, chan: np.ndarray):
@@ -216,7 +255,10 @@ class SystemState:
             raise ValueError("association array has the wrong shape")
         if self.chan.shape != (network.n_vaps,):
             raise ValueError("channel array has the wrong shape")
-        self._refresh_channel_structure()
+        self._clients = np.arange(network.n_clients)
+        self._vaps = np.arange(network.n_vaps)
+        self.same_ch_adj = _same_channel_adjacency(network, self.chan)
+        self._adj = self.same_ch_adj.astype(float)
         self._refresh_loads()
 
     @classmethod
@@ -238,15 +280,11 @@ class SystemState:
 
     # -- aggregate maintenance -------------------------------------------
 
-    def _refresh_channel_structure(self):
-        self.same_ch_adj = _same_channel_adjacency(self.net, self.chan)
-
     def _refresh_loads(self):
         net = self.net
-        I = net.n_clients
         self.w_ap = np.bincount(self.assoc, weights=net.weights, minlength=net.n_vaps)
-        self.z = (self.same_ch_adj * self.w_ap[None, :]).sum(axis=1)
-        self._log_b_clients = net.log_rates[np.arange(I), self.assoc, self.chan[self.assoc]]
+        self.z = self._adj @ self.w_ap
+        self._log_b_clients = net.log_rates[self._clients, self.assoc, self.chan[self.assoc]]
         self.feasible = bool(np.isfinite(self._log_b_clients).all())
         self.b_term = (
             float((net.weights * self._log_b_clients).sum()) if self.feasible else -math.inf
@@ -258,7 +296,11 @@ class SystemState:
 
     def apply_channel(self, vap: int, target_channel: int):
         self.chan[vap] = target_channel
-        self._refresh_channel_structure()
+        row = self.net.adjacency[vap, :, target_channel] & (self.chan == target_channel)
+        self.same_ch_adj[vap, :] = row
+        self.same_ch_adj[:, vap] = row
+        self._adj[vap, :] = row
+        self._adj[:, vap] = row
         self._refresh_loads()
 
     # -- energy -----------------------------------------------------------
@@ -275,45 +317,73 @@ class SystemState:
 
     # -- candidate evaluation ----------------------------------------------
 
+    def _without(self, client: int):
+        """The client's weight, the loads with it taken out of the system, and
+        its log link rate to every radio on that radio's current channel."""
+        a = int(self.assoc[client])
+        wi = self.net.weights[client]
+        w_minus = self.w_ap.copy()
+        w_minus[a] = max(w_minus[a] - wi, 0.0)
+        z_minus = self.z - wi * self._adj[a]
+        lb = self.net.log_rates[client, self._vaps, self.chan]
+        return wi, w_minus, z_minus, lb
+
     def association_candidates(self, client: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact energies of moving one client to each radio.
 
         Returns (values, feasible): values[b] is the full system energy with
         the client on radio b (-inf when that link has zero rate), so
         differences of entries are exact energy deltas.
+
+        Closed form, with psi(x) = x log x, A the same-channel adjacency
+        (A[b, b] = 1), w-, z- the loads with the client taken out and
+        z+ = z- + w_i. On candidate b the client adds w_i to w-_b and to z-_n
+        for every n with A[b, n] = 1, and nothing else changes. Let
+        g = psi(z-) - psi(z+) and lb_b the client's log rate on b. Server
+        scheme: the psi(w_n) of scheduling and access cancel, so
+        U = sum_i w_i log(B_i w_i) + sum_n [psi(z_n - w_n) - psi(z_n)] with
+        B_i the rate of client i's link, and
+
+            values[b] = c + w_i lb_b + (A d)_b - d_b + g_b,
+            d_n = psi(z+_n - w-_n) - psi(z-_n - w-_n) + g_n,
+
+        where d_n is the change of neighbor n's term and c collects the terms
+        that do not depend on b. Client scheme: another client j changes its
+        term by delta_j when its radio is a neighbor of b;
+        D = bincount(assoc, delta) sums those per radio and
+
+            values[b] = c + w_i lb_b + (A D)_b + g_b.
+
+        Either way the cost is O(I + V) vector work plus one mat-vec with A.
         """
         net = self.net
-        V = net.n_vaps
-        a = int(self.assoc[client])
-        wi = net.weights[client]
-
-        w_minus = self.w_ap.copy()
-        w_minus[a] -= wi
-        w_minus[a] = max(w_minus[a], 0.0)
-        z_minus = self.z - wi * self.same_ch_adj[a]
-        b_minus = self.b_term - wi * self._log_b_clients[client]
-
-        lb = net.log_rates[client, np.arange(V), self.chan]
+        wi, w_minus, z_minus, lb = self._without(client)
         feasible = np.isfinite(lb)
-
-        # candidate b's aggregates: row b of same_ch_adj marks the radios
-        # whose neighborhood gains the client's weight
-        Z = z_minus[None, :] + wi * self.same_ch_adj
-        W = np.repeat(w_minus[None, :], V, axis=0)
-        W[np.arange(V), np.arange(V)] += wi
+        psi_zm = xlogy(z_minus, z_minus)
+        z_plus = z_minus + wi
+        g = psi_zm - xlogy(z_plus, z_plus)
+        c = self.b_term - wi * self._log_b_clients[client] + net.sum_w_log_w
 
         if self.scheme == SCHEME_SERVER:
-            sched = net.sum_w_log_w - xlogy(W, W).sum(axis=1)
-            access = _f_term(W, Z).sum(axis=1)
-            values = b_minus + wi * np.where(feasible, lb, 0.0) + sched + access
+            rest = np.maximum(z_minus - w_minus, 0.0)
+            rest_plus = np.maximum(z_plus - w_minus, 0.0)
+            psi_rest = xlogy(rest, rest)
+            d = xlogy(rest_plus, rest_plus) - psi_rest + g
+            c += float((psi_rest - psi_zm).sum())
+            local = self._adj @ d - d
         else:
-            zs = Z[:, self.assoc]
-            zs[:, client] = Z[np.arange(V), np.arange(V)]
-            values = (
-                b_minus
-                + wi * np.where(feasible, lb, 0.0)
-                + _f_term(net.weights[None, :], zs).sum(axis=1)
-            )
+            w = net.weights
+            zs = z_minus[self.assoc]
+            zs_plus = zs + wi
+            rest = np.maximum(zs - w, 0.0)
+            rest_plus = np.maximum(zs_plus - w, 0.0)
+            h = xlogy(rest, rest) - xlogy(zs, zs)  # f(w_j, z) - psi(w_j)
+            delta = xlogy(rest_plus, rest_plus) - xlogy(zs_plus, zs_plus) - h
+            h[client] = 0.0
+            delta[client] = 0.0
+            c += float(h.sum())
+            local = self._adj @ np.bincount(self.assoc, weights=delta, minlength=net.n_vaps)
+        values = c + wi * np.where(feasible, lb, 0.0) + local + g
         values = np.where(feasible, values, -np.inf)
         return values, feasible
 
@@ -325,53 +395,38 @@ class SystemState:
         post-move aggregates. Client scheme: the analogous local form for
         direct contention. Shared constants are dropped; only differences
         between candidates matter.
+
+        With the notation of association_candidates, a neighbor n != b of
+        candidate b sees z+_n and w-_n, so its log idle probability
+        q_n = log(z+_n - w-_n) - log(z+_n) does not depend on b, and the
+        server neighbor term is (A q)_b - q_b. Under the client scheme each
+        other client j contributes log(z+_{n(j)} - w_j) - log(z+_{n(j)}),
+        summed per radio into Q by bincount, and the neighbor term is (A Q)_b.
         """
         net = self.net
-        V = net.n_vaps
-        a = int(self.assoc[client])
-        wi = net.weights[client]
-
-        w_minus = self.w_ap.copy()
-        w_minus[a] -= wi
-        w_minus[a] = max(w_minus[a], 0.0)
-        z_minus = self.z - wi * self.same_ch_adj[a]
-
-        lb = net.log_rates[client, np.arange(V), self.chan]
+        wi, w_minus, z_minus, lb = self._without(client)
         feasible = np.isfinite(lb)
-
-        Z = z_minus[None, :] + wi * self.same_ch_adj
-        W = np.repeat(w_minus[None, :], V, axis=0)
-        W[np.arange(V), np.arange(V)] += wi
-        z_at_target = Z[np.arange(V), np.arange(V)]
+        z_plus = z_minus + wi
+        log_zp = np.log(z_plus)
+        own = np.where(feasible, lb, 0.0) + math.log(wi) - log_zp
 
         if self.scheme == SCHEME_SERVER:
-            offdiag = self.same_ch_adj & ~np.eye(V, dtype=bool)
             with np.errstate(divide="ignore", invalid="ignore"):
-                idle = np.log(np.maximum(Z - W, 0.0)) - np.log(Z)
-            neighbor_term = np.where(offdiag, idle, 0.0).sum(axis=1)
-            scores = wi * (
-                np.where(feasible, lb, 0.0)
-                + math.log(wi)
-                - np.log(z_at_target)
-                + neighbor_term
-            )
+                q = np.log(np.maximum(z_plus - w_minus, 0.0)) - log_zp
+            scores = wi * (own + (self._adj @ q - q))
         else:
-            zs = Z[:, self.assoc]
-            include = self.same_ch_adj[self.assoc, :].T  # (V cand, I): n(j) near b
-            include[:, client] = False
+            zs_plus = z_plus[self.assoc]
             with np.errstate(divide="ignore", invalid="ignore"):
-                idle = np.log(np.maximum(zs - net.weights[None, :], 0.0)) - np.log(zs)
-            neighbor_term = np.where(include, idle, 0.0).sum(axis=1)
-            zb = np.maximum(z_at_target - wi, 0.0)  # candidate neighborhood without i
-            crowd = zb * np.log(z_at_target) - xlogy(zb, zb)
-            scores = (
-                wi * (np.where(feasible, lb, 0.0) + math.log(wi) - np.log(z_at_target))
-                + wi * neighbor_term
-                - crowd
+                idle = np.log(np.maximum(zs_plus - net.weights, 0.0)) - np.log(zs_plus)
+            idle[client] = 0.0
+            neighbor_term = self._adj @ np.bincount(
+                self.assoc, weights=idle, minlength=net.n_vaps
             )
+            zb = np.maximum(z_plus - wi, 0.0)  # candidate neighborhood without i
+            crowd = zb * log_zp - xlogy(zb, zb)
+            scores = wi * own + wi * neighbor_term - crowd
         scores = np.where(feasible, scores, -np.inf)
         return scores, feasible
-
     def channel_candidates(self, vap: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact energies of switching one radio to each channel.
 
@@ -429,25 +484,12 @@ class SystemState:
     def rates(self) -> np.ndarray:
         """Per-client rates under the optimal allocation for this state."""
         net = self.net
-        I, V = net.n_clients, net.n_vaps
-        rates_now = net.rates[np.arange(I), self.assoc, self.chan[self.assoc]]
-        if self.scheme == SCHEME_SERVER:
-            p = self.access_probabilities()
-            succ = np.empty(V)
-            for n in range(V):
-                others = self.same_ch_adj[n].copy()
-                others[n] = False
-                succ[n] = p[n] * np.prod(1.0 - p[others])
-            phi = net.weights / self.w_ap[self.assoc]
-            return rates_now * phi * succ[self.assoc]
-        p = self.access_probabilities()
-        cadj = self.same_ch_adj[self.assoc][:, self.assoc]
-        r = np.empty(I)
-        for i in range(I):
-            others = cadj[i].copy()
-            others[i] = False
-            r[i] = rates_now[i] * p[i] * np.prod(1.0 - p[others])
-        return r
+        rates_now = net.rates[self._clients, self.assoc, self.chan[self.assoc]]
+        phi = net.weights / self.w_ap[self.assoc] if self.scheme == SCHEME_SERVER else None
+        return _slot_rates(
+            self.scheme, self.same_ch_adj, self.assoc, rates_now,
+            self.access_probabilities(), phi,
+        )
 
     def weighted_throughput(self) -> float:
         return float((self.net.weights * self.rates()).sum())
@@ -472,25 +514,28 @@ def slot_monte_carlo(
     chan = network.channel_array(config.channel)
     assoc = network.association_array(config.association)
     I, V = network.n_clients, network.n_vaps
-    same_ch_adj = _same_channel_adjacency(network, chan)
     rates_now = network.rates[np.arange(I), assoc, chan[assoc]]
+    others = _others_mask(
+        allocation.scheme, _same_channel_adjacency(network, chan), assoc
+    ).T.astype(np.int64)
+    p = _access_vector(network, allocation)
     batch = 200_000
 
+    # transmitters are radios (server) or clients (client scheme)
+    wins = np.zeros(len(p), dtype=np.int64)
+    done = 0
+    while done < slots:
+        n = min(batch, slots - done)
+        tx = rng.random((n, len(p))) < p[None, :]
+        clash = tx.astype(np.int64) @ others
+        wins += (tx & (clash == 0)).sum(axis=0)
+        done += n
+
     if allocation.scheme == SCHEME_SERVER:
-        p = np.array([allocation.access[v] for v in network.vap_ids], dtype=float)
-        others = same_ch_adj & ~np.eye(V, dtype=bool)
-        successes = np.zeros(V, dtype=np.int64)
-        done = 0
-        while done < slots:
-            n = min(batch, slots - done)
-            tx = rng.random((n, V)) < p[None, :]
-            clash = tx.astype(np.int64) @ others.T.astype(np.int64)
-            successes += (tx & (clash == 0)).sum(axis=0)
-            done += n
         counts = np.zeros(I, dtype=np.int64)
         for v in range(V):
             members = np.nonzero(assoc == v)[0]
-            if members.size == 0 or successes[v] == 0:
+            if members.size == 0 or wins[v] == 0:
                 continue
             phi = np.array(
                 [allocation.schedule[network.client_ids[i]] for i in members]
@@ -498,19 +543,9 @@ def slot_monte_carlo(
             total = phi.sum()
             if total <= 0:
                 continue
-            counts[members] += rng.multinomial(successes[v], phi / total)
+            counts[members] += rng.multinomial(wins[v], phi / total)
         r = rates_now * counts / slots
     else:
-        p = np.array([allocation.access[c] for c in network.client_ids], dtype=float)
-        cadj = same_ch_adj[assoc][:, assoc] & ~np.eye(I, dtype=bool)
-        wins = np.zeros(I, dtype=np.int64)
-        done = 0
-        while done < slots:
-            n = min(batch, slots - done)
-            tx = rng.random((n, I)) < p[None, :]
-            clash = tx.astype(np.int64) @ cadj.T.astype(np.int64)
-            wins += (tx & (clash == 0)).sum(axis=0)
-            done += n
         r = rates_now * wins / slots
 
     return {network.client_ids[i]: float(r[i]) for i in range(I)}

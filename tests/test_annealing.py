@@ -188,6 +188,29 @@ def test_zero_temperature_gibbs_equals_greedy(rng):
         assert (state_z.chan == state_g.chan).all()
 
 
+def test_greedy_treats_near_equal_candidates_as_tied(rng):
+    # candidate values within 1e-12 max(1, |U|) of the best are ties: the
+    # lowest index wins, and the mover stays unless the gain beats the margin
+    net = random_network(rng, n_aps=3, n_clients=4, n_channels=1)
+    pol = OptimizerPolicy(kind="greedy", scheme="server")
+    u = -40.0
+    m = 1e-12 * abs(u)
+    cases = [
+        ([u + 0.5 * m, u, u], 1, 1, False),  # gain below the margin: stay
+        ([u + 2.0 * m, u, u], 1, 0, True),  # gain above it: move
+        ([u + 5.0 * m, u + 5.5 * m, u], 2, 0, True),  # tied best: lowest index
+    ]
+    for values, current, expected, moved in cases:
+        state = random_state(net, rng, "server")
+        state.apply_association(0, current)
+        state.association_candidates = lambda i, v=values: (
+            np.array(v), np.ones(3, dtype=bool)
+        )
+        prop, _ = greedy_step(state, 1, pol)
+        assert prop.changed == moved
+        assert int(state.assoc[0]) == expected
+
+
 def test_round_robin_covers_all_movers(rng):
     net = random_network(rng, n_aps=2, n_clients=3, n_channels=2)
     state = random_state(net, rng, "server")

@@ -21,6 +21,7 @@ from fairband import (
     throughput,
 )
 from fairband.annealing import softmax_probabilities
+from fairband.fairness import _same_channel_adjacency
 from conftest import random_network, random_state, rel
 
 
@@ -222,6 +223,118 @@ def test_channel_candidates_match_from_scratch(rng, scheme):
                 assert rel(values[c], fresh.energy()) < 1e-11
             else:
                 assert values[c] == -math.inf and fresh.energy() == -math.inf
+
+
+def _network_with_isolated_cell(rng, n_aps=14, n_clients=16):
+    """A random multi-radio network (V >= 16, non-dyadic weights) plus a
+    far-away two-radio AP with one client: in any configuration one of its
+    radios is clientless and the served one has z == w."""
+    base = random_network(rng, n_aps=n_aps, n_clients=n_clients, n_channels=3,
+                          dyadic=False, max_radios=2)
+    return Network(
+        list(base.channels),
+        list(base.aps) + [AccessPoint("far", (50000.0, 0.0), radio_count=2)],
+        list(base.clients) + [Client("f0", (50010.0, 0.0), 0.7)],
+    )
+
+
+def _assert_rel_close(a, b, tol=1e-12):
+    if math.isfinite(a) or math.isfinite(b):
+        assert rel(a, b) < tol
+    else:
+        assert a == b
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_applied_moves_never_drift(rng, scheme):
+    # the adjacency is patched in place on channel moves; after each of 240
+    # random moves it must equal a rebuild exactly, and every derived
+    # quantity must match a fresh state
+    for _ in range(3):
+        net = random_network(rng, n_aps=6, n_clients=10, n_channels=3,
+                             dyadic=False, max_radios=3)
+        state = random_state(net, rng, scheme)
+        for _ in range(80):
+            if rng.random() < 0.5:
+                state.apply_association(int(rng.integers(net.n_clients)),
+                                        int(rng.integers(net.n_vaps)))
+            else:
+                state.apply_channel(int(rng.integers(net.n_vaps)),
+                                    int(rng.integers(net.n_channels)))
+            assert np.array_equal(state.same_ch_adj,
+                                  _same_channel_adjacency(net, state.chan))
+            fresh = SystemState(net, scheme, state.assoc, state.chan)
+            np.testing.assert_allclose(state.w_ap, fresh.w_ap, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(state.z, fresh.z, rtol=1e-12, atol=0)
+            _assert_rel_close(state.energy(), fresh.energy())
+            np.testing.assert_allclose(state.rates(), fresh.rates(), rtol=1e-12, atol=0)
+
+
+def _approx_scores_from_scratch(net, state, client, scheme):
+    """association_scores_approx by its definition: for each candidate b,
+    the local score under a fresh state with the client moved to b."""
+    wi = net.weights[client]
+    scores = np.full(net.n_vaps, -np.inf)
+    for b in range(net.n_vaps):
+        lb = net.log_rates[client, b, state.chan[b]]
+        if not np.isfinite(lb):
+            continue
+        assoc = state.assoc.copy()
+        assoc[client] = b
+        s = SystemState(net, scheme, assoc, state.chan)
+        near = s.same_ch_adj[b]
+        score = wi * (lb + math.log(wi) - math.log(s.z[b]))
+        if scheme == "server":
+            for n in range(net.n_vaps):
+                if near[n] and n != b:
+                    score += wi * (math.log(s.z[n] - s.w_ap[n]) - math.log(s.z[n]))
+        else:
+            for j in range(net.n_clients):
+                n = assoc[j]
+                if near[n] and j != client:
+                    score += wi * (math.log(s.z[n] - net.weights[j]) - math.log(s.z[n]))
+            zb = s.z[b] - wi
+            score -= zb * math.log(s.z[b]) - (zb * math.log(zb) if zb > 0 else 0.0)
+        scores[b] = score
+    return scores
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_candidates_match_from_scratch_with_empty_and_isolated_radios(rng, scheme):
+    for _ in range(3):
+        net = _network_with_isolated_cell(rng)
+        assert net.n_vaps >= 16
+        state = random_state(net, rng, scheme)
+        far = [net.vap_index["far/r0"], net.vap_index["far/r1"]]
+        served = int(state.assoc[net.client_index["f0"]])
+        assert state.w_ap[[v for v in far if v != served][0]] == 0.0
+        assert state.z[served] == state.w_ap[served]
+        for i in range(net.n_clients):
+            values, feasible = state.association_candidates(i)
+            approx, feasible2 = state.association_scores_approx(i)
+            assert (feasible == feasible2).all()
+            ref_approx = _approx_scores_from_scratch(net, state, i, scheme)
+            for b in range(net.n_vaps):
+                assoc = state.assoc.copy()
+                assoc[i] = b
+                fresh = SystemState(net, scheme, assoc, state.chan).energy()
+                if feasible[b]:
+                    assert rel(values[b], fresh) < 1e-12
+                    assert rel(approx[b], ref_approx[b]) < 1e-12
+                else:
+                    assert values[b] == approx[b] == fresh == ref_approx[b] == -math.inf
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_state_rates_equal_throughput_of_optimal_allocation(rng, scheme):
+    for _ in range(20):
+        net = random_network(rng, n_aps=4, n_clients=8, n_channels=2,
+                             dyadic=False, max_radios=2)
+        state = random_state(net, rng, scheme)
+        cfg = state.to_configuration()
+        rep = throughput(net, cfg, optimal_allocation(net, cfg, scheme))
+        expected = np.array([rep.rates[c] for c in net.client_ids])
+        np.testing.assert_allclose(state.rates(), expected, rtol=1e-12, atol=0)
 
 
 def _heavy_load_network(n_per_ap=12, mover_weight=0.1):
