@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Configuration, Network, ScenarioError
-from .fairness import SCHEME_SERVER, SystemState, _check_scheme, optimal_allocation
+from .fairness import SCHEME_SERVER, SystemState, _check_scheme
 
 log = logging.getLogger(__name__)
 
@@ -138,34 +138,6 @@ def softmax_probabilities(
     ex[feasible] = np.exp(shifted[feasible])
     probs = ex / ex.sum()
     return probs
-
-
-# -- single-move energy differences ---------------------------------------
-
-
-def delta_u_association_exact(state: SystemState, client_id: str, target_vap: str) -> float:
-    """Exact energy change of re-associating one client, under state.scheme.
-
-    Computed incrementally from the aggregates of the affected neighborhoods;
-    equals the from-scratch energy difference up to float rounding. -inf when
-    the target link has zero rate.
-    """
-    i = state.net.client_index[client_id]
-    b = state.net.vap_index[target_vap]
-    values, feasible = state.association_candidates(i)
-    if not feasible[b]:
-        return -math.inf
-    return float(values[b] - values[state.assoc[i]])
-
-
-def delta_u_channel_exact(state: SystemState, vap_id: str, channel_id: str) -> float:
-    """Exact energy change of switching one radio's channel, under state.scheme."""
-    n = state.net.vap_index[vap_id]
-    c = state.net.channel_index[channel_id]
-    values, feasible = state.channel_candidates(n)
-    if not feasible[c]:
-        return -math.inf
-    return float(values[c] - values[state.chan[n]])
 
 
 # -- steps ------------------------------------------------------------------
@@ -322,7 +294,9 @@ def initial_configuration(
     distance ties uniformly at random (co-located radios of one AP are always
     tied). If some client is unreachable on every channel that is a scenario
     error; if the particular channel draw strands a client, the channels are
-    redrawn.
+    redrawn. After max_redraws stranding draws every radio takes the channel
+    that reaches farthest: all channels scale one tier table, so that channel
+    reaches every link any channel reaches.
     """
     I, V, C = net.n_clients, net.n_vaps, net.n_channels
     reachable_somewhere = (net.rates > 0).any(axis=(1, 2))
@@ -333,19 +307,20 @@ def initial_configuration(
     for _ in range(max_redraws):
         chan = rng.integers(0, C, size=V)
         rates_now = net.rates[:, np.arange(V), chan]  # (I, V)
-        if not (rates_now > 0).any(axis=1).all():
-            continue
-        assoc = np.empty(I, dtype=np.int64)
-        for i in range(I):
-            ok = rates_now[i] > 0
-            d = np.where(ok, net.distances[i], np.inf)
-            best = d.min()
-            ties = np.flatnonzero(d == best)
-            assoc[i] = ties[rng.integers(len(ties))] if len(ties) > 1 else ties[0]
-        return assoc, chan
-    raise ScenarioError(
-        "could not draw a channel assignment that keeps every client reachable"
-    )
+        if (rates_now > 0).any(axis=1).all():
+            break
+    else:
+        far = int(np.argmax([prof.max_range_m for prof in net.profiles]))
+        chan = np.full(V, far, dtype=np.int64)
+        rates_now = net.rates[:, :, far]
+    assoc = np.empty(I, dtype=np.int64)
+    for i in range(I):
+        ok = rates_now[i] > 0
+        d = np.where(ok, net.distances[i], np.inf)
+        best = d.min()
+        ties = np.flatnonzero(d == best)
+        assoc[i] = ties[rng.integers(len(ties))] if len(ties) > 1 else ties[0]
+    return assoc, chan
 
 
 # -- full runs ---------------------------------------------------------------
@@ -456,7 +431,7 @@ def run(
             break
 
     final_cfg = state.to_configuration()
-    alloc = optimal_allocation(net, final_cfg, policy.scheme)
+    alloc = state.allocation()
     rates = state.rates()
     best_state = SystemState(net, policy.scheme, best_snapshot[0], best_snapshot[1])
     return RunResult(

@@ -16,6 +16,7 @@ from .fairness import (
     SCHEME_SERVER,
     Allocation,
     SystemState,
+    _same_channel_adjacency,
     throughput,
 )
 from .model import Network, ScenarioError
@@ -23,10 +24,7 @@ from .model import Network, ScenarioError
 
 def interfering_pair_count(net: Network, chan: np.ndarray) -> int:
     """Number of unordered radio pairs that interfere on a shared channel."""
-    chan = np.asarray(chan)
-    idx = np.arange(net.n_vaps)
-    adj = net.adjacency[idx[:, None], idx[None, :], chan[:, None]]
-    same = adj & (chan[None, :] == chan[:, None])
+    same = _same_channel_adjacency(net, np.asarray(chan))
     return int((same.sum() - net.n_vaps) // 2)
 
 

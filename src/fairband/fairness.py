@@ -70,50 +70,12 @@ def _f_term(w, z):
     return xlogy(w, w) + xlogy(rest, rest) - xlogy(z, z)
 
 
-def optimal_schedule(network: Network, config: Configuration) -> dict[str, float]:
-    """Weight-proportional scheduling phi_{i,n} = w_i / w^n per serving radio."""
-    load: dict[str, float] = {}
-    for cid in network.client_ids:
-        load[config.association[cid]] = (
-            load.get(config.association[cid], 0.0)
-            + network.clients[network.client_index[cid]].weight
-        )
-    return {
-        cid: network.clients[network.client_index[cid]].weight
-        / load[config.association[cid]]
-        for cid in network.client_ids
-    }
-
-
-def optimal_access(
-    network: Network, config: Configuration, scheme: str = SCHEME_SERVER
-) -> dict[str, float]:
-    """Optimal slot-access probabilities.
-
-    Server scheme: p_n = w^n / z^n per radio, with p_n = 0 for a clientless
-    radio. Client scheme: p_i = w_i / z^{n(i)} per client.
-    """
-    _check_scheme(scheme)
-    from .model import WeightAggregates
-
-    agg = WeightAggregates(network, config)
-    if scheme == SCHEME_SERVER:
-        return {
-            v: (agg.w[v] / agg.z[v] if agg.w[v] > 0 else 0.0) for v in network.vap_ids
-        }
-    return {
-        cid: network.clients[network.client_index[cid]].weight
-        / agg.z[config.association[cid]]
-        for cid in network.client_ids
-    }
-
-
 def optimal_allocation(
     network: Network, config: Configuration, scheme: str = SCHEME_SERVER
 ) -> Allocation:
-    _check_scheme(scheme)
-    schedule = optimal_schedule(network, config) if scheme == SCHEME_SERVER else None
-    return Allocation(scheme, schedule, optimal_access(network, config, scheme))
+    """The closed-form optimal allocation of a configuration; see
+    SystemState.allocation."""
+    return SystemState.from_configuration(network, config, scheme).allocation()
 
 
 def _validate_allocation(network: Network, config: Configuration, alloc: Allocation):
@@ -480,6 +442,22 @@ class SystemState:
                 self.w_ap, self.z, out=np.zeros_like(self.w_ap), where=self.z > 0
             )
         return self.net.weights / self.z[self.assoc]
+
+    def allocation(self) -> Allocation:
+        """The optimal allocation as id-keyed maps.
+
+        Server scheme: phi_i = w_i / w^{n(i)} per client and p_n = w^n / z^n
+        per radio, with p_n = 0 for a clientless radio. Client scheme:
+        p_i = w_i / z^{n(i)} per client and no schedule.
+        """
+        net = self.net
+        p = self.access_probabilities().tolist()
+        if self.scheme == SCHEME_CLIENT:
+            return Allocation(self.scheme, None, dict(zip(net.client_ids, p)))
+        phi = (net.weights / self.w_ap[self.assoc]).tolist()
+        return Allocation(
+            self.scheme, dict(zip(net.client_ids, phi)), dict(zip(net.vap_ids, p))
+        )
 
     def rates(self) -> np.ndarray:
         """Per-client rates under the optimal allocation for this state."""

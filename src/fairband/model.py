@@ -2,16 +2,17 @@
 
 A multi-radio AP is expanded into co-located single-radio virtual APs, so
 every decision variable lives on either a client (which virtual AP it is
-associated with) or a virtual AP (which channel its radio uses). This
-module is the single source of truth for geometry, rate tables, the
-interference structure and the per-AP load aggregates that the allocation
-and optimizer layers consume.
+associated with) or a virtual AP (which channel its radio uses). The
+compiled Network holds the fixed tables every other layer reads: distances,
+per-channel link rates and the per-channel interference adjacency between
+radios. The per-radio loads of a configuration live in
+fairness.SystemState.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,54 +74,6 @@ def expand_virtual_aps(aps: list[AccessPoint]) -> list[VirtualAP]:
         for k in range(ap.radio_count):
             out.append(VirtualAP(f"{ap.id}/r{k}", ap.id, ap.position))
     return out
-
-
-class InterferenceGraph:
-    """Per-channel symmetric interference sets over virtual APs.
-
-    Radio m belongs to the interference set of radio n on channel c when
-    their distance is at most the channel's interference range; every radio
-    belongs to its own set.
-    """
-
-    def __init__(self, vap_ids: tuple[str, ...], channel_ids: tuple[str, ...],
-                 adjacency: np.ndarray):
-        self.vap_ids = vap_ids
-        self.channel_ids = channel_ids
-        self.adjacency = adjacency  # (V, V, C) bool, diagonal True
-        self._vap_index = {v: i for i, v in enumerate(vap_ids)}
-        self._channel_index = {c: i for i, c in enumerate(channel_ids)}
-
-    def interferers(self, vap_id: str, channel_id: str) -> tuple[str, ...]:
-        """The interference set of a radio on a channel, itself included."""
-        row = self.adjacency[self._vap_index[vap_id], :, self._channel_index[channel_id]]
-        return tuple(v for v, hit in zip(self.vap_ids, row) if hit)
-
-    def are_interfering(self, a: str, b: str, channel_id: str) -> bool:
-        return bool(
-            self.adjacency[
-                self._vap_index[a], self._vap_index[b], self._channel_index[channel_id]
-            ]
-        )
-
-
-def build_interference_graph(
-    vaps: list[VirtualAP],
-    channels: list[Channel],
-    radio_model: RadioModel | None = None,
-) -> InterferenceGraph:
-    radio_model = radio_model or RadioModel()
-    pos = np.array([v.position for v in vaps], dtype=float)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    adjacency = np.zeros((len(vaps), len(vaps), len(channels)), dtype=bool)
-    for c, ch in enumerate(channels):
-        rng_m = channel_profile(ch, radio_model).interference_range_m
-        adjacency[:, :, c] = dist <= rng_m
-    # co-located radios sit at distance 0, so the diagonal is already True
-    return InterferenceGraph(
-        tuple(v.id for v in vaps), tuple(ch.id for ch in channels), adjacency
-    )
 
 
 @dataclass
@@ -188,15 +141,9 @@ class Network:
         self.profiles: tuple[ChannelProfile, ...] = tuple(
             channel_profile(ch, self.radio_model) for ch in self.channels
         )
-        self.graph = build_interference_graph(
-            list(self.vaps), list(self.channels), self.radio_model
-        )
-        self.adjacency = self.graph.adjacency
-
-        cpos = np.array([c.position for c in self.clients], dtype=float)
         vpos = np.array([v.position for v in self.vaps], dtype=float)
-        diff = cpos[:, None, :] - vpos[None, :, :]
-        self.distances = np.sqrt((diff * diff).sum(axis=2))  # (I, V)
+        cpos = np.array([c.position for c in self.clients], dtype=float)
+        self.distances = _distances(cpos, vpos)  # (I, V)
 
         I, V, C = len(self.clients), len(self.vaps), len(self.channels)
         self.rates = np.zeros((I, V, C), dtype=float)
@@ -208,6 +155,15 @@ class Network:
             self.log_rates = np.where(
                 self.rates > 0, np.log(np.where(self.rates > 0, self.rates, 1.0)), -np.inf
             )
+
+        # adjacency[n, m, c]: radios n and m interfere on channel c, i.e. they
+        # are at most its interference range apart; co-located radios (the
+        # diagonal included) sit at distance 0. Built after the rate tables so
+        # its temporaries do not add to their peak memory.
+        vdist = _distances(vpos, vpos)
+        self.adjacency = np.stack(
+            [vdist <= prof.interference_range_m for prof in self.profiles], axis=2
+        )  # (V, V, C) bool
 
         self.weights = np.array([c.weight for c in self.clients], dtype=float)
         self.sum_w_log_w = float((self.weights * np.log(self.weights)).sum())
@@ -253,153 +209,15 @@ class Network:
         )
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance from every point of a to every point of b."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
 def _check_unique(kind: str, ids: list[str]):
     seen = set()
     for i in ids:
         if i in seen:
             raise ScenarioError(f"duplicate {kind} id {i!r}")
         seen.add(i)
-
-
-def feasible_aps(
-    network: Network, client_id: str, channel_map: dict[str, str]
-) -> set[str]:
-    """Virtual APs offering a positive rate to a client under a channel map.
-
-    Returns the empty set when the client is unreachable; that is a valid
-    answer, not an error.
-    """
-    i = network.client_index[client_id]
-    chan = network.channel_array(channel_map)
-    picks = network.rates[i, np.arange(network.n_vaps), chan]
-    return {network.vap_ids[v] for v in np.nonzero(picks > 0)[0]}
-
-
-def client_interference_scope(network: Network, client_id: str) -> frozenset[str]:
-    """Radios that could ever affect a client's throughput.
-
-    Union of the interference sets, over every channel, of every radio the
-    client can reach on some channel. Derived bookkeeping only; no protocol
-    is built on top of it.
-    """
-    i = network.client_index[client_id]
-    reachable = np.nonzero((network.rates[i] > 0).any(axis=1))[0]
-    scope: set[int] = set()
-    for v in reachable:
-        for c in range(network.n_channels):
-            scope.update(np.nonzero(network.adjacency[v, :, c])[0])
-    return frozenset(network.vap_ids[v] for v in scope)
-
-
-def is_feasible(network: Network, config: Configuration) -> bool:
-    """True when every client's association carries a positive rate."""
-    chan = network.channel_array(config.channel)
-    assoc = network.association_array(config.association)
-    picks = network.rates[np.arange(network.n_clients), assoc, chan[assoc]]
-    return bool((picks > 0).all())
-
-
-class WeightAggregates:
-    """Per-AP load w^n and same-channel neighborhood load z^n.
-
-    w^n sums the weights of the clients associated with radio n. z^n sums
-    w^m over every radio m in n's interference set that operates on n's
-    channel, n itself included, so w^n <= z^n always holds. The leave-one-out
-    queries answer what the aggregates would be with one client, or one whole
-    radio, taken out of a neighborhood.
-    """
-
-    def __init__(self, network: Network, config: Configuration):
-        self.network = network
-        self.association = dict(config.association)
-        self.channel = dict(config.channel)
-        self.w: dict[str, float] = {}
-        self.z: dict[str, float] = {}
-        self._recompute()
-
-    def _recompute(self):
-        net = self.network
-        self.w = {v: 0.0 for v in net.vap_ids}
-        for cid in net.client_ids:
-            self.w[self.association[cid]] += net.clients[net.client_index[cid]].weight
-        self.z = {}
-        for v in net.vap_ids:
-            ch = self.channel[v]
-            self.z[v] = sum(
-                self.w[m] for m in net.graph.interferers(v, ch) if self.channel[m] == ch
-            )
-
-    def _client_weight(self, client_id: str) -> float:
-        return self.network.clients[self.network.client_index[client_id]].weight
-
-    def _in_neighborhood(self, vap_id: str, other_vap: str) -> bool:
-        ch = self.channel[vap_id]
-        return self.channel[other_vap] == ch and self.network.graph.are_interfering(
-            vap_id, other_vap, ch
-        )
-
-    def w_without_client(self, vap_id: str, client_id: str) -> float:
-        """w^n with one client removed from the system."""
-        if self.association[client_id] == vap_id:
-            return self.w[vap_id] - self._client_weight(client_id)
-        return self.w[vap_id]
-
-    def z_without_client(self, vap_id: str, client_id: str) -> float:
-        """z^n with one client removed from the system."""
-        if self._in_neighborhood(vap_id, self.association[client_id]):
-            return self.z[vap_id] - self._client_weight(client_id)
-        return self.z[vap_id]
-
-    def z_without_ap(self, vap_id: str, other_vap: str) -> float:
-        """z^n with one radio's whole load removed from the neighborhood.
-
-        A radio belongs to its own neighborhood, so removing it from itself
-        subtracts its own load.
-        """
-        if self._in_neighborhood(vap_id, other_vap):
-            return self.z[vap_id] - self.w[other_vap]
-        return self.z[vap_id]
-
-    def apply_association_move(self, client_id: str, target_vap: str):
-        """Incrementally update aggregates for one client re-association."""
-        net = self.network
-        wi = self._client_weight(client_id)
-        source = self.association[client_id]
-        if source == target_vap:
-            return
-        for v in net.vap_ids:
-            delta = 0.0
-            if self._in_neighborhood(v, source):
-                delta -= wi
-            if self._in_neighborhood(v, target_vap):
-                delta += wi
-            if delta:
-                self.z[v] += delta
-        self.w[source] -= wi
-        self.w[target_vap] += wi
-        self.association[client_id] = target_vap
-
-    def apply_channel_move(self, vap_id: str, target_channel: str):
-        """Incrementally update aggregates for one radio's channel switch."""
-        net = self.network
-        old = self.channel[vap_id]
-        if old == target_channel:
-            return
-        load = self.w[vap_id]
-        for v in net.vap_ids:
-            if v == vap_id:
-                continue
-            if self._in_neighborhood(v, vap_id):
-                self.z[v] -= load
-        self.channel[vap_id] = target_channel
-        for v in net.vap_ids:
-            if v == vap_id:
-                continue
-            if self._in_neighborhood(v, vap_id):
-                self.z[v] += load
-        ch = target_channel
-        self.z[vap_id] = sum(
-            self.w[m]
-            for m in net.graph.interferers(vap_id, ch)
-            if self.channel[m] == ch
-        )

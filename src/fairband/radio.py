@@ -53,6 +53,8 @@ class RadioModel:
             raise ValueError("path_loss_alpha must exceed 2")
         if self.base_frequency_mhz <= 0 or self.base_bandwidth_mhz <= 0:
             raise ValueError("base frequency and bandwidth must be positive")
+        if self.carrier_sense_factor <= 0:
+            raise ValueError("carrier_sense_factor must be positive")
         if not self.base_tiers:
             raise ValueError("at least one rate tier is required")
         rates = [t.rate_mbps for t in self.base_tiers]

@@ -212,12 +212,26 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _mappings(value, field) -> list[dict]:
+    """A list of mappings, each entry checked so errors name it."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"{field}: expected a list")
+    for k, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise ScenarioError(f"{field}[{k}]: expected a mapping")
+    return value
+
+
 def _number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
         raise ScenarioError(f"{where}: must be finite")
-    return float(value)
+    return x
 
 
 def _point(value, where) -> tuple[float, float]:
@@ -235,7 +249,7 @@ def _load_radio_model(raw) -> RadioModel:
              "carrier_sense_factor"}
     unknown = set(raw) - known
     if unknown:
-        raise ScenarioError(f"radio_model: unknown fields {sorted(unknown)}")
+        raise ScenarioError(f"radio_model: unknown fields {sorted(map(str, unknown))}")
     kwargs = {k: _number(v, f"radio_model.{k}") for k, v in raw.items()}
     return RadioModel(**kwargs)
 
@@ -261,7 +275,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError("name: expected a non-empty string")
 
     channels = []
-    for k, ch in enumerate(_require(raw, "channels", str(path))):
+    for k, ch in enumerate(_mappings(_require(raw, "channels", str(path)), "channels")):
         where = f"channels[{k}]"
         channels.append(
             Channel(
@@ -273,10 +287,10 @@ def load_scenario(path: str | Path) -> Scenario:
         )
 
     aps = []
-    for k, ap in enumerate(_require(raw, "aps", str(path))):
+    for k, ap in enumerate(_mappings(_require(raw, "aps", str(path)), "aps")):
         where = f"aps[{k}]"
         radios = ap.get("radios", 1)
-        if not isinstance(radios, int) or radios < 1:
+        if type(radios) is not int or radios < 1:  # bool is not a count
             raise ScenarioError(f"{where}.radios: expected a positive integer")
         aps.append(
             AccessPoint(
@@ -289,7 +303,7 @@ def load_scenario(path: str | Path) -> Scenario:
     clients = None
     if "clients" in raw and raw["clients"] is not None:
         clients = []
-        for k, cl in enumerate(raw["clients"]):
+        for k, cl in enumerate(_mappings(raw["clients"], "clients")):
             where = f"clients[{k}]"
             weight = _number(cl.get("weight", 1.0), where + ".weight")
             clients.append(
@@ -304,10 +318,10 @@ def load_scenario(path: str | Path) -> Scenario:
     regions = None
     if "regions" in raw and raw["regions"] is not None:
         regions = []
-        for k, rg in enumerate(raw["regions"]):
+        for k, rg in enumerate(_mappings(raw["regions"], "regions")):
             where = f"regions[{k}]"
             count = _require(rg, "count", where)
-            if not isinstance(count, int) or count < 1:
+            if type(count) is not int or count < 1:
                 raise ScenarioError(f"{where}.count: expected a positive integer")
             rect = _require(rg, "rect", where)
             if not isinstance(rect, (list, tuple)) or len(rect) != 4:
@@ -322,8 +336,8 @@ def load_scenario(path: str | Path) -> Scenario:
         regions = tuple(regions)
 
     seed = raw.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ScenarioError("seed: expected an integer")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ScenarioError("seed: expected a non-negative integer")
 
     try:
         return Scenario(

@@ -20,12 +20,7 @@ from fairband import (
     run,
     softmax_probabilities,
 )
-from fairband.annealing import (
-    delta_u_association_exact,
-    delta_u_channel_exact,
-    gibbs_step,
-    greedy_step,
-)
+from fairband.annealing import gibbs_step, greedy_step
 from conftest import random_network, random_state, rel
 
 
@@ -124,20 +119,22 @@ def test_exact_deltas_match_oracle_differences(rng, scheme):
         cfg = state.to_configuration()
         u0 = oracle_energy(net, cfg.association, cfg.channel, scheme)
 
-        cid = net.client_ids[int(rng.integers(net.n_clients))]
-        target = net.vap_ids[int(rng.integers(net.n_vaps))]
-        d = delta_u_association_exact(state, cid, target)
-        moved = {**cfg.association, cid: target}
+        i = int(rng.integers(net.n_clients))
+        b = int(rng.integers(net.n_vaps))
+        values, _ = state.association_candidates(i)
+        d = values[b] - values[state.assoc[i]]
+        moved = {**cfg.association, net.client_ids[i]: net.vap_ids[b]}
         u1 = oracle_energy(net, moved, cfg.channel, scheme)
         if math.isfinite(d):
             assert rel(d, u1 - u0) < 1e-9
         else:
             assert u1 == -math.inf
 
-        vid = net.vap_ids[int(rng.integers(net.n_vaps))]
-        ch = net.channel_ids[int(rng.integers(net.n_channels))]
-        d = delta_u_channel_exact(state, vid, ch)
-        moved_ch = {**cfg.channel, vid: ch}
+        n = int(rng.integers(net.n_vaps))
+        c = int(rng.integers(net.n_channels))
+        values, _ = state.channel_candidates(n)
+        d = values[c] - values[state.chan[n]]
+        moved_ch = {**cfg.channel, net.vap_ids[n]: net.channel_ids[c]}
         u2 = oracle_energy(net, cfg.association, moved_ch, scheme)
         if math.isfinite(d):
             assert rel(d, u2 - u0) < 1e-9
@@ -162,8 +159,10 @@ def test_delta_is_local_to_the_neighborhood(rng):
     for scheme in ("server", "client"):
         s_small = SystemState(small, scheme, assoc_small, np.zeros(2, dtype=np.int64))
         s_big = SystemState(big, scheme, assoc_big, np.zeros(3, dtype=np.int64))
-        d_small = delta_u_association_exact(s_small, "c2", "b/r0")
-        d_big = delta_u_association_exact(s_big, "c2", "b/r0")
+        v_small, _ = s_small.association_candidates(1)
+        v_big, _ = s_big.association_candidates(1)
+        d_small = v_small[1] - v_small[0]  # c2 from a/r0 to b/r0
+        d_big = v_big[1] - v_big[0]
         assert rel(d_small, d_big) < 1e-12
 
 
@@ -268,6 +267,19 @@ def test_initial_configuration_unreachable_client_raises():
     )
     with pytest.raises(ScenarioError):
         initial_configuration(net, np.random.default_rng(0))
+
+
+def test_initial_configuration_falls_back_to_the_farthest_reaching_channel():
+    # 40 isolated cells whose clients only 2.4 GHz reaches: a uniform channel
+    # draw keeps all of them reachable with probability 2^-40
+    net = Network(
+        [Channel("b", 2400.0, 22.0), Channel("h", 16000.0, 50.0)],
+        [AccessPoint(f"a{k}", (1000.0 * k, 0.0)) for k in range(40)],
+        [Client(f"c{k}", (1000.0 * k + 100.0, 0.0)) for k in range(40)],
+    )
+    assoc, chan = initial_configuration(net, np.random.default_rng(0))
+    assert (chan == 0).all() and (assoc == np.arange(40)).all()
+    assert SystemState(net, "server", assoc, chan).feasible
 
 
 # -- full runs --------------------------------------------------------------------

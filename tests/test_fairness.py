@@ -13,9 +13,7 @@ from fairband import (
     Network,
     SystemState,
     energy,
-    optimal_access,
     optimal_allocation,
-    optimal_schedule,
     oracle_energy,
     slot_monte_carlo,
     throughput,
@@ -59,13 +57,15 @@ def test_schedule_and_access_closed_forms():
     cfg = Configuration(
         {"c1": "a/r0", "c2": "a/r0", "c3": "b/r0"}, {"a/r0": "b", "b/r0": "b"}
     )
-    phi = optimal_schedule(net, cfg)
+    phi = optimal_allocation(net, cfg, "server").schedule
     assert phi["c1"] == pytest.approx(2 / 3) and phi["c2"] == pytest.approx(1 / 3)
     assert phi["c3"] == 1.0
-    p = optimal_access(net, cfg, "server")
+    p = optimal_allocation(net, cfg, "server").access
     # the APs interfere: z = 4 for both
     assert p["a/r0"] == pytest.approx(3 / 4) and p["b/r0"] == pytest.approx(1 / 4)
-    pc = optimal_access(net, cfg, "client")
+    client = optimal_allocation(net, cfg, "client")
+    assert client.schedule is None
+    pc = client.access
     assert pc["c1"] == pytest.approx(2 / 4) and pc["c3"] == pytest.approx(1 / 4)
 
 
@@ -76,7 +76,7 @@ def test_clientless_radio_gets_zero_access():
         [Client("c1", (10, 0))],
     )
     cfg = Configuration({"c1": "a/r0"}, {"a/r0": "b", "b/r0": "b"})
-    p = optimal_access(net, cfg, "server")
+    p = optimal_allocation(net, cfg, "server").access
     assert p["b/r0"] == 0.0
     assert p["a/r0"] == 1.0  # empty neighbor does not count toward z
     rep = throughput(net, cfg, optimal_allocation(net, cfg, "server"))

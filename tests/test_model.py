@@ -1,4 +1,5 @@
-"""Domain model: virtual AP expansion, interference graph, aggregates."""
+"""Domain model: virtual AP expansion, interference adjacency, rate tables,
+and the per-radio loads SystemState derives from them."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,15 +12,15 @@ from fairband import (
     Configuration,
     Network,
     ScenarioError,
-    WeightAggregates,
-    build_interference_graph,
-    channel_profile,
-    client_interference_scope,
+    SystemState,
     expand_virtual_aps,
-    feasible_aps,
-    is_feasible,
 )
-from conftest import DYADIC_WEIGHTS, random_network, random_state
+from conftest import random_network, random_state
+
+
+def _interfere(net, a, b, channel_id):
+    return bool(net.adjacency[net.vap_index[a], net.vap_index[b],
+                              net.channel_index[channel_id]])
 
 
 def test_virtual_ap_expansion_order_and_ids():
@@ -36,7 +37,7 @@ def test_co_located_radios_always_interfere():
         [AccessPoint("a", (0, 0), radio_count=2)],
         [Client("c", (10, 0))],
     )
-    assert net.graph.are_interfering("a/r0", "a/r1", "x")
+    assert _interfere(net, "a/r0", "a/r1", "x")
 
 
 def test_interference_depends_on_channel_range():
@@ -47,8 +48,8 @@ def test_interference_depends_on_channel_range():
         [AccessPoint("a", (0, 0)), AccessPoint("b", (200, 0))],
         [Client("c", (10, 0))],
     )
-    assert net.graph.are_interfering("a/r0", "b/r0", "far")
-    assert not net.graph.are_interfering("a/r0", "b/r0", "near")
+    assert _interfere(net, "a/r0", "b/r0", "far")
+    assert not _interfere(net, "a/r0", "b/r0", "near")
 
 
 @settings(max_examples=50, deadline=None)
@@ -88,28 +89,27 @@ def test_network_rejects_duplicates_and_empties():
         AccessPoint("a", (0, 0), radio_count=0)
 
 
-def test_feasible_aps_and_scope():
+def test_association_candidates_mark_reachable_radios():
     net = Network(
         [Channel("b", 2400.0, 22.0), Channel("h", 16000.0, 50.0)],
         [AccessPoint("a", (0, 0)), AccessPoint("b", (150, 0))],
         [Client("c1", (40, 0)), Client("c2", (145, 0))],
     )
-    chan = {"a/r0": "b", "b/r0": "h"}
     # c1 at 40 m: reaches a on 2.4 GHz; b is 110 m away, beyond 16 GHz range
-    assert feasible_aps(net, "c1", chan) == {"a/r0"}
-    assert feasible_aps(net, "c2", {"a/r0": "b", "b/r0": "b"}) == {"a/r0", "b/r0"}
-    scope = client_interference_scope(net, "c1")
-    assert "a/r0" in scope and "b/r0" in scope
+    state = SystemState(net, "server", np.array([0, 1]), np.array([0, 1]))
+    assert state.association_candidates(0)[1].tolist() == [True, False]
+    state = SystemState(net, "server", np.array([0, 1]), np.array([0, 0]))
+    assert state.association_candidates(1)[1].tolist() == [True, True]
 
 
-def test_is_feasible_flags_dead_links():
+def test_state_flags_dead_links():
     net = Network(
         [Channel("h", 16000.0, 50.0)],
         [AccessPoint("a", (0, 0))],
         [Client("c1", (40, 0)), Client("c2", (100, 0))],
     )
     cfg = Configuration({"c1": "a/r0", "c2": "a/r0"}, {"a/r0": "h"})
-    assert not is_feasible(net, cfg)
+    assert not SystemState.from_configuration(net, cfg).feasible
 
 
 def _brute_force_aggregates(net, config):
@@ -122,7 +122,7 @@ def _brute_force_aggregates(net, config):
             w[m]
             for m in net.vap_ids
             if config.channel[m] == config.channel[v]
-            and net.graph.are_interfering(v, m, config.channel[v])
+            and _interfere(net, v, m, config.channel[v])
         )
     return w, z
 
@@ -135,47 +135,35 @@ def test_weight_aggregates_match_brute_force_bit_exact(seed):
     net = random_network(rng, n_aps=3, n_clients=7, n_channels=2, dyadic=True,
                          max_radios=2)
     state = random_state(net, rng)
-    config = state.to_configuration()
-    agg = WeightAggregates(net, config)
-    w, z = _brute_force_aggregates(net, config)
-    for v in net.vap_ids:
-        assert agg.w[v] == w[v]
-        assert agg.z[v] == z[v]
+    w, z = _brute_force_aggregates(net, state.to_configuration())
+    for n, v in enumerate(net.vap_ids):
+        assert state.w_ap[n] == w[v]
+        assert state.z[n] == z[v]
 
 
 def test_weight_aggregates_incremental_updates(rng):
     net = random_network(rng, n_aps=3, n_clients=8, n_channels=2, dyadic=True)
     state = random_state(net, rng)
-    config = state.to_configuration()
-    agg = WeightAggregates(net, config)
 
-    cid = net.client_ids[0]
-    target = net.vap_ids[-1]
-    agg.apply_association_move(cid, target)
-    moved = Configuration(
-        {**config.association, cid: target}, dict(config.channel)
-    )
-    fresh = WeightAggregates(net, moved)
-    assert agg.w == fresh.w and agg.z == fresh.z
+    state.apply_association(0, net.n_vaps - 1)
+    fresh = SystemState(net, state.scheme, state.assoc, state.chan)
+    assert (state.w_ap == fresh.w_ap).all() and (state.z == fresh.z).all()
 
-    vap = net.vap_ids[0]
-    newch = net.channel_ids[-1]
-    agg.apply_channel_move(vap, newch)
-    moved2 = Configuration(dict(moved.association), {**moved.channel, vap: newch})
-    fresh2 = WeightAggregates(net, moved2)
-    assert agg.w == fresh2.w and agg.z == fresh2.z
+    state.apply_channel(0, net.n_channels - 1)
+    fresh = SystemState(net, state.scheme, state.assoc, state.chan)
+    assert (state.w_ap == fresh.w_ap).all() and (state.z == fresh.z).all()
 
 
 def test_leave_out_queries(rng):
     net = random_network(rng, n_aps=2, n_clients=4, n_channels=1, dyadic=True)
     state = random_state(net, rng)
-    agg = WeightAggregates(net, state.to_configuration())
-    cid = net.client_ids[0]
-    home = state.to_configuration().association[cid]
-    wi = net.clients[0].weight
-    assert agg.w_without_client(home, cid) == agg.w[home] - wi
-    # removing an AP's own load from its own neighborhood includes itself
-    assert agg.z_without_ap(home, home) == agg.z[home] - agg.w[home]
+    home = int(state.assoc[0])
+    wi, w_minus, z_minus, _ = state._without(0)
+    assert wi == net.clients[0].weight
+    assert w_minus[home] == state.w_ap[home] - wi
+    # the client leaves every neighborhood its radio belongs to, its own included
+    assert (z_minus == state.z - wi * state.same_ch_adj[home]).all()
+    assert z_minus[home] == state.z[home] - wi
 
 
 def test_configuration_digest_distinguishes():

@@ -92,6 +92,8 @@ def test_radio_model_validation():
     with pytest.raises(ValueError):
         RadioModel(base_frequency_mhz=-1.0)
     with pytest.raises(ValueError):
+        RadioModel(carrier_sense_factor=-1.0)
+    with pytest.raises(ValueError):
         RadioModel(base_tiers=(RateTier(-1.0, 50.0),))
     with pytest.raises(ValueError):
         RadioModel(base_tiers=(RateTier(11, 50), RateTier(12, 80)))  # rates must fall

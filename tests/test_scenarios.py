@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairband import (
     BUILTIN_NAMES,
@@ -139,6 +142,63 @@ def test_yaml_error_diagnostics(tmp_path):
     )
     with pytest.raises(ScenarioError, match=r"regions\[0\].count"):
         load_scenario(p)
+
+
+_MINIMAL = {
+    "format": SCENARIO_FORMAT,
+    "name": "x",
+    "channels": [{"id": "a", "center_frequency_mhz": 600, "bandwidth_mhz": 6}],
+    "aps": [{"id": "ap0", "position": [0, 0]}],
+    "clients": [{"id": "c1", "position": [10, 0]}],
+}
+
+
+@pytest.mark.parametrize("patch, field", [
+    ({"channels": 3}, r"^channels: "),
+    ({"aps": [[0, 0]]}, r"^aps\[0\]: "),
+    ({"clients": ["c1"]}, r"^clients\[0\]: "),
+    ({"regions": [7], "clients": None, "seed": 1}, r"^regions\[0\]: "),
+    ({"aps": [{"id": "ap0", "position": [10**400, 0]}]}, r"^aps\[0\]\.position\[0\]: "),
+    ({"radio_model": {1: 3.0, "alpha": 3.0}}, r"radio_model: unknown fields"),
+    ({"aps": [{"id": "ap0", "position": [0, 0], "radios": True}]}, r"^aps\[0\]\.radios: "),
+    ({"seed": -1}, r"^seed: "),
+])
+def test_yaml_wrong_shapes_name_the_field(tmp_path, patch, field):
+    p = tmp_path / "bad.yaml"
+    p.write_text(yaml.safe_dump({**_MINIMAL, **patch}))
+    with pytest.raises(ScenarioError, match=field):
+        load_scenario(p)
+
+
+# field names of every level, so fuzzed mappings also reach nested checks
+_KEYS = st.sampled_from([
+    "id", "position", "weight", "radios", "count", "rect", "center_frequency_mhz",
+    "bandwidth_mhz", "path_loss_alpha", "carrier_sense_factor",
+]) | st.text(max_size=4) | st.integers()
+
+
+def _nested(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=4)
+
+
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    _nested,
+    max_leaves=12,
+)
+_FIELDS = ("format", "name", "channels", "aps", "clients", "regions", "seed",
+           "radio_model")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_FIELDS), _VALUES, min_size=1, max_size=3))
+def test_yaml_fuzzed_fields_raise_only_scenario_error(tmp_path_factory, fields):
+    p = tmp_path_factory.mktemp("fuzz") / "s.yaml"
+    p.write_text(yaml.safe_dump({**_MINIMAL, **fields}))
+    try:
+        load_scenario(p)
+    except ScenarioError:
+        pass
 
 
 def test_scenario_digest_tracks_content():
