@@ -120,24 +120,22 @@ def softmax_probabilities(
     """Move probabilities proportional to exp(value / T) over feasible entries.
 
     The max feasible value is subtracted before exponentiating, so adding
-    any constant to all values changes nothing. Infeasible entries get
-    probability exactly 0. At T = 0 the distribution degenerates to the
-    first exact argmax; greedy_step also counts near-equal values as ties.
+    any constant to all values changes nothing. Infeasible entries are set
+    to -inf before exp, so their probability is exactly 0. At T = 0 the
+    distribution degenerates to the first exact argmax; greedy_step also
+    counts near-equal values as ties.
     """
     values = np.asarray(values, dtype=float)
     feasible = np.asarray(feasible, dtype=bool) & np.isfinite(values)
     if not feasible.any():
         return np.zeros_like(values)
-    probs = np.zeros_like(values)
+    top = values[feasible].max()
     if temperature == 0.0:
-        best = np.flatnonzero(feasible & (values >= values[feasible].max()))[0]
-        probs[best] = 1.0
+        probs = np.zeros_like(values)
+        probs[np.argmax(feasible & (values >= top))] = 1.0
         return probs
-    shifted = (values - values[feasible].max()) / temperature
-    ex = np.zeros_like(values)
-    ex[feasible] = np.exp(shifted[feasible])
-    probs = ex / ex.sum()
-    return probs
+    ex = np.exp(np.where(feasible, values - top, -np.inf) / temperature)
+    return ex / ex.sum()
 
 
 # -- steps ------------------------------------------------------------------
@@ -198,6 +196,15 @@ def _proposal(
     return prop
 
 
+def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """rng.choice(len(probs), p=probs / probs.sum()) without its argument
+    checks: the same inverse-CDF arithmetic on the same one uniform draw, so
+    the same index and the same random stream afterwards."""
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def gibbs_step(
     state: SystemState,
     t: int,
@@ -227,7 +234,7 @@ def gibbs_step(
         )
         return prop, None
 
-    choice = int(rng.choice(len(probs), p=probs / probs.sum()))
+    choice = _sample_index(probs, rng)
     current = _current_index(state, kind, idx)
     changed = choice != current
     if changed:
@@ -388,10 +395,11 @@ def run(
     u = state.energy()
     best_u, best_t = u, 0
     best_snapshot = (state.assoc.copy(), state.chan.copy())
-    trajectory = [
-        TrajectoryPoint(0, None, u, state.weighted_throughput(),
-                        state.to_configuration().digest())
-    ]
+    # (energy, weighted throughput, digest) of the state at the last record;
+    # reused until a move changes the state
+    recorded = (u, state.weighted_throughput(), net.digest(state.assoc, state.chan))
+    trajectory = [TrajectoryPoint(0, None, *recorded)]
+    dirty = False
 
     sweep = net.n_clients + net.n_vaps
     unchanged_streak = 0
@@ -405,31 +413,28 @@ def run(
             prop, new_u = gibbs_step(state, t, policy, rng)
         if prop.chosen is None:
             noops += 1
-        if new_u is None:
-            new_u = state.energy()
+        if new_u is None:  # approx scores: an unchanged state keeps its energy
+            new_u = state.energy() if prop.changed else u
         u = new_u
+        dirty |= prop.changed
         unchanged_streak = 0 if prop.changed else unchanged_streak + 1
         if u > best_u + 1e-12:
             best_u, best_t = u, t
             best_snapshot = (state.assoc.copy(), state.chan.copy())
-        if t % cadence == 0 or t == iters:
-            trajectory.append(
-                TrajectoryPoint(
-                    t, prop.temperature, state.energy(), state.weighted_throughput(),
-                    state.to_configuration().digest()
+        greedy_done = policy.kind == "greedy" and policy.selection == "round-robin" \
+            and unchanged_streak >= sweep
+        if t % cadence == 0 or t == iters or greedy_done:
+            if dirty:
+                recorded = (
+                    state.energy(), state.weighted_throughput(),
+                    net.digest(state.assoc, state.chan),
                 )
-            )
-        if policy.kind == "greedy" and policy.selection == "round-robin" \
-                and unchanged_streak >= sweep:
-            if trajectory[-1].t != t:
-                trajectory.append(
-                    TrajectoryPoint(
-                        t, None, state.energy(), state.weighted_throughput(),
-                        state.to_configuration().digest()
-                    )
-                )
+                dirty = False
+            trajectory.append(TrajectoryPoint(t, prop.temperature, *recorded))
+        if greedy_done:
             break
 
+    final_energy, final_wthr, _ = recorded  # the last record is of the final state
     final_cfg = state.to_configuration()
     alloc = state.allocation()
     rates = state.rates()
@@ -442,8 +447,8 @@ def run(
         iterations=last_t,
         trajectory=trajectory,
         final_configuration=final_cfg,
-        final_energy=state.energy(),
-        final_weighted_throughput=state.weighted_throughput(),
+        final_energy=final_energy,
+        final_weighted_throughput=final_wthr,
         rates={net.client_ids[i]: float(rates[i]) for i in range(net.n_clients)},
         schedule_phi=alloc.schedule,
         access_p=alloc.access,

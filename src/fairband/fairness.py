@@ -185,11 +185,14 @@ def _slot_rates(
     server scheme, the schedule phi.
 
     A transmitter succeeds with p_k times the product of (1 - p_m) over the
-    others in its contention set. The product runs along each row in index
-    order with 1.0 filled in elsewhere; numpy multiplies a row sequentially,
-    so the result equals a loop over the set bit for bit.
+    others in its contention set. That product is one masked reduce: row k of
+    1 - p, multiplied only where the mask is set, starting from the identity
+    1.0. Entries outside the mask are skipped, not multiplied in as 1.0, and
+    the set ones are multiplied along the row in index order, so the result
+    equals a loop over the set bit for bit.
     """
-    idle = np.where(_others_mask(scheme, same_ch_adj, assoc), 1.0 - p, 1.0).prod(axis=1)
+    others = _others_mask(scheme, same_ch_adj, assoc)
+    idle = np.prod(np.broadcast_to(1.0 - p, others.shape), axis=1, where=others)
     if scheme == SCHEME_SERVER:
         return rates_now * phi * (p * idle)[assoc]
     return rates_now * p * idle
@@ -201,10 +204,13 @@ class SystemState:
     The same-channel adjacency ``same_ch_adj`` (with a float copy for
     mat-vecs) is updated in place: a channel move rewrites only the mover's
     row and column, and both hold exact booleans, so nothing can drift. The
-    loads ``w_ap`` and ``z`` and the link term are rebuilt from scratch
-    after every applied move. Association candidates are neighborhood-local
-    closed forms: O(I + V) vector work plus one mat-vec with the adjacency,
-    and no V x V temporaries. All arrays are indexed in network order.
+    link table ``_lb`` (I x V) holds every client's log rate to every radio
+    on that radio's current channel; a channel move rewrites the mover's
+    column, copied from ``net.log_rates``, so it too stays exact. The loads ``w_ap`` and ``z``
+    and the link term are rebuilt from scratch after every applied move.
+    Association candidates are neighborhood-local closed forms: O(I + V)
+    vector work plus one mat-vec with the adjacency, and no V x V
+    temporaries. All arrays are indexed in network order.
     """
 
     def __init__(self, network: Network, scheme: str, assoc: np.ndarray, chan: np.ndarray):
@@ -221,6 +227,12 @@ class SystemState:
         self._vaps = np.arange(network.n_vaps)
         self.same_ch_adj = _same_channel_adjacency(network, self.chan)
         self._adj = self.same_ch_adj.astype(float)
+        # log_rates[:, v, chan[v]] gathered in C order, so a client's row is contiguous
+        self._lb = np.take(
+            network.log_rates.reshape(network.n_clients, -1),
+            self._vaps * network.n_channels + self.chan,
+            axis=1,
+        )
         self._refresh_loads()
 
     @classmethod
@@ -246,7 +258,7 @@ class SystemState:
         net = self.net
         self.w_ap = np.bincount(self.assoc, weights=net.weights, minlength=net.n_vaps)
         self.z = self._adj @ self.w_ap
-        self._log_b_clients = net.log_rates[self._clients, self.assoc, self.chan[self.assoc]]
+        self._log_b_clients = self._lb[self._clients, self.assoc]
         self.feasible = bool(np.isfinite(self._log_b_clients).all())
         self.b_term = (
             float((net.weights * self._log_b_clients).sum()) if self.feasible else -math.inf
@@ -263,6 +275,7 @@ class SystemState:
         self.same_ch_adj[:, vap] = row
         self._adj[vap, :] = row
         self._adj[:, vap] = row
+        self._lb[:, vap] = self.net.log_rates[:, vap, target_channel]
         self._refresh_loads()
 
     # -- energy -----------------------------------------------------------
@@ -281,14 +294,13 @@ class SystemState:
 
     def _without(self, client: int):
         """The client's weight, the loads with it taken out of the system, and
-        its log link rate to every radio on that radio's current channel."""
+        its row of the link table (a read-only view)."""
         a = int(self.assoc[client])
         wi = self.net.weights[client]
         w_minus = self.w_ap.copy()
         w_minus[a] = max(w_minus[a] - wi, 0.0)
         z_minus = self.z - wi * self._adj[a]
-        lb = self.net.log_rates[client, self._vaps, self.chan]
-        return wi, w_minus, z_minus, lb
+        return wi, w_minus, z_minus, self._lb[client]
 
     def association_candidates(self, client: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact energies of moving one client to each radio.

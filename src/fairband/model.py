@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,7 +96,11 @@ class Configuration:
             [sorted(self.association.items()), sorted(self.channel.items())],
             separators=(",", ":"),
         )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _short_hash(blob)
+
+
+def _short_hash(blob: str) -> str:
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 class Network:
@@ -207,6 +212,35 @@ class Network:
                 self.vap_ids[v]: self.channel_ids[chan[v]] for v in range(self.n_vaps)
             },
         )
+
+    @cached_property
+    def _digest_parts(self):
+        """What digest() needs, built on first use: the JSON text that
+        Configuration.digest hashes as a template with a gap for each value
+        (pairs '["<key>","<value>"]', clients and then radios in sorted id
+        order), the JSON of every radio and channel id, and the two orders."""
+        I = self.n_clients
+        vap_json = np.array([json.dumps(v) for v in self.vap_ids], dtype=object)
+        channel_json = np.array([json.dumps(c) for c in self.channel_ids], dtype=object)
+        client_order = np.array(sorted(range(I), key=self.client_ids.__getitem__))
+        vap_order = np.array(sorted(range(self.n_vaps), key=self.vap_ids.__getitem__))
+        keys = [json.dumps(self.client_ids[i]) for i in client_order]
+        keys += vap_json[vap_order].tolist()
+        template = []
+        for k, key in enumerate(keys):
+            opener = "[[[" if k == 0 else "]],[[" if k == I else "],["
+            template += [opener + key + ",", None]
+        return template + ["]]]"], vap_json, channel_json, client_order, vap_order
+
+    def digest(self, assoc: np.ndarray, chan: np.ndarray) -> str:
+        """configuration(assoc, chan).digest(), built straight from the arrays:
+        the same JSON text, without the maps, the sorts or the encoder."""
+        template, vap_json, channel_json, client_order, vap_order = self._digest_parts
+        parts = template.copy()
+        I = self.n_clients
+        parts[1:2 * I:2] = vap_json[np.asarray(assoc)[client_order]].tolist()
+        parts[2 * I + 1::2] = channel_json[np.asarray(chan)[vap_order]].tolist()
+        return _short_hash("".join(parts))
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

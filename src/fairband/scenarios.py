@@ -57,10 +57,15 @@ class Scenario:
     radio_model: RadioModel = field(default_factory=RadioModel)
 
     def __post_init__(self):
+        seed = self.seed
+        if seed is not None and (
+            isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0
+        ):
+            raise ScenarioError(f"seed: expected a non-negative integer, got {seed!r}")
         if (self.clients is None) == (self.regions is None):
-            raise ScenarioError("give exactly one of clients or regions")
+            raise ScenarioError("clients: give exactly one of clients or regions")
         if self.regions is not None and self.seed is None:
-            raise ScenarioError("region-based scenarios need a seed")
+            raise ScenarioError("seed: region-based scenarios need a seed")
 
     def materialize_clients(self) -> tuple[Client, ...]:
         if self.clients is not None:
@@ -251,7 +256,10 @@ def _load_radio_model(raw) -> RadioModel:
     if unknown:
         raise ScenarioError(f"radio_model: unknown fields {sorted(map(str, unknown))}")
     kwargs = {k: _number(v, f"radio_model.{k}") for k, v in raw.items()}
-    return RadioModel(**kwargs)
+    try:
+        return RadioModel(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"radio_model: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -335,22 +343,15 @@ def load_scenario(path: str | Path) -> Scenario:
             )
         regions = tuple(regions)
 
-    seed = raw.get("seed")
-    if seed is not None and (type(seed) is not int or seed < 0):
-        raise ScenarioError("seed: expected a non-negative integer")
-
-    try:
-        return Scenario(
-            name=name,
-            channels=tuple(channels),
-            aps=tuple(aps),
-            clients=clients,
-            regions=regions,
-            seed=seed,
-            radio_model=_load_radio_model(raw.get("radio_model")),
-        )
-    except (ScenarioError, ValueError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    return Scenario(
+        name=name,
+        channels=tuple(channels),
+        aps=tuple(aps),
+        clients=clients,
+        regions=regions,
+        seed=raw.get("seed"),
+        radio_model=_load_radio_model(raw.get("radio_model")),
+    )
 
 
 def _scenario_dict(s: Scenario) -> dict:

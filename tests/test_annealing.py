@@ -20,7 +20,7 @@ from fairband import (
     run,
     softmax_probabilities,
 )
-from fairband.annealing import gibbs_step, greedy_step
+from fairband.annealing import _sample_index, gibbs_step, greedy_step
 from conftest import random_network, random_state, rel
 
 
@@ -106,6 +106,24 @@ def test_softmax_temperature_sharpens():
     cold = softmax_probabilities(values, 0.1, ok)
     assert cold[1] > hot[1]
     assert cold[1] == pytest.approx(1 / (1 + math.exp(-10)))
+
+
+def test_inverse_cdf_draw_matches_generator_choice():
+    # softmax outputs over weights from 1e-3 to 1e3, some entries -inf; the
+    # draw must pick the index Generator.choice picks and leave both
+    # generators in the same state
+    meta = np.random.default_rng(7)
+    for _ in range(3000):
+        n = int(meta.integers(1, 40))
+        values = np.log(10.0 ** meta.uniform(-3, 3, n))
+        values[meta.random(n) < 0.3] = -np.inf
+        values[int(meta.integers(n))] = 0.0  # at least one feasible entry
+        temperature = float(meta.uniform(0.2, 5))
+        probs = softmax_probabilities(values, temperature, np.isfinite(values))
+        seed = int(meta.integers(2**32))
+        ours, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _sample_index(probs, ours) == int(numpy_.choice(n, p=probs / probs.sum()))
+        assert ours.random() == numpy_.random()
 
 
 # -- single-move deltas ---------------------------------------------------------

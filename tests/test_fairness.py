@@ -19,7 +19,7 @@ from fairband import (
     throughput,
 )
 from fairband.annealing import softmax_probabilities
-from fairband.fairness import _same_channel_adjacency
+from fairband.fairness import _others_mask, _same_channel_adjacency, _slot_rates
 from conftest import random_network, random_state, rel
 
 
@@ -335,6 +335,36 @@ def test_state_rates_equal_throughput_of_optimal_allocation(rng, scheme):
         rep = throughput(net, cfg, optimal_allocation(net, cfg, scheme))
         expected = np.array([rep.rates[c] for c in net.client_ids])
         np.testing.assert_allclose(state.rates(), expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_slot_rates_equal_a_loop_over_the_set_entries(rng, scheme):
+    # dense interference (a small box, one channel or two) gives long
+    # products; p is non-dyadic, so any change of order shows in the bits
+    for trial in range(20):
+        net = random_network(rng, n_aps=10, n_clients=24, n_channels=1 + trial % 2,
+                             box=120.0, dyadic=False, max_radios=2)
+        state = random_state(net, rng, scheme)
+        n = net.n_vaps if scheme == "server" else net.n_clients
+        for p in (state.access_probabilities(), rng.uniform(0.0, 1.0, n)):
+            assoc = state.assoc
+            rates_now = net.rates[np.arange(net.n_clients), assoc, state.chan[assoc]]
+            phi = rng.uniform(0.1, 1.0, net.n_clients) if scheme == "server" else None
+            got = _slot_rates(scheme, state.same_ch_adj, assoc, rates_now, p, phi)
+
+            others = _others_mask(scheme, state.same_ch_adj, assoc)
+            idle = []
+            for k in range(n):
+                prod = 1.0
+                for m in np.flatnonzero(others[k]):
+                    prod *= 1.0 - p[m]
+                idle.append(prod)
+            idle = np.array(idle)
+            if scheme == "server":
+                want = rates_now * phi * (p * idle)[assoc]
+            else:
+                want = rates_now * p * idle
+            assert (got == want).all()
 
 
 def _heavy_load_network(n_per_ap=12, mover_weight=0.1):

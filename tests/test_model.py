@@ -172,3 +172,22 @@ def test_configuration_digest_distinguishes():
     assert c1.digest() != c2.digest()
     assert c1.digest() == Configuration({"c": "a"}, {"a": "x"}).digest()
     assert len(c1.digest()) == 16
+
+
+def test_network_digest_equals_configuration_digest():
+    # ids whose sorted order is not index order (c10 < c2, ap10 < ap9) and
+    # that JSON must escape: a quote, a backslash, non-ASCII
+    channels = [Channel('ch"q', 2400.0, 22.0), Channel("ch\\b", 600.0, 6.0),
+                Channel("ch-é", 4000.0, 44.0)]
+    ap_ids = ["ap9", "ap10", 'ap"1', "ap\\2", "apé", "ap雪"]
+    aps = [AccessPoint(a, (30.0 * k, 0.0), radio_count=1 + k % 2)
+           for k, a in enumerate(ap_ids)]
+    client_ids = ["c2", "c10", "c1", 'c"x', "c\\y", "cé", "c雪", "C0"]
+    clients = [Client(c, (10.0 * k, 5.0)) for k, c in enumerate(client_ids)]
+    net = Network(channels, aps, clients)
+    assert list(net.client_ids) != sorted(net.client_ids)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        assoc = rng.integers(0, net.n_vaps, size=net.n_clients)
+        chan = rng.integers(0, net.n_channels, size=net.n_vaps)
+        assert net.digest(assoc, chan) == net.configuration(assoc, chan).digest()

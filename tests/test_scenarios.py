@@ -85,6 +85,15 @@ def test_region_scenario_requires_seed():
         Scenario(name="x", channels=s.channels, aps=s.aps)  # neither clients nor regions
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
+def test_scenario_rejects_a_bad_seed(seed):
+    s = builtin("grid16-unweighted")
+    with pytest.raises(ScenarioError, match=r"^seed: "):
+        Scenario(name="x", channels=s.channels, aps=s.aps, regions=s.regions, seed=seed)
+    with pytest.raises(ScenarioError, match=r"^seed: "):
+        s.reseeded(seed)
+
+
 def test_reseeded_changes_only_region_draws():
     s = builtin("grid16-unweighted", seed=1)
     assert s.reseeded(2).seed == 2
