@@ -42,6 +42,8 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("invsqrtlog", "invlog", "geometric", "const"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if not (math.isfinite(self.t0) and math.isfinite(self.ratio)):
+            raise ValueError("temperature and ratio must be finite")
         if self.kind == "const":
             if self.t0 < 0:
                 raise ValueError("constant temperature must be >= 0")
@@ -126,15 +128,16 @@ def softmax_probabilities(
     counts near-equal values as ties.
     """
     values = np.asarray(values, dtype=float)
-    feasible = np.asarray(feasible, dtype=bool) & np.isfinite(values)
-    if not feasible.any():
+    usable = np.asarray(feasible, dtype=bool) & np.isfinite(values)
+    masked = np.where(usable, values, -np.inf)
+    top = masked.max(initial=-np.inf)
+    if top == -np.inf:
         return np.zeros_like(values)
-    top = values[feasible].max()
     if temperature == 0.0:
         probs = np.zeros_like(values)
-        probs[np.argmax(feasible & (values >= top))] = 1.0
+        probs[np.argmax(masked >= top)] = 1.0
         return probs
-    ex = np.exp(np.where(feasible, values - top, -np.inf) / temperature)
+    ex = np.exp((masked - top) / temperature)
     return ex / ex.sum()
 
 
@@ -305,28 +308,35 @@ def initial_configuration(
     that reaches farthest: all channels scale one tier table, so that channel
     reaches every link any channel reaches.
     """
-    I, V, C = net.n_clients, net.n_vaps, net.n_channels
-    reachable_somewhere = (net.rates > 0).any(axis=(1, 2))
+    V, C = net.n_vaps, net.n_channels
+    # a link has a positive rate exactly when it is within the outermost
+    # rate tier of its channel
+    max_range = np.array([prof.max_range_m for prof in net.profiles])
+    reachable_somewhere = (net.distances <= max_range.max()).any(axis=1)
     if not reachable_somewhere.all():
         bad = net.client_ids[int(np.argmin(reachable_somewhere))]
         raise ScenarioError(f"client {bad!r} has no positive-rate AP on any channel")
 
     for _ in range(max_redraws):
         chan = rng.integers(0, C, size=V)
-        rates_now = net.rates[:, np.arange(V), chan]  # (I, V)
-        if (rates_now > 0).any(axis=1).all():
+        reach = net.distances <= max_range[chan]
+        if reach.any(axis=1).all():
             break
     else:
-        far = int(np.argmax([prof.max_range_m for prof in net.profiles]))
+        far = int(np.argmax(max_range))
         chan = np.full(V, far, dtype=np.int64)
-        rates_now = net.rates[:, :, far]
-    assoc = np.empty(I, dtype=np.int64)
-    for i in range(I):
-        ok = rates_now[i] > 0
-        d = np.where(ok, net.distances[i], np.inf)
-        best = d.min()
-        ties = np.flatnonzero(d == best)
-        assoc[i] = ties[rng.integers(len(ties))] if len(ties) > 1 else ties[0]
+        reach = net.distances <= max_range[far]
+    d = np.where(reach, net.distances, np.inf)
+    nearest = d == d.min(axis=1, keepdims=True)
+    assoc = nearest.argmax(axis=1)  # the lowest-index nearest radio
+    counts = nearest.sum(axis=1)
+    tied = np.flatnonzero(counts > 1)
+    if tied.size:
+        # one draw per tied client, in client order, picks among its nearest radios
+        picks = [rng.integers(n) for n in counts[tied].tolist()]
+        radios = nearest[tied].ravel().nonzero()[0] % V  # row by row, ascending
+        first = np.cumsum(counts[tied]) - counts[tied]
+        assoc[tied] = radios[first + picks]
     return assoc, chan
 
 

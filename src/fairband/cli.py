@@ -48,6 +48,43 @@ def _resolve_scenario(name_or_path: str) -> Scenario:
     return load_scenario(path)
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
+
+
+def _schedule_text(text: str) -> str:
+    """argparse type: a schedule Schedule.parse accepts (checked with t0 = 1)."""
+    try:
+        Schedule.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _default_iterations(scenario: Scenario) -> int:
     return 200000 if scenario.regions is not None else 20000
 
@@ -186,12 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"built-in name ({', '.join(BUILTIN_NAMES)}) or YAML file")
     p_run.add_argument("--policy", choices=POLICIES, default="dp-exact")
     p_run.add_argument("--scheme", choices=SCHEMES, default=SCHEME_SERVER)
-    p_run.add_argument("--iters", type=int, default=None,
+    p_run.add_argument("--iters", type=_at_least(0), default=None,
                        help="optimizer steps (default: 20000, region scenarios 200000)")
-    p_run.add_argument("--runs", type=int, default=1)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--t0", type=float, default=1.0)
-    p_run.add_argument("--schedule", default="invsqrtlog",
+    p_run.add_argument("--runs", type=_at_least(1), default=1)
+    p_run.add_argument("--seed", type=_at_least(0), default=0)
+    p_run.add_argument("--t0", type=_positive_float, default=1.0)
+    p_run.add_argument("--schedule", type=_schedule_text, default="invsqrtlog",
                        help="invsqrtlog | invlog | geometric:<ratio> | const:<T>")
     p_run.add_argument("--selection", choices=("round-robin", "random"),
                        default="round-robin")
@@ -203,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="exhaustively find the optimum")
     p_enum.add_argument("--scenario", required=True)
     p_enum.add_argument("--scheme", choices=SCHEMES, default=SCHEME_SERVER)
-    p_enum.add_argument("--seed", type=int, default=0)
+    p_enum.add_argument("--seed", type=_at_least(0), default=0)
     p_enum.add_argument("--limit", type=int, default=10**6)
     p_enum.add_argument("--out-dir", default=None)
     p_enum.set_defaults(func=cmd_enumerate)

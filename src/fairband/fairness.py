@@ -70,6 +70,24 @@ def _f_term(w, z):
     return xlogy(w, w) + xlogy(rest, rest) - xlogy(z, z)
 
 
+def _t_term(w, z):
+    """psi(z - w) - psi(z), psi(x) = x log x: _f_term without its psi(w), the
+    part of a term that depends on the neighbourhood load z."""
+    rest = np.maximum(np.asarray(z, dtype=float) - w, 0.0)
+    return xlogy(rest, rest) - xlogy(z, z)
+
+
+def _load_change(w, z, shift):
+    """_t_term(w, z + shift) - _t_term(w, z): the change of a term when its
+    neighbourhood load grows by shift. An entry with w = inf has no rest
+    part and gives psi(z) - psi(z + shift)."""
+    moved = z + shift
+    rest = np.maximum(z - w, 0.0)
+    rest_moved = np.maximum(moved - w, 0.0)
+    return (xlogy(rest_moved, rest_moved) - xlogy(rest, rest)
+            + xlogy(z, z) - xlogy(moved, moved))
+
+
 def optimal_allocation(
     network: Network, config: Configuration, scheme: str = SCHEME_SERVER
 ) -> Allocation:
@@ -117,9 +135,10 @@ def throughput(
         if allocation.scheme == SCHEME_SERVER
         else None
     )
+    same_ch_adj = _same_channel_adjacency(network, chan)
     r = _slot_rates(
         allocation.scheme,
-        _same_channel_adjacency(network, chan),
+        _contention_entries(allocation.scheme, same_ch_adj, assoc),
         assoc,
         rates_now,
         _access_vector(network, allocation),
@@ -154,6 +173,14 @@ def _same_channel_adjacency(network: Network, chan: np.ndarray) -> np.ndarray:
     return adj_cur & (chan[None, :] == chan[:, None])
 
 
+def _entries(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every set entry of a C-ordered bool matrix, row by
+    row and in ascending column order within a row: the neighbour lists of
+    its rows, read with one flat nonzero."""
+    flat = mask.ravel().nonzero()[0]
+    return flat // mask.shape[1], flat % mask.shape[1]
+
+
 def _access_vector(network: Network, allocation: Allocation) -> np.ndarray:
     """An allocation's access probabilities in radio (server) or client order."""
     keys = network.vap_ids if allocation.scheme == SCHEME_SERVER else network.client_ids
@@ -167,14 +194,24 @@ def _others_mask(scheme: str, same_ch_adj: np.ndarray, assoc: np.ndarray) -> np.
     if scheme == SCHEME_SERVER:
         others = same_ch_adj.copy()
     else:
-        others = same_ch_adj[np.ix_(assoc, assoc)]
+        others = same_ch_adj.take(assoc, axis=0).take(assoc, axis=1)
     np.fill_diagonal(others, False)
     return others
 
 
+def _contention_entries(scheme: str, same_ch_adj: np.ndarray, assoc: np.ndarray):
+    """Every transmitter's contention set, itself included, as _entries plus
+    the start of each row: radios under the server scheme, clients under the
+    client scheme."""
+    if scheme == SCHEME_CLIENT:
+        same_ch_adj = same_ch_adj.take(assoc, axis=0).take(assoc, axis=1)
+    rows, cols = _entries(same_ch_adj)
+    return rows, cols, rows.searchsorted(np.arange(len(same_ch_adj)))
+
+
 def _slot_rates(
     scheme: str,
-    same_ch_adj: np.ndarray,
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
     assoc: np.ndarray,
     rates_now: np.ndarray,
     p: np.ndarray,
@@ -185,32 +222,56 @@ def _slot_rates(
     server scheme, the schedule phi.
 
     A transmitter succeeds with p_k times the product of (1 - p_m) over the
-    others in its contention set. That product is one masked reduce: row k of
-    1 - p, multiplied only where the mask is set, starting from the identity
-    1.0. Entries outside the mask are skipped, not multiplied in as 1.0, and
-    the set ones are multiplied along the row in index order, so the result
-    equals a loop over the set bit for bit.
+    others in its contention set. entries lists each set, k itself included,
+    row by row in ascending order, with where each row starts
+    (_contention_entries). The factor of k's
+    own entry is set to 1.0 and np.multiply.reduceat multiplies each row out
+    from left to right; every row holds its own entry, so none is empty, and
+    multiplying by 1.0 is exact, so the product equals a loop over the others
+    in index order bit for bit.
     """
-    others = _others_mask(scheme, same_ch_adj, assoc)
-    idle = np.prod(np.broadcast_to(1.0 - p, others.shape), axis=1, where=others)
+    rows, cols, starts = entries
+    factors = 1.0 - p[cols]
+    factors[rows == cols] = 1.0
+    idle = np.multiply.reduceat(factors, starts)
     if scheme == SCHEME_SERVER:
         return rates_now * phi * (p * idle)[assoc]
     return rates_now * p * idle
 
 
 class SystemState:
-    """Mutable configuration with vectorized energy and candidate evaluation.
+    """Mutable configuration with incremental energy and candidate evaluation.
 
-    The same-channel adjacency ``same_ch_adj`` (with a float copy for
-    mat-vecs) is updated in place: a channel move rewrites only the mover's
-    row and column, and both hold exact booleans, so nothing can drift. The
-    link table ``_lb`` (I x V) holds every client's log rate to every radio
-    on that radio's current channel; a channel move rewrites the mover's
-    column, copied from ``net.log_rates``, so it too stays exact. The loads ``w_ap`` and ``z``
-    and the link term are rebuilt from scratch after every applied move.
-    Association candidates are neighborhood-local closed forms: O(I + V)
-    vector work plus one mat-vec with the adjacency, and no V x V
-    temporaries. All arrays are indexed in network order.
+    Neighbour lists: ``same_ch_adj`` (V x V bool, diagonal set) is the
+    same-channel interference adjacency of the current channels. A channel
+    move rewrites the mover's row and column; both hold exact booleans, so it
+    cannot drift. A computation over neighbourhoods reads the neighbour lists
+    of just the rows it needs with one flat ``nonzero`` (``_neighbours``) and
+    sums over them with ``np.bincount``, which adds each row's entries one by
+    one in ascending index order. No V x V float matrix and no channel x radio
+    array is built on a step, so a step costs O(neighbourhood), not O(V^2).
+
+    Cached per state and refreshed after each applied move: the loads
+    ``w_ap`` (a bincount over the clients) and ``z`` (z_n sums w_ap over n's
+    neighbour list); the link table ``_lb`` (I x V: every client's log rate to
+    every radio on that radio's current channel, whose column a channel move
+    rewrites from ``net.log_rates``); the energy terms, per radio psi(w_n) and
+    f(w_n, z_n) under the server scheme or per client f(w_i, z_n(i)) under the
+    client scheme; the link term ``b_term``; and the energy ``_u``, summed
+    from them in the order ``energy`` has always used, so ``energy()`` is a
+    lookup. Kept until a channel move changes the neighbour lists: each
+    evaluated client's reachable radios and their lists (``_reach``), each
+    evaluated radio's old and new neighbourhoods (``_channel_frame``) and the
+    full lists that ``rates`` multiplies over (``_edges``).
+
+    A move changes z only on the neighbourhoods of the radios it touches:
+    N(a) and N(b) when a client moves from radio a to b, the old and the new
+    neighbourhood of a radio that changes channel. ``_update`` recomputes z
+    and the energy terms there, with the same bincount over the same
+    neighbour lists in the same order as a fresh state, and leaves every
+    other entry alone. So the maintained arrays equal those of a fresh state
+    bit for bit, and no error can build up over a chain. All arrays are
+    indexed in network order.
     """
 
     def __init__(self, network: Network, scheme: str, assoc: np.ndarray, chan: np.ndarray):
@@ -226,14 +287,24 @@ class SystemState:
         self._clients = np.arange(network.n_clients)
         self._vaps = np.arange(network.n_vaps)
         self.same_ch_adj = _same_channel_adjacency(network, self.chan)
-        self._adj = self.same_ch_adj.astype(float)
         # log_rates[:, v, chan[v]] gathered in C order, so a client's row is contiguous
         self._lb = np.take(
             network.log_rates.reshape(network.n_clients, -1),
             self._vaps * network.n_channels + self.chan,
             axis=1,
         )
-        self._refresh_loads()
+        self._log_b_clients = self._lb[self._clients, self.assoc]
+        self._edges = None  # the lists rates() multiplies over, until a channel move
+        # client i -> _reach(i) and radio v (as ~v) -> _channel_frame(v); they
+        # depend only on the channels and are dropped on a channel move
+        self._frames = {}
+        self.z = np.zeros(network.n_vaps)
+        if scheme == SCHEME_SERVER:
+            self._psi_w = np.zeros(network.n_vaps)
+            self._f = np.zeros(network.n_vaps)
+        else:
+            self._f = np.zeros(network.n_clients)
+        self._update(np.ones(network.n_vaps, dtype=bool))
 
     @classmethod
     def from_configuration(
@@ -254,41 +325,74 @@ class SystemState:
 
     # -- aggregate maintenance -------------------------------------------
 
-    def _refresh_loads(self):
+    def _neighbours(self, radios: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position in radios, neighbour) of every same-channel neighbour of
+        the given radios, themselves included, ascending within each radio."""
+        return _entries(self.same_ch_adj.take(radios, axis=0))
+
+    def _update(self, touched: np.ndarray, loads: bool = True, links: bool = True):
+        """Bring the state up to date after a move that changed z only on the
+        radios marked in touched (a bool mask): z and the energy terms there,
+        and the totals. loads: the move changed w_ap (an association move);
+        links: it changed some client's link (_log_b_clients is already up to
+        date)."""
         net = self.net
-        self.w_ap = np.bincount(self.assoc, weights=net.weights, minlength=net.n_vaps)
-        self.z = self._adj @ self.w_ap
-        self._log_b_clients = self._lb[self._clients, self.assoc]
-        self.feasible = bool(np.isfinite(self._log_b_clients).all())
-        self.b_term = (
-            float((net.weights * self._log_b_clients).sum()) if self.feasible else -math.inf
-        )
+        radios = touched.nonzero()[0]
+        if loads:
+            self.w_ap = np.bincount(self.assoc, weights=net.weights, minlength=net.n_vaps)
+        rows, nbrs = self._neighbours(radios)
+        z = np.bincount(rows, weights=self.w_ap[nbrs], minlength=len(radios))
+        self.z[radios] = z
+        if self.scheme == SCHEME_SERVER:
+            w = self.w_ap[radios]
+            if loads:
+                self._psi_w[radios] = xlogy(w, w)
+                self._sched = net.sum_w_log_w - float(self._psi_w.sum())
+            rest = np.maximum(z - w, 0.0)
+            # _f_term(w, z), with the psi(w) already at hand
+            self._f[radios] = self._psi_w[radios] + xlogy(rest, rest) - xlogy(z, z)
+        else:
+            clients = touched[self.assoc].nonzero()[0]
+            self._f[clients] = _f_term(net.weights[clients], self.z[self.assoc[clients]])
+        if links:
+            # a zero-rate link makes the sum -inf (weights are positive)
+            self.b_term = float((net.weights * self._log_b_clients).sum())
+            self.feasible = self.b_term > -math.inf
+        if not self.feasible:
+            self._u = -math.inf
+        elif self.scheme == SCHEME_SERVER:
+            self._u = self.b_term + self._sched + float(self._f.sum())
+        else:
+            self._u = self.b_term + float(self._f.sum())
 
     def apply_association(self, client: int, target_vap: int):
+        adj = self.same_ch_adj
+        touched = adj[self.assoc[client]] | adj[target_vap]
         self.assoc[client] = target_vap
-        self._refresh_loads()
+        self._log_b_clients[client] = self._lb[client, target_vap]
+        self._update(touched)
 
     def apply_channel(self, vap: int, target_channel: int):
+        adj = self.same_ch_adj
         self.chan[vap] = target_channel
         row = self.net.adjacency[vap, :, target_channel] & (self.chan == target_channel)
-        self.same_ch_adj[vap, :] = row
-        self.same_ch_adj[:, vap] = row
-        self._adj[vap, :] = row
-        self._adj[:, vap] = row
+        touched = adj[vap] | row
+        adj[vap, :] = row
+        adj[:, vap] = row
         self._lb[:, vap] = self.net.log_rates[:, vap, target_channel]
-        self._refresh_loads()
+        self._edges = None
+        self._frames.clear()
+        links = self.w_ap[vap] > 0  # the radio has clients, whose links changed
+        if links:
+            self._log_b_clients = self._lb[self._clients, self.assoc]
+        self._update(touched, loads=False, links=links)
 
     # -- energy -----------------------------------------------------------
 
     def energy(self) -> float:
-        if not self.feasible:
-            return -math.inf
-        if self.scheme == SCHEME_SERVER:
-            access = float(_f_term(self.w_ap, self.z).sum())
-            sched = self.net.sum_w_log_w - float(xlogy(self.w_ap, self.w_ap).sum())
-            return self.b_term + sched + access
-        zs = self.z[self.assoc]
-        return self.b_term + float(_f_term(self.net.weights, zs).sum())
+        """sum_i w_i log r_i under the optimal allocation; -inf when some
+        client sits on a zero-rate link. Cached: O(1)."""
+        return self._u
 
     # -- candidate evaluation ----------------------------------------------
 
@@ -299,151 +403,223 @@ class SystemState:
         wi = self.net.weights[client]
         w_minus = self.w_ap.copy()
         w_minus[a] = max(w_minus[a] - wi, 0.0)
-        z_minus = self.z - wi * self._adj[a]
+        z_minus = self.z.copy()
+        np.subtract(z_minus, wi, out=z_minus, where=self.same_ch_adj[a])
         return wi, w_minus, z_minus, self._lb[client]
+
+    def _reach(self, client: int):
+        """The radios the client reaches on the current channels, their
+        neighbour lists (_neighbours) and the mask of each radio's own entry
+        in them. They depend only on the channels, so they are kept until a
+        channel move."""
+        frame = self._frames.get(client)
+        if frame is None:
+            reach = np.isfinite(self._lb[client]).nonzero()[0]
+            rows, nbrs = self._neighbours(reach)
+            frame = self._frames[client] = (reach, rows, nbrs, nbrs == reach[rows])
+        return frame
+
+    def _clients_at(self, radios: np.ndarray, but: int) -> np.ndarray:
+        """The clients, other than `but`, whose radio is in radios."""
+        at = np.zeros(self.net.n_vaps, dtype=bool)
+        at[radios] = True
+        at = at[self.assoc]
+        at[but] = False
+        return at.nonzero()[0]
 
     def association_candidates(self, client: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact energies of moving one client to each radio.
 
         Returns (values, feasible): values[b] is the full system energy with
-        the client on radio b (-inf when that link has zero rate), so
-        differences of entries are exact energy deltas.
+        the client on radio b (-inf when that link has zero rate, and
+        everywhere when the current state is infeasible), so differences of
+        entries are exact energy deltas.
 
-        Closed form, with psi(x) = x log x, A the same-channel adjacency
-        (A[b, b] = 1), w-, z- the loads with the client taken out and
-        z+ = z- + w_i. On candidate b the client adds w_i to w-_b and to z-_n
-        for every n with A[b, n] = 1, and nothing else changes. Let
-        g = psi(z-) - psi(z+) and lb_b the client's log rate on b. Server
-        scheme: the psi(w_n) of scheduling and access cancel, so
-        U = sum_i w_i log(B_i w_i) + sum_n [psi(z_n - w_n) - psi(z_n)] with
-        B_i the rate of client i's link, and
+        Closed form, evaluated only on the radios F the client reaches. With
+        psi(x) = x log x, N(b) the same-channel neighbours of b (b included),
+        w-, z- the loads with the client taken out and z+ = z- + w_i: on
+        candidate b the client adds w_i to w-_b and to z-_n for every n in
+        N(b), and nothing else changes. Let g = psi(z-) - psi(z+) and lb_b the
+        client's log rate on b. Server scheme: the psi(w_n) of scheduling and
+        access cancel, so U = sum_i w_i log(B_i w_i) + sum_n t_n with
+        t_n = psi(z_n - w_n) - psi(z_n), B_i the rate of client i's link, and
 
-            values[b] = c + w_i lb_b + (A d)_b - d_b + g_b,
+            values[b] = c + w_i lb_b + E_b,  E_b = g_b + sum_{n in N(b), n != b} d_n,
             d_n = psi(z+_n - w-_n) - psi(z-_n - w-_n) + g_n,
 
-        where d_n is the change of neighbor n's term and c collects the terms
-        that do not depend on b. Client scheme: another client j changes its
-        term by delta_j when its radio is a neighbor of b;
-        D = bincount(assoc, delta) sums those per radio and
+        where d_n is the change of neighbour n's term and c does not depend on
+        b. Client scheme: another client j changes its term by delta_j when
+        its radio is a neighbour of b; D sums those per radio and
 
-            values[b] = c + w_i lb_b + (A D)_b + g_b.
+            E_b = g_b + sum_{n in N(b)} D_n.
 
-        Either way the cost is O(I + V) vector work plus one mat-vec with A.
+        The client on its own radio a leaves the state as it is, so
+        values[a] = U, c = U - w_i lb_a - E_a and
+
+            values[b] = U + w_i (lb_b - lb_a) + E_b - E_a.
+
+        E is one bincount over the neighbour lists of F, and d, g and delta
+        are evaluated only on those lists and on the clients of their radios:
+        the cost grows with the neighbourhood of F, not with V.
         """
         net = self.net
         wi, w_minus, z_minus, lb = self._without(client)
         feasible = np.isfinite(lb)
-        psi_zm = xlogy(z_minus, z_minus)
-        z_plus = z_minus + wi
-        g = psi_zm - xlogy(z_plus, z_plus)
-        c = self.b_term - wi * self._log_b_clients[client] + net.sum_w_log_w
-
+        values = np.full(net.n_vaps, -np.inf)
+        if not self.feasible:
+            return values, feasible
+        reach, rows, nbrs, own = self._reach(client)
         if self.scheme == SCHEME_SERVER:
-            rest = np.maximum(z_minus - w_minus, 0.0)
-            rest_plus = np.maximum(z_plus - w_minus, 0.0)
-            psi_rest = xlogy(rest, rest)
-            d = xlogy(rest_plus, rest_plus) - psi_rest + g
-            c += float((psi_rest - psi_zm).sum())
-            local = self._adj @ d - d
+            w = w_minus[nbrs]
+            w[own] = np.inf  # a candidate's own entry is g_b alone
+            terms = _load_change(w, z_minus[nbrs], wi)
         else:
-            w = net.weights
-            zs = z_minus[self.assoc]
-            zs_plus = zs + wi
-            rest = np.maximum(zs - w, 0.0)
-            rest_plus = np.maximum(zs_plus - w, 0.0)
-            h = xlogy(rest, rest) - xlogy(zs, zs)  # f(w_j, z) - psi(w_j)
-            delta = xlogy(rest_plus, rest_plus) - xlogy(zs_plus, zs_plus) - h
-            h[client] = 0.0
-            delta[client] = 0.0
-            c += float(h.sum())
-            local = self._adj @ np.bincount(self.assoc, weights=delta, minlength=net.n_vaps)
-        values = c + wi * np.where(feasible, lb, 0.0) + local + g
-        values = np.where(feasible, values, -np.inf)
+            others = self._clients_at(nbrs, but=client)
+            at = self.assoc[others]
+            d = np.bincount(
+                at, weights=_load_change(net.weights[others], z_minus[at], wi),
+                minlength=net.n_vaps,
+            )
+            zm = z_minus[reach]
+            zp = zm + wi
+            terms = d[nbrs]
+        e = np.bincount(rows, weights=terms, minlength=len(reach))
+        if self.scheme == SCHEME_CLIENT:
+            e += xlogy(zm, zm) - xlogy(zp, zp)
+        values[reach] = lb[reach] * wi + e
+        values += self._u - values[self.assoc[client]]
         return values, feasible
 
     def association_scores_approx(self, client: int) -> tuple[np.ndarray, np.ndarray]:
-        """Neighborhood-local association scores.
+        """Neighbourhood-local association scores.
 
         Server scheme: w_i log(B w_i / z^n) plus w_i times the log success
-        probability of the candidate's same-channel neighbors, all under the
+        probability of the candidate's same-channel neighbours, all under the
         post-move aggregates. Client scheme: the analogous local form for
         direct contention. Shared constants are dropped; only differences
         between candidates matter.
 
-        With the notation of association_candidates, a neighbor n != b of
+        With the notation of association_candidates, a neighbour n != b of
         candidate b sees z+_n and w-_n, so its log idle probability
         q_n = log(z+_n - w-_n) - log(z+_n) does not depend on b, and the
-        server neighbor term is (A q)_b - q_b. Under the client scheme each
-        other client j contributes log(z+_{n(j)} - w_j) - log(z+_{n(j)}),
-        summed per radio into Q by bincount, and the neighbor term is (A Q)_b.
+        server neighbour term sums q over N(b) without b. Under the client
+        scheme each other client j contributes log(z+_{n(j)} - w_j) -
+        log(z+_{n(j)}), summed per radio into Q by bincount, and the
+        neighbour term sums Q over N(b). Only the reachable radios and their
+        neighbour lists are evaluated.
         """
         net = self.net
         wi, w_minus, z_minus, lb = self._without(client)
         feasible = np.isfinite(lb)
-        z_plus = z_minus + wi
-        log_zp = np.log(z_plus)
-        own = np.where(feasible, lb, 0.0) + math.log(wi) - log_zp
-
+        reach, rows, nbrs, own = self._reach(client)
+        scores = np.full(net.n_vaps, -np.inf)
+        link = lb[reach] + math.log(wi)
         if self.scheme == SCHEME_SERVER:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = np.log(np.maximum(z_plus - w_minus, 0.0)) - log_zp
-            scores = wi * (own + (self._adj @ q - q))
+            zp = z_minus[nbrs] + wi
+            log_zp = np.log(zp)
+            with np.errstate(divide="ignore"):
+                idle = np.log(np.maximum(zp - w_minus[nbrs], 0.0)) - log_zp
+            # a candidate's own entry carries its -log z+_b
+            terms = np.where(own, -log_zp, idle)
+            near = np.bincount(rows, weights=terms, minlength=len(reach))
+            scores[reach] = wi * (link + near)
         else:
-            zs_plus = z_plus[self.assoc]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                idle = np.log(np.maximum(zs_plus - net.weights, 0.0)) - np.log(zs_plus)
-            idle[client] = 0.0
-            neighbor_term = self._adj @ np.bincount(
-                self.assoc, weights=idle, minlength=net.n_vaps
-            )
-            zb = np.maximum(z_plus - wi, 0.0)  # candidate neighborhood without i
+            others = self._clients_at(nbrs, but=client)
+            at = self.assoc[others]
+            zs_plus = z_minus[at] + wi
+            with np.errstate(divide="ignore"):
+                rest = np.maximum(zs_plus - net.weights[others], 0.0)
+                idle = np.log(rest) - np.log(zs_plus)
+            q = np.bincount(at, weights=idle, minlength=net.n_vaps)
+            neighbour_term = np.bincount(rows, weights=q[nbrs], minlength=len(reach))
+            zp = z_minus[reach] + wi
+            log_zp = np.log(zp)
+            zb = np.maximum(zp - wi, 0.0)  # candidate neighbourhood without i
             crowd = zb * log_zp - xlogy(zb, zb)
-            scores = wi * own + wi * neighbor_term - crowd
-        scores = np.where(feasible, scores, -np.inf)
+            scores[reach] = wi * (link - log_zp) + wi * neighbour_term - crowd
         return scores, feasible
+
     def channel_candidates(self, vap: int) -> tuple[np.ndarray, np.ndarray]:
         """Exact energies of switching one radio to each channel.
 
         A channel is infeasible when any client of the radio would lose its
         link. A clientless radio can take any channel without changing the
-        energy of anyone.
+        energy of anyone, so every value is the current energy.
+
+        U = b_term + sum_w_log_w + the sum of t(w, z) = psi(z - w) - psi(z)
+        over radios (server scheme) or clients (client scheme). On another
+        channel c the radio, of load L, leaves its old neighbours, whose z
+        loses L, and joins N_c, the radios on c within c's interference
+        range, whose z gains L; its own z becomes L + the sum of w_ap over
+        N_c. So values[c] = U + the change of its clients' link terms + the
+        change of t over the old neighbours + the change over N_c + the change
+        of the radio's own terms, and values[here] = U. The terms that change
+        sit on the entries of _channel_frame, one bincount keyed by channel
+        adds them up, and the cost is O(degree + C): no channel x radio array.
         """
         net = self.net
-        V, C = net.n_vaps, net.n_channels
-        members = np.nonzero(self.assoc == vap)[0]
+        C = net.n_channels
+        members = (self.assoc == vap).nonzero()[0]
+        if not members.size:
+            return np.full(C, self._u), np.ones(C, dtype=bool)
         wm = net.weights[members]
+        links = wm @ net.log_rates[members, vap, :]  # -inf where a client loses its link
+        feasible = np.isfinite(links)
+        if not self.feasible:
+            return np.full(C, -np.inf), feasible
 
-        lb_members = net.log_rates[members, vap, :]  # (k, C)
-        feasible = (
-            np.isfinite(lb_members).all(axis=0)
-            if members.size
-            else np.ones(C, dtype=bool)
-        )
-        cand_b = (
-            (wm[:, None] * np.where(np.isfinite(lb_members), lb_members, 0.0)).sum(axis=0)
-            if members.size
-            else np.zeros(C)
-        )
-        b_wo = self.b_term - (
-            float((wm * self._log_b_clients[members]).sum()) if members.size else 0.0
-        )
-
+        here = self.chan[vap]
         load = self.w_ap[vap]
-        z_base = self.z - load * self.same_ch_adj[vap]
-        new_mask = net.adjacency[vap].T & (self.chan[None, :] == np.arange(C)[:, None])
-        new_mask[:, vap] = False
-        Z = z_base[None, :] + load * new_mask
-        Z[:, vap] = load + (new_mask * self.w_ap[None, :]).sum(axis=1)
-
+        radios, key, sign, new, ch = self._channel_frame(vap)
+        # the radio's own load z: on each channel, and (last) as it is now
+        z_own = np.append(load + np.bincount(ch, weights=self.w_ap[new], minlength=C),
+                          self.z[vap])
         if self.scheme == SCHEME_SERVER:
-            sched = net.sum_w_log_w - float(xlogy(self.w_ap, self.w_ap).sum())
-            access = _f_term(self.w_ap[None, :], Z).sum(axis=1)
-            values = b_wo + cand_b + sched + access
+            w, z = self.w_ap[radios], self.z[radios]
+            t_own = _t_term(load, z_own)
+            own = t_own[:C] - t_own[C]
         else:
-            zs = Z[:, self.assoc]
-            values = b_wo + cand_b + _f_term(net.weights[None, :], zs).sum(axis=1)
-        values = np.where(feasible, values, -np.inf)
+            # the clients of those radios, keyed like their radio
+            key_of = np.full(net.n_vaps, -1)
+            key_of[radios] = key
+            sign_of = np.zeros(net.n_vaps)
+            sign_of[radios] = sign
+            clients = (key_of[self.assoc] >= 0).nonzero()[0]
+            at = self.assoc[clients]
+            key, sign = key_of[at], sign_of[at]
+            w, z = net.weights[clients], self.z[at]
+            t_own = _t_term(wm[:, None], z_own)
+            own = (t_own[:, :C] - t_own[:, C:]).sum(axis=0)
+        # key C: the old neighbourhood, whose change applies to every channel
+        totals = np.bincount(key, weights=_load_change(w, z, sign * load), minlength=C + 1)
+        values = self._u + (links - links[here]) + (totals[:C] + totals[C] + own)
+        values[here] = self._u
         return values, feasible
+
+    def _channel_frame(self, vap: int):
+        """The radios whose z changes when the radio leaves its channel: its
+        old neighbours (key C, sign -1) and then, for every other channel c,
+        the new neighbours N_c (key c, sign +1); and the new neighbours again
+        as (radios, channels). N_c comes from one nonzero on the radio's
+        slice of net.adjacency. Kept until a channel move."""
+        frame = self._frames.get(~vap)
+        if frame is None:
+            C = self.net.n_channels
+            here = self.chan[vap]
+            old = self.same_ch_adj[vap].nonzero()[0]
+            old = old[old != vap]
+            pairs = self.net.adjacency[vap].ravel().nonzero()[0]
+            new, ch = pairs // C, pairs % C
+            keep = (self.chan[new] == ch) & (ch != here)
+            new, ch = new[keep], ch[keep]
+            frame = self._frames[~vap] = (
+                np.concatenate((old, new)),
+                np.concatenate((np.full(len(old), C), ch)),
+                np.concatenate((np.full(len(old), -1.0), np.ones(len(new)))),
+                new,
+                ch,
+            )
+        return frame
 
     # -- derived metrics ----------------------------------------------------
 
@@ -472,13 +648,23 @@ class SystemState:
         )
 
     def rates(self) -> np.ndarray:
-        """Per-client rates under the optimal allocation for this state."""
+        """Per-client rates under the optimal allocation for this state.
+
+        The server scheme multiplies over every radio's neighbour list, kept
+        until a channel move changes the lists; the client scheme over every
+        client's list of the clients of its radio's neighbours.
+        """
         net = self.net
         rates_now = net.rates[self._clients, self.assoc, self.chan[self.assoc]]
-        phi = net.weights / self.w_ap[self.assoc] if self.scheme == SCHEME_SERVER else None
+        if self.scheme == SCHEME_SERVER:
+            if self._edges is None:
+                self._edges = _contention_entries(SCHEME_SERVER, self.same_ch_adj, self.assoc)
+            entries, phi = self._edges, net.weights / self.w_ap[self.assoc]
+        else:
+            entries = _contention_entries(self.scheme, self.same_ch_adj, self.assoc)
+            phi = None
         return _slot_rates(
-            self.scheme, self.same_ch_adj, self.assoc, rates_now,
-            self.access_probabilities(), phi,
+            self.scheme, entries, self.assoc, rates_now, self.access_probabilities(), phi
         )
 
     def weighted_throughput(self) -> float:

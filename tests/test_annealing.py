@@ -277,6 +277,46 @@ def test_initial_configuration_breaks_distance_ties_randomly():
     assert picks == {0, 1}
 
 
+def _initial_configuration_by_loop(net, rng, max_redraws=100):
+    """initial_configuration as a loop over the clients, one tie draw each."""
+    V = net.n_vaps
+    for _ in range(max_redraws):
+        chan = rng.integers(0, net.n_channels, size=V)
+        rates_now = net.rates[:, np.arange(V), chan]
+        if (rates_now > 0).any(axis=1).all():
+            break
+    else:
+        far = int(np.argmax([prof.max_range_m for prof in net.profiles]))
+        chan = np.full(V, far, dtype=np.int64)
+        rates_now = net.rates[:, :, far]
+    assoc = np.empty(net.n_clients, dtype=np.int64)
+    for i in range(net.n_clients):
+        d = np.where(rates_now[i] > 0, net.distances[i], np.inf)
+        ties = np.flatnonzero(d == d.min())
+        assoc[i] = ties[rng.integers(len(ties))] if len(ties) > 1 else ties[0]
+    return assoc, chan
+
+
+def test_initial_configuration_equals_a_loop_over_the_clients():
+    # co-located radios (up to three per AP) tie on distance; clients placed
+    # on an AP tie between its radios, and some clients sit at equal
+    # distance from two APs
+    for seed in range(12):
+        meta = np.random.default_rng(seed)
+        net = random_network(meta, n_aps=5, n_clients=14, n_channels=3, max_radios=3)
+        extra = [Client(f"on{k}", ap.position) for k, ap in enumerate(net.aps)]
+        a0, a1 = net.aps[0].position, net.aps[1].position
+        extra.append(Client("mid", ((a0[0] + a1[0]) / 2, (a0[1] + a1[1]) / 2)))
+        net = Network(list(net.channels), list(net.aps), list(net.clients) + extra)
+        for draw in range(4):
+            rng_a, rng_b = np.random.default_rng(draw), np.random.default_rng(draw)
+            got = initial_configuration(net, rng_a)
+            want = _initial_configuration_by_loop(net, rng_b)
+            assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+            assert got[0].dtype == want[0].dtype
+            assert rng_a.random() == rng_b.random()  # the same draws were made
+
+
 def test_initial_configuration_unreachable_client_raises():
     net = Network(
         [Channel("h", 16000.0, 50.0)],

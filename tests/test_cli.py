@@ -118,3 +118,20 @@ def test_runs_fan_out_with_distinct_seeds(tmp_path):
     finals = {p["final_energy"] for p in payloads}
     assert len(finals) == 3
     assert len({p["seed"] for p in payloads}) == 3
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--runs", "0"),
+    ("--runs", "-1"),
+    ("--seed", "-1"),
+    ("--t0", "0"),
+    ("--schedule", "bogus"),
+    ("--schedule", "geometric:2"),
+    ("--iters", "-5"),
+])
+def test_bad_flag_values_exit_2_naming_the_flag(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "micro", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairband import (
     AccessPoint,
@@ -19,7 +21,12 @@ from fairband import (
     throughput,
 )
 from fairband.annealing import softmax_probabilities
-from fairband.fairness import _others_mask, _same_channel_adjacency, _slot_rates
+from fairband.fairness import (
+    _contention_entries,
+    _others_mask,
+    _same_channel_adjacency,
+    _slot_rates,
+)
 from conftest import random_network, random_state, rel
 
 
@@ -325,6 +332,100 @@ def test_candidates_match_from_scratch_with_empty_and_isolated_radios(rng, schem
                     assert values[b] == approx[b] == fresh == ref_approx[b] == -math.inf
 
 
+def _assert_state_equals_fresh(state, rates=True):
+    """Everything a state maintains equals a state built from scratch, bit
+    for bit; rates too when asked."""
+    fresh = SystemState(state.net, state.scheme, state.assoc, state.chan)
+    assert np.array_equal(state.same_ch_adj, fresh.same_ch_adj)
+    assert np.array_equal(state.same_ch_adj, _same_channel_adjacency(state.net, state.chan))
+    assert np.array_equal(state._lb, fresh._lb)
+    assert np.array_equal(state.w_ap, fresh.w_ap)
+    assert np.array_equal(state.z, fresh.z)
+    assert state.energy() == fresh.energy()
+    if not rates:
+        return
+    assert np.array_equal(state.rates(), fresh.rates())
+
+
+def _close(a, b, net):
+    """a and b agree to 1e-12 of the largest term the closed forms add up.
+
+    Those include psi(z) = z log z of a neighbourhood load, up to W log W
+    for the total weight W; with weights 1e6 apart they cancel down to a U
+    many orders smaller, and the rounding error left is relative to them,
+    not to U."""
+    total = float(net.weights.sum())
+    return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b), total * abs(math.log(total)))
+
+
+def _weighted_network(seed, n_aps, n_clients, n_channels, max_radios, spread):
+    """random_network with non-dyadic weights spanning a ratio up to 10**spread."""
+    rng = np.random.default_rng(seed)
+    base = random_network(rng, n_aps=n_aps, n_clients=n_clients, n_channels=n_channels,
+                          box=150.0, dyadic=False, max_radios=max_radios)
+    weights = rng.uniform(0.4, 2.5, n_clients) * 10.0 ** rng.uniform(0.0, spread, n_clients)
+    clients = [Client(c.id, c.position, float(w)) for c, w in zip(base.clients, weights)]
+    return Network(list(base.channels), list(base.aps), clients), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(["server", "client"]),
+    n_aps=st.integers(2, 5),
+    n_clients=st.integers(2, 12),
+    n_channels=st.integers(1, 3),
+    max_radios=st.integers(1, 3),
+    spread=st.sampled_from([0.0, 3.0, 6.0]),
+)
+def test_moves_keep_the_state_equal_to_a_fresh_one_and_the_oracle(
+    seed, scheme, n_aps, n_clients, n_channels, max_radios, spread
+):
+    # random multi-radio networks, non-dyadic weights up to 1e6 apart; after
+    # each of a random sequence of feasible moves the maintained arrays equal
+    # a fresh state's, exact candidates match fresh energies and the oracle,
+    # and approx scores match a loop over their definition
+    net, rng = _weighted_network(seed, n_aps, n_clients, n_channels, max_radios, spread)
+    state = random_state(net, rng, scheme)
+    _assert_state_equals_fresh(state)
+    for _ in range(6):
+        moves_client = rng.random() < 0.6
+        if moves_client:
+            mover = int(rng.integers(net.n_clients))
+            values, feasible = state.association_candidates(mover)
+            approx, feasible_approx = state.association_scores_approx(mover)
+            assert np.array_equal(feasible, feasible_approx)
+            want = _approx_scores_from_scratch(net, state, mover, scheme)
+            assert np.array_equal(np.isfinite(want), feasible)
+            assert all(_close(a, b, net) for a, b in zip(approx[feasible], want[feasible]))
+        else:
+            mover = int(rng.integers(net.n_vaps))
+            values, feasible = state.channel_candidates(mover)
+
+        def moved(k):
+            assoc, chan = state.assoc.copy(), state.chan.copy()
+            (assoc if moves_client else chan)[mover] = k
+            return assoc, chan
+
+        for k in range(len(values)):
+            fresh = SystemState(net, scheme, *moved(k)).energy()
+            if feasible[k]:
+                assert _close(values[k], fresh, net)
+            else:
+                assert values[k] == fresh == -math.inf
+        target = int(rng.choice(np.flatnonzero(feasible)))
+        cfg = net.configuration(*moved(target))
+        oracle = oracle_energy(net, cfg.association, cfg.channel, scheme)
+        assert _close(values[target], oracle, net)
+        if moves_client:
+            state.apply_association(mover, target)
+        else:
+            state.apply_channel(mover, target)
+        # rates now and then, so the neighbour lists rates() keeps outlive
+        # some moves
+        _assert_state_equals_fresh(state, rates=rng.random() < 0.4)
+
+
 @pytest.mark.parametrize("scheme", ["server", "client"])
 def test_state_rates_equal_throughput_of_optimal_allocation(rng, scheme):
     for _ in range(20):
@@ -350,7 +451,8 @@ def test_slot_rates_equal_a_loop_over_the_set_entries(rng, scheme):
             assoc = state.assoc
             rates_now = net.rates[np.arange(net.n_clients), assoc, state.chan[assoc]]
             phi = rng.uniform(0.1, 1.0, net.n_clients) if scheme == "server" else None
-            got = _slot_rates(scheme, state.same_ch_adj, assoc, rates_now, p, phi)
+            entries = _contention_entries(scheme, state.same_ch_adj, assoc)
+            got = _slot_rates(scheme, entries, assoc, rates_now, p, phi)
 
             others = _others_mask(scheme, state.same_ch_adj, assoc)
             idle = []
