@@ -310,34 +310,42 @@ def initial_configuration(
     """
     V, C = net.n_vaps, net.n_channels
     # a link has a positive rate exactly when it is within the outermost
-    # rate tier of its channel
+    # rate tier of its channel; the links reach the farthest of those tiers
     max_range = np.array([prof.max_range_m for prof in net.profiles])
-    reachable_somewhere = (net.distances <= max_range.max()).any(axis=1)
+    starts = net.link_ptr[:-1]
+    reachable_somewhere = net.link_ptr[1:] > starts
     if not reachable_somewhere.all():
         bad = net.client_ids[int(np.argmin(reachable_somewhere))]
         raise ScenarioError(f"client {bad!r} has no positive-rate AP on any channel")
 
     for _ in range(max_redraws):
         chan = rng.integers(0, C, size=V)
-        reach = net.distances <= max_range[chan]
-        if reach.any(axis=1).all():
+        reach = net.distances <= max_range[chan[net.link_vap]]
+        if np.logical_or.reduceat(reach, starts).all():
             break
     else:
         far = int(np.argmax(max_range))
         chan = np.full(V, far, dtype=np.int64)
         reach = net.distances <= max_range[far]
-    d = np.where(reach, net.distances, np.inf)
-    nearest = d == d.min(axis=1, keepdims=True)
-    assoc = nearest.argmax(axis=1)  # the lowest-index nearest radio
-    counts = nearest.sum(axis=1)
+    hits, counts = _nearest(net, reach)
+    first = np.cumsum(counts) - counts
+    assoc = net.link_vap[hits[first]]  # the lowest-index nearest radio
     tied = np.flatnonzero(counts > 1)
     if tied.size:
         # one draw per tied client, in client order, picks among its nearest radios
         picks = [rng.integers(n) for n in counts[tied].tolist()]
-        radios = nearest[tied].ravel().nonzero()[0] % V  # row by row, ascending
-        first = np.cumsum(counts[tied]) - counts[tied]
-        assoc[tied] = radios[first + picks]
+        assoc[tied] = net.link_vap[hits[first[tied] + picks]]
     return assoc, chan
+
+
+def _nearest(net: Network, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The links of every client at its smallest distance among the links
+    marked in reach, client by client with radios ascending, and how many
+    each client has. Every client must reach some radio."""
+    d = np.where(reach, net.distances, np.inf)
+    nearest = d == np.minimum.reduceat(d, net.link_ptr[:-1])[net.link_client]
+    hits = nearest.nonzero()[0]
+    return hits, np.bincount(net.link_client[hits], minlength=net.n_clients)
 
 
 # -- full runs ---------------------------------------------------------------

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annealing import RunResult, TrajectoryPoint
+from .annealing import RunResult, TrajectoryPoint, _nearest
 from .fairness import (
     SCHEME_SERVER,
     Allocation,
     SystemState,
-    _same_channel_adjacency,
+    _link_rates,
+    _same_channel_pairs,
     throughput,
 )
 from .model import Network, ScenarioError
@@ -24,7 +25,7 @@ from .model import Network, ScenarioError
 
 def interfering_pair_count(net: Network, chan: np.ndarray) -> int:
     """Number of unordered radio pairs that interfere on a shared channel."""
-    same = _same_channel_adjacency(net, np.asarray(chan))
+    same = _same_channel_pairs(net, np.asarray(chan))  # each radio paired with itself
     return int((same.sum() - net.n_vaps) // 2)
 
 
@@ -41,13 +42,16 @@ def _descend(net: Network, chan: np.ndarray) -> tuple[np.ndarray, int, list[int]
     (radio, channel)."""
     V, C = net.n_vaps, net.n_channels
     chan = chan.copy()
-    off_diag = ~np.eye(V, dtype=bool)
+    others = net.pair_radio != net.pair_vap
+    radio, partner = net.pair_radio[others], net.pair_vap[others]
+    adjacency = net.adjacency[others]
     trace = [interfering_pair_count(net, chan)]
     while True:
-        onehot = np.zeros((V, C), dtype=bool)
-        onehot[np.arange(V), chan] = True
-        # deg[n, c]: same-channel interferers radio n would have on channel c
-        deg = (net.adjacency & onehot[None, :, :] & off_diag[:, :, None]).sum(axis=1)
+        # deg[n, c]: same-channel interferers radio n would have on channel c,
+        # counted over its partners that use c and interfere with it there
+        there = chan[partner]
+        hit = adjacency[np.arange(len(there)), there]
+        deg = np.bincount(radio[hit] * C + there[hit], minlength=V * C).reshape(V, C)
         delta = deg - deg[np.arange(V), chan][:, None]
         best = int(np.argmin(delta))
         n, c = divmod(best, C)
@@ -83,18 +87,15 @@ def minint_channel_selection(
 
 def wifi_association(net: Network, chan: np.ndarray) -> np.ndarray:
     """Closest radio with a positive rate, ties to the lowest radio index."""
-    I = net.n_clients
-    rates_now = net.rates[:, np.arange(net.n_vaps), chan]
-    assoc = np.empty(I, dtype=np.int64)
-    for i in range(I):
-        d = np.where(rates_now[i] > 0, net.distances[i], np.inf)
-        if not np.isfinite(d).any():
-            raise ScenarioError(
-                f"client {net.client_ids[i]!r} has no usable radio under the "
-                "selected channels"
-            )
-        assoc[i] = int(np.argmin(d))
-    return assoc
+    usable = net.rates[np.arange(len(net.link_vap)), chan[net.link_vap]] > 0
+    stranded = np.bincount(net.link_client[usable], minlength=net.n_clients) == 0
+    if stranded.any():
+        raise ScenarioError(
+            f"client {net.client_ids[int(stranded.argmax())]!r} has no usable radio "
+            "under the selected channels"
+        )
+    hits, counts = _nearest(net, usable)
+    return net.link_vap[hits[np.cumsum(counts) - counts]]
 
 
 def wifi_allocation(net: Network, assoc: np.ndarray, chan: np.ndarray) -> Allocation:
@@ -103,7 +104,8 @@ def wifi_allocation(net: Network, assoc: np.ndarray, chan: np.ndarray) -> Alloca
     phi_i is proportional to 1/B_i among the clients of each radio, so all
     of them see the same throughput whenever the radio wins a slot.
     """
-    rates_now = net.rates[np.arange(net.n_clients), assoc, chan[assoc]]
+    links = net.link_index(np.arange(net.n_clients), assoc)
+    rates_now = _link_rates(net, links, chan[assoc])
     if not (rates_now > 0).all():
         raise ScenarioError("equal-throughput split needs positive rates")
     inv = 1.0 / rates_now

@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="invsqrtlog | invlog | geometric:<ratio> | const:<T>")
     p_run.add_argument("--selection", choices=("round-robin", "random"),
                        default="round-robin")
-    p_run.add_argument("--record-every", type=int, default=None,
+    p_run.add_argument("--record-every", type=_at_least(1), default=None,
                        help="trajectory cadence (default: iters/100)")
     p_run.add_argument("--out-dir", default=None)
     p_run.set_defaults(func=cmd_run)
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--scenario", required=True)
     p_enum.add_argument("--scheme", choices=SCHEMES, default=SCHEME_SERVER)
     p_enum.add_argument("--seed", type=_at_least(0), default=0)
-    p_enum.add_argument("--limit", type=int, default=10**6)
+    p_enum.add_argument("--limit", type=_at_least(1), default=10**6)
     p_enum.add_argument("--out-dir", default=None)
     p_enum.set_defaults(func=cmd_enumerate)
     return parser

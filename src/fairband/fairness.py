@@ -129,7 +129,7 @@ def throughput(
     chan = network.channel_array(config.channel)
     assoc = network.association_array(config.association)
     I = network.n_clients
-    rates_now = network.rates[np.arange(I), assoc, chan[assoc]]
+    rates_now = _link_rates(network, network.link_index(np.arange(I), assoc), chan[assoc])
     phi = (
         np.array([allocation.schedule[c] for c in network.client_ids], dtype=float)
         if allocation.scheme == SCHEME_SERVER
@@ -166,11 +166,27 @@ def energy(network: Network, config: Configuration, scheme: str = SCHEME_SERVER)
     return state.energy()
 
 
+def _same_channel_pairs(network: Network, chan: np.ndarray) -> np.ndarray:
+    """Mask of the interference pairs whose radios share a channel on which
+    they interfere."""
+    here = chan[network.pair_radio]
+    return network.adjacency[np.arange(len(here)), here] & (chan[network.pair_vap] == here)
+
+
 def _same_channel_adjacency(network: Network, chan: np.ndarray) -> np.ndarray:
-    V = network.n_vaps
-    idx = np.arange(V)
-    adj_cur = network.adjacency[idx[:, None], idx[None, :], chan[:, None]]
-    return adj_cur & (chan[None, :] == chan[:, None])
+    """V x V bool: radios n and m share a channel and interfere on it."""
+    on = _same_channel_pairs(network, chan)
+    adj = np.zeros((network.n_vaps, network.n_vaps), dtype=bool)
+    adj[network.pair_radio[on], network.pair_vap[on]] = True
+    return adj
+
+
+def _link_rates(network: Network, links: np.ndarray, channels: np.ndarray) -> np.ndarray:
+    """The rates of the given links (positions, -1 for none) on the given
+    channels, 0 where there is no link."""
+    if not len(network.link_vap):  # nothing to index
+        return np.zeros(len(links))
+    return np.where(links >= 0, network.rates[links, channels], 0.0)
 
 
 def _entries(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,9 +259,10 @@ class SystemState:
     """Mutable configuration with incremental energy and candidate evaluation.
 
     Neighbour lists: ``same_ch_adj`` (V x V bool, diagonal set) is the
-    same-channel interference adjacency of the current channels. A channel
-    move rewrites the mover's row and column; both hold exact booleans, so it
-    cannot drift. A computation over neighbourhoods reads the neighbour lists
+    same-channel interference adjacency of the current channels, scattered
+    from the network's pair lists. A channel move rewrites the mover's row
+    and column from its own pair list; both hold exact booleans, so it cannot
+    drift. A computation over neighbourhoods reads the neighbour lists
     of just the rows it needs with one flat ``nonzero`` (``_neighbours``) and
     sums over them with ``np.bincount``, which adds each row's entries one by
     one in ascending index order. No V x V float matrix and no channel x radio
@@ -254,8 +271,9 @@ class SystemState:
     Cached per state and refreshed after each applied move: the loads
     ``w_ap`` (a bincount over the clients) and ``z`` (z_n sums w_ap over n's
     neighbour list); the link table ``_lb`` (I x V: every client's log rate to
-    every radio on that radio's current channel, whose column a channel move
-    rewrites from ``net.log_rates``); the energy terms, per radio psi(w_n) and
+    every radio on that radio's current channel, -inf off the network's
+    links, scattered from the link lists; a channel move rewrites the radio's
+    column from the links into it); the energy terms, per radio psi(w_n) and
     f(w_n, z_n) under the server scheme or per client f(w_i, z_n(i)) under the
     client scheme; the link term ``b_term``; and the energy ``_u``, summed
     from them in the order ``energy`` has always used, so ``energy()`` is a
@@ -285,15 +303,17 @@ class SystemState:
         if self.chan.shape != (network.n_vaps,):
             raise ValueError("channel array has the wrong shape")
         self._clients = np.arange(network.n_clients)
-        self._vaps = np.arange(network.n_vaps)
         self.same_ch_adj = _same_channel_adjacency(network, self.chan)
-        # log_rates[:, v, chan[v]] gathered in C order, so a client's row is contiguous
-        self._lb = np.take(
-            network.log_rates.reshape(network.n_clients, -1),
-            self._vaps * network.n_channels + self.chan,
-            axis=1,
-        )
+        # every link's log rate on its radio's channel, scattered into a table
+        # that is -inf off the links
+        self._lb = np.full((network.n_clients, network.n_vaps), -np.inf)
+        links = network.link_vap
+        self._lb[network.link_client, links] = network.log_rates[
+            np.arange(len(links)), self.chan[links]
+        ]
         self._log_b_clients = self._lb[self._clients, self.assoc]
+        # each client's link to its radio (-1 for none)
+        self._link = network.link_index(self._clients, self.assoc)
         self._edges = None  # the lists rates() multiplies over, until a channel move
         # client i -> _reach(i) and radio v (as ~v) -> _channel_frame(v); they
         # depend only on the channels and are dropped on a channel move
@@ -370,16 +390,28 @@ class SystemState:
         touched = adj[self.assoc[client]] | adj[target_vap]
         self.assoc[client] = target_vap
         self._log_b_clients[client] = self._lb[client, target_vap]
+        self._link[client] = self.net.link_index(client, target_vap)
         self._update(touched)
 
     def apply_channel(self, vap: int, target_channel: int):
+        net = self.net
         adj = self.same_ch_adj
         self.chan[vap] = target_channel
-        row = self.net.adjacency[vap, :, target_channel] & (self.chan == target_channel)
+        # the radio's new row, from its pair list: the partners on the target
+        # channel that interfere with it there
+        lo, hi = net.pair_ptr[vap], net.pair_ptr[vap + 1]
+        partners = net.pair_vap[lo:hi]
+        row = np.zeros(net.n_vaps, dtype=bool)
+        on = net.adjacency[lo:hi, target_channel] & (self.chan[partners] == target_channel)
+        row.put(partners, on)
         touched = adj[vap] | row
         adj[vap, :] = row
         adj[:, vap] = row
-        self._lb[:, vap] = self.net.log_rates[:, vap, target_channel]
+        # the radio's column of _lb: its links take their rate on the target
+        # channel; every other entry is -inf on any channel
+        links = net.radio_links[net.radio_link_ptr[vap]:net.radio_link_ptr[vap + 1]]
+        self._lb.put(net.link_client[links] * net.n_vaps + vap,
+                     net.log_rates[links, target_channel])
         self._edges = None
         self._frames.clear()
         links = self.w_ap[vap] > 0  # the radio has clients, whose links changed
@@ -563,7 +595,11 @@ class SystemState:
         if not members.size:
             return np.full(C, self._u), np.ones(C, dtype=bool)
         wm = net.weights[members]
-        links = wm @ net.log_rates[members, vap, :]  # -inf where a client loses its link
+        pos = self._link[members]
+        if self.feasible or pos.min() >= 0:  # in a feasible state every client has a link
+            links = wm @ net.log_rates[pos]  # -inf where a client loses its link
+        else:
+            links = np.full(C, -np.inf)
         feasible = np.isfinite(links)
         if not self.feasible:
             return np.full(C, -np.inf), feasible
@@ -600,16 +636,19 @@ class SystemState:
         """The radios whose z changes when the radio leaves its channel: its
         old neighbours (key C, sign -1) and then, for every other channel c,
         the new neighbours N_c (key c, sign +1); and the new neighbours again
-        as (radios, channels). N_c comes from one nonzero on the radio's
-        slice of net.adjacency. Kept until a channel move."""
+        as (radios, channels). N_c comes from one nonzero on the rows of
+        net.adjacency that hold the radio's pairs. Kept until a channel
+        move."""
         frame = self._frames.get(~vap)
         if frame is None:
-            C = self.net.n_channels
+            net = self.net
+            C = net.n_channels
             here = self.chan[vap]
             old = self.same_ch_adj[vap].nonzero()[0]
             old = old[old != vap]
-            pairs = self.net.adjacency[vap].ravel().nonzero()[0]
-            new, ch = pairs // C, pairs % C
+            lo, hi = net.pair_ptr[vap], net.pair_ptr[vap + 1]
+            pairs, ch = net.adjacency[lo:hi].nonzero()
+            new = net.pair_vap[lo:hi][pairs]
             keep = (self.chan[new] == ch) & (ch != here)
             new, ch = new[keep], ch[keep]
             frame = self._frames[~vap] = (
@@ -655,7 +694,7 @@ class SystemState:
         client's list of the clients of its radio's neighbours.
         """
         net = self.net
-        rates_now = net.rates[self._clients, self.assoc, self.chan[self.assoc]]
+        rates_now = _link_rates(net, self._link, self.chan[self.assoc])
         if self.scheme == SCHEME_SERVER:
             if self._edges is None:
                 self._edges = _contention_entries(SCHEME_SERVER, self.same_ch_adj, self.assoc)
@@ -690,7 +729,7 @@ def slot_monte_carlo(
     chan = network.channel_array(config.channel)
     assoc = network.association_array(config.association)
     I, V = network.n_clients, network.n_vaps
-    rates_now = network.rates[np.arange(I), assoc, chan[assoc]]
+    rates_now = _link_rates(network, network.link_index(np.arange(I), assoc), chan[assoc])
     others = _others_mask(
         allocation.scheme, _same_channel_adjacency(network, chan), assoc
     ).T.astype(np.int64)

@@ -3,9 +3,13 @@
 A multi-radio AP is expanded into co-located single-radio virtual APs, so
 every decision variable lives on either a client (which virtual AP it is
 associated with) or a virtual AP (which channel its radio uses). The
-compiled Network holds the fixed tables every other layer reads: distances,
-per-channel link rates and the per-channel interference adjacency between
-radios. The per-radio loads of a configuration live in
+compiled Network holds the fixed tables every other layer reads, as link and
+pair lists in compressed-sparse-row form: every client's links to the radios
+within the largest link range, with their distances and per-channel rates,
+and every radio's interference partners within the largest interference
+range, with the channels on which each pair interferes. Both are local, so
+the lists grow with the number of clients and radios, not with their
+product. The per-radio loads of a configuration live in
 fairness.SystemState.
 """
 from __future__ import annotations
@@ -104,11 +108,40 @@ def _short_hash(blob: str) -> str:
 
 
 class Network:
-    """Compiled immutable scenario: rate table, interference sets, weights.
+    """Compiled immutable scenario: link rates, interference pairs, weights.
 
     Index order follows construction order of clients, virtual APs and
     channels; every downstream iteration uses these fixed orders so results
     are reproducible.
+
+    Links (L of them) are the (client, radio) pairs at most the largest
+    outermost tier range of any channel apart; a pair farther apart has rate
+    0 on every channel and is not stored. Client i's links are positions
+    link_ptr[i]:link_ptr[i + 1], radios ascending:
+
+    * ``link_vap`` (L): the radio of each link, ``link_client`` (L) its client;
+    * ``distances`` (L): its length;
+    * ``rates`` and ``log_rates`` (L, C): its rate and log rate on each
+      channel, 0 and -inf on a channel whose outermost tier it exceeds;
+    * ``radio_links`` (L): the same links by radio, clients ascending, radio
+      n's at positions radio_link_ptr[n]:radio_link_ptr[n + 1].
+
+    Pairs (P of them) are the (radio, radio) pairs at most the largest
+    interference range apart, each radio paired with itself and with its
+    co-located radios. Radio n's partners are positions
+    pair_ptr[n]:pair_ptr[n + 1], ascending:
+
+    * ``pair_vap`` (P): the partner, ``pair_radio`` (P) the radio whose list
+      holds the pair;
+    * ``adjacency`` (P, C) bool: the two interfere on channel c, i.e. they
+      are at most its interference range apart.
+
+    ``distances``, ``rates``, ``log_rates`` and ``adjacency`` keep the names
+    of the dense (I, V), (I, V, C) and (V, V, C) tables they replace, with a
+    row per link or pair, so code that measures the compiled tables by those
+    names measures these. ``link_index`` finds a link's position; a
+    configuration may still use a pair that is not a link, which has rate 0
+    and log rate -inf.
     """
 
     def __init__(
@@ -148,30 +181,41 @@ class Network:
         )
         vpos = np.array([v.position for v in self.vaps], dtype=float)
         cpos = np.array([c.position for c in self.clients], dtype=float)
-        self.distances = _distances(cpos, vpos)  # (I, V)
-
         I, V, C = len(self.clients), len(self.vaps), len(self.channels)
-        self.rates = np.zeros((I, V, C), dtype=float)
-        for c, prof in enumerate(self.profiles):
-            conds = [self.distances <= t.range_m for t in prof.tiers]
-            vals = [t.rate_mbps for t in prof.tiers]
-            self.rates[:, :, c] = np.select(conds, vals, default=0.0)
-        with np.errstate(divide="ignore"):
-            self.log_rates = np.where(
-                self.rates > 0, np.log(np.where(self.rates > 0, self.rates, 1.0)), -np.inf
-            )
+        # (C, T) tier ranges and (C, T + 1) tier rates, 0 past the last tier;
+        # every channel scales the radio model's tiers, so T is shared
+        ranges = np.array([[t.range_m for t in p.tiers] for p in self.profiles])
+        tier_rates = np.array([[t.rate_mbps for t in p.tiers] + [0.0] for p in self.profiles])
 
-        # adjacency[n, m, c]: radios n and m interfere on channel c, i.e. they
-        # are at most its interference range apart; co-located radios (the
-        # diagonal included) sit at distance 0. Built after the rate tables so
-        # its temporaries do not add to their peak memory.
-        vdist = _distances(vpos, vpos)
-        self.adjacency = np.stack(
-            [vdist <= prof.interference_range_m for prof in self.profiles], axis=2
-        )  # (V, V, C) bool
+        self.link_client, self.link_vap, self.distances = _pairs(cpos, vpos, ranges.max())
+        self.link_ptr = self.link_client.searchsorted(np.arange(I + 1))
+        self.radio_links = self.link_vap.argsort(kind="stable")
+        self.radio_link_ptr = self.link_vap[self.radio_links].searchsorted(np.arange(V + 1))
+        # a link's tier on a channel counts the tiers it lies beyond, which
+        # picks the first tier whose (inclusive) range holds it
+        tier = (self.distances[:, None, None] > ranges).sum(axis=2)  # (L, C)
+        self.rates = tier_rates[np.arange(C), tier]
+        with np.errstate(divide="ignore"):
+            self.log_rates = np.log(tier_rates)[np.arange(C), tier]
+        # link_index searches client * V + radio; the trailing I * V exceeds
+        # every key, so a search never runs off the end
+        self._link_keys = np.append(self.link_client * V + self.link_vap, I * V)
+
+        intf = np.array([p.interference_range_m for p in self.profiles])
+        self.pair_radio, self.pair_vap, pair_d = _pairs(vpos, vpos, intf.max())
+        self.pair_ptr = self.pair_radio.searchsorted(np.arange(V + 1))
+        self.adjacency = pair_d[:, None] <= intf  # (P, C)
 
         self.weights = np.array([c.weight for c in self.clients], dtype=float)
         self.sum_w_log_w = float((self.weights * np.log(self.weights)).sum())
+
+    def link_index(self, clients, radios) -> np.ndarray:
+        """Position in the link lists of the link from each client to each
+        radio, -1 where the pair is not a link. clients and radios are ints
+        or integer ndarrays (not lists), broadcast against each other."""
+        key = clients * len(self.vaps) + radios
+        pos = self._link_keys.searchsorted(key)
+        return (pos + 1) * (self._link_keys[pos] == key) - 1
 
     @property
     def n_clients(self) -> int:
@@ -245,8 +289,49 @@ class Network:
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance from every point of a to every point of b."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+_PAIR_BLOCK = 64
+
+
+def _pairs(a: np.ndarray, b: np.ndarray, r: float):
+    """(row, column, distance) of every pair of a point of a and a point of b
+    at most r apart, ordered by row and then column.
+
+    The rows are taken in x order, _PAIR_BLOCK at a time, and each block is
+    measured with _distances against just the columns whose x lies within r
+    of the block's x range, found by one searchsorted on the x-sorted
+    columns. The window is padded by a hair, so rounding cannot drop a pair;
+    every distance is computed as in the full matrix and the test d <= r is
+    exact, so the pairs and distances equal those of the full matrix bit for
+    bit. Rows that fit in one block are measured against every column, which
+    leaves the pairs in order without any sort.
+    """
+    if len(a) <= _PAIR_BLOCK:
+        d = _distances(a, b)
+        rows, cols = (d <= r).nonzero()
+        return rows, cols, d[rows, cols]
+    cols_by_x = b[:, 0].argsort(kind="stable")
+    bx = b[cols_by_x, 0]
+    reach = r + 1e-9 * (r + max(-bx[0], bx[-1]))
+    by_row_x = a[:, 0].argsort(kind="stable")
+    rows, cols, dist = [], [], []
+    for start in range(0, len(a), _PAIR_BLOCK):
+        block = by_row_x[start:start + _PAIR_BLOCK]
+        x = a[block, 0]
+        lo, hi = bx.searchsorted((x[0] - reach, x[-1] + reach))
+        near = cols_by_x[lo:hi]
+        d = _distances(a[block], b[near])
+        i, j = (d <= r).nonzero()
+        rows.append(block[i])
+        cols.append(near[j])
+        dist.append(d[i, j])
+    rows, cols, dist = np.concatenate(rows), np.concatenate(cols), np.concatenate(dist)
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], dist[order]
 
 
 def _check_unique(kind: str, ids: list[str]):

@@ -1,6 +1,9 @@
 """Shared fixtures and instance builders for the test suite."""
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,32 @@ CHANNEL_PALETTE = (
     Channel("ch-16000", 16000.0, 50.0),
     Channel("ch-600", 600.0, 6.0),
 )
+
+
+def _dist(p, q) -> float:
+    """The model's distance arithmetic, sqrt(dx * dx + dy * dy), on scalars."""
+    dx, dy = float(p[0]) - float(q[0]), float(p[1]) - float(q[1])
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def dense_reference(net: Network) -> SimpleNamespace:
+    """A network's link and interference data as dense tables, built pair by
+    pair from the positions with ChannelProfile.rate_at and each channel's
+    interference range, without reading the network's link or pair lists:
+    ``rates`` and ``log_rates`` (I, V, C), ``adjacency`` (V, V, C) and
+    ``distances`` (I, V)."""
+    I, V, C = net.n_clients, net.n_vaps, net.n_channels
+    distances = np.array([[_dist(c.position, v.position) for v in net.vaps]
+                          for c in net.clients]).reshape(I, V)
+    rates = np.array([[[prof.rate_at(d) for prof in net.profiles] for d in row]
+                      for row in distances]).reshape(I, V, C)
+    adjacency = np.array([[[_dist(a.position, b.position) <= prof.interference_range_m
+                            for prof in net.profiles] for b in net.vaps]
+                          for a in net.vaps]).reshape(V, V, C)
+    with np.errstate(divide="ignore"):
+        log_rates = np.log(rates)  # -inf at rate 0
+    return SimpleNamespace(rates=rates, log_rates=log_rates, adjacency=adjacency,
+                           distances=distances)
 
 
 def random_network(
@@ -76,9 +105,10 @@ def random_state(
 ) -> SystemState:
     """Uniform random feasible configuration as a live state."""
     V, C = net.n_vaps, net.n_channels
+    rates = dense_reference(net).rates
     for _ in range(200):
         chan = rng.integers(0, C, size=V)
-        rates_now = net.rates[:, np.arange(V), chan]
+        rates_now = rates[:, np.arange(V), chan]
         if not (rates_now > 0).any(axis=1).all():
             continue
         assoc = np.empty(net.n_clients, dtype=np.int64)

@@ -37,7 +37,7 @@ from fairband import (
 )
 from fairband.annealing import gibbs_step
 from fairband.cli import main
-from conftest import random_network, random_state, rel
+from conftest import dense_reference, random_network, random_state, rel
 from test_fairness import _heavy_load_network
 
 
@@ -225,10 +225,11 @@ def test_05_monte_carlo_agreement(capsys):
         alloc = optimal_allocation(net, cfg, scheme)
         expected = throughput(net, cfg, alloc)
         emp = slot_monte_carlo(net, cfg, alloc, slots, seed=1000 + k)
+        rates = dense_reference(net).rates
         for cid in net.client_ids:
             i = net.client_index[cid]
             vid = cfg.association[cid]
-            b = net.rates[i, net.vap_index[vid], net.channel_index[cfg.channel[vid]]]
+            b = rates[i, net.vap_index[vid], net.channel_index[cfg.channel[vid]]]
             q = expected.rates[cid] / b
             sigma = b * math.sqrt(q * (1 - q) / slots)
             checked += 1

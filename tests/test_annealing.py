@@ -21,7 +21,7 @@ from fairband import (
     softmax_probabilities,
 )
 from fairband.annealing import _sample_index, gibbs_step, greedy_step
-from conftest import random_network, random_state, rel
+from conftest import dense_reference, random_network, random_state, rel
 
 
 # -- temperature schedules ----------------------------------------------------
@@ -280,18 +280,19 @@ def test_initial_configuration_breaks_distance_ties_randomly():
 def _initial_configuration_by_loop(net, rng, max_redraws=100):
     """initial_configuration as a loop over the clients, one tie draw each."""
     V = net.n_vaps
+    ref = dense_reference(net)
     for _ in range(max_redraws):
         chan = rng.integers(0, net.n_channels, size=V)
-        rates_now = net.rates[:, np.arange(V), chan]
+        rates_now = ref.rates[:, np.arange(V), chan]
         if (rates_now > 0).any(axis=1).all():
             break
     else:
         far = int(np.argmax([prof.max_range_m for prof in net.profiles]))
         chan = np.full(V, far, dtype=np.int64)
-        rates_now = net.rates[:, :, far]
+        rates_now = ref.rates[:, :, far]
     assoc = np.empty(net.n_clients, dtype=np.int64)
     for i in range(net.n_clients):
-        d = np.where(rates_now[i] > 0, net.distances[i], np.inf)
+        d = np.where(rates_now[i] > 0, ref.distances[i], np.inf)
         ties = np.flatnonzero(d == d.min())
         assoc[i] = ties[rng.integers(len(ties))] if len(ties) > 1 else ties[0]
     return assoc, chan

@@ -16,14 +16,15 @@ from fairband import (
     wifi_association,
 )
 from fairband.baselines import _descend
-from conftest import random_network
+from conftest import dense_reference, random_network
 
 
 def _brute_force_pairs(net, chan):
+    adjacency = dense_reference(net).adjacency
     count = 0
     for a in range(net.n_vaps):
         for b in range(a + 1, net.n_vaps):
-            if chan[a] == chan[b] and net.adjacency[a, b, chan[a]]:
+            if chan[a] == chan[b] and adjacency[a, b, chan[a]]:
                 count += 1
     return count
 
@@ -107,7 +108,7 @@ def test_wifi_allocation_equalizes_throughput_within_ap():
     assoc = np.zeros(3, dtype=np.int64)
     chan = np.zeros(1, dtype=np.int64)
     alloc = wifi_allocation(net, assoc, chan)
-    rates = net.rates[np.arange(3), assoc, chan[assoc]]
+    rates = dense_reference(net).rates[np.arange(3), assoc, chan[assoc]]
     throughputs = rates * np.array([alloc.schedule[c] for c in net.client_ids])
     assert np.allclose(throughputs, throughputs[0])
     assert sum(alloc.schedule.values()) == pytest.approx(1.0)

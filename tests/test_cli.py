@@ -128,10 +128,14 @@ def test_runs_fan_out_with_distinct_seeds(tmp_path):
     ("--schedule", "bogus"),
     ("--schedule", "geometric:2"),
     ("--iters", "-5"),
+    ("--record-every", "0"),
+    ("--record-every", "-3"),
+    ("--limit", "-1"),
 ])
 def test_bad_flag_values_exit_2_naming_the_flag(flag, value, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--scenario", "micro", flag, value])
+        command = "enumerate" if flag == "--limit" else "run"
+        main([command, "--scenario", "micro", flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err and "Traceback" not in err

@@ -27,7 +27,7 @@ from fairband.fairness import (
     _same_channel_adjacency,
     _slot_rates,
 )
-from conftest import random_network, random_state, rel
+from conftest import dense_reference, random_network, random_state, rel
 
 
 def _single_ap_two_clients():
@@ -281,9 +281,10 @@ def _approx_scores_from_scratch(net, state, client, scheme):
     """association_scores_approx by its definition: for each candidate b,
     the local score under a fresh state with the client moved to b."""
     wi = net.weights[client]
+    log_rates = dense_reference(net).log_rates
     scores = np.full(net.n_vaps, -np.inf)
     for b in range(net.n_vaps):
-        lb = net.log_rates[client, b, state.chan[b]]
+        lb = log_rates[client, b, state.chan[b]]
         if not np.isfinite(lb):
             continue
         assoc = state.assoc.copy()
@@ -446,10 +447,11 @@ def test_slot_rates_equal_a_loop_over_the_set_entries(rng, scheme):
         net = random_network(rng, n_aps=10, n_clients=24, n_channels=1 + trial % 2,
                              box=120.0, dyadic=False, max_radios=2)
         state = random_state(net, rng, scheme)
+        rates = dense_reference(net).rates
         n = net.n_vaps if scheme == "server" else net.n_clients
         for p in (state.access_probabilities(), rng.uniform(0.0, 1.0, n)):
             assoc = state.assoc
-            rates_now = net.rates[np.arange(net.n_clients), assoc, state.chan[assoc]]
+            rates_now = rates[np.arange(net.n_clients), assoc, state.chan[assoc]]
             phi = rng.uniform(0.1, 1.0, net.n_clients) if scheme == "server" else None
             entries = _contention_entries(scheme, state.same_ch_adj, assoc)
             got = _slot_rates(scheme, entries, assoc, rates_now, p, phi)
@@ -508,10 +510,11 @@ def test_monte_carlo_agrees_with_closed_form(rng):
     slots = 400_000
     emp = slot_monte_carlo(net, cfg, alloc, slots, seed=7)
     assoc = cfg.association
+    rates = dense_reference(net).rates
     for cid in net.client_ids:
         i = net.client_index[cid]
-        b = net.rates[i, net.vap_index[assoc[cid]],
-                      net.channel_index[cfg.channel[assoc[cid]]]]
+        b = rates[i, net.vap_index[assoc[cid]],
+                  net.channel_index[cfg.channel[assoc[cid]]]]
         q = rep.rates[cid] / b
         sigma = b * math.sqrt(q * (1 - q) / slots)
         assert abs(emp[cid] - rep.rates[cid]) <= 3 * sigma + 1e-12
@@ -525,10 +528,11 @@ def test_monte_carlo_client_scheme(rng):
     rep = throughput(net, cfg, alloc)
     slots = 400_000
     emp = slot_monte_carlo(net, cfg, alloc, slots, seed=11)
+    rates = dense_reference(net).rates
     for cid in net.client_ids:
         i = net.client_index[cid]
-        b = net.rates[i, net.vap_index[cfg.association[cid]],
-                      net.channel_index[cfg.channel[cfg.association[cid]]]]
+        b = rates[i, net.vap_index[cfg.association[cid]],
+                  net.channel_index[cfg.channel[cfg.association[cid]]]]
         q = rep.rates[cid] / b
         sigma = b * math.sqrt(q * (1 - q) / slots)
         assert abs(emp[cid] - rep.rates[cid]) <= 3 * sigma + 1e-12

@@ -1,5 +1,7 @@
 """Domain model: virtual AP expansion, interference adjacency, rate tables,
 and the per-radio loads SystemState derives from them."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,20 @@ from fairband import (
     SystemState,
     expand_virtual_aps,
 )
-from conftest import random_network, random_state
+from fairband import builtin, channel_profile, model
+from conftest import CHANNEL_PALETTE, dense_reference, random_network, random_state
+
+
+def _dense_adjacency(net):
+    """The network's pair lists scattered into a (V, V, C) bool table."""
+    adj = np.zeros((net.n_vaps, net.n_vaps, net.n_channels), dtype=bool)
+    adj[net.pair_radio, net.pair_vap] = net.adjacency
+    return adj
 
 
 def _interfere(net, a, b, channel_id):
-    return bool(net.adjacency[net.vap_index[a], net.vap_index[b],
-                              net.channel_index[channel_id]])
+    return bool(_dense_adjacency(net)[net.vap_index[a], net.vap_index[b],
+                                      net.channel_index[channel_id]])
 
 
 def test_virtual_ap_expansion_order_and_ids():
@@ -58,7 +68,7 @@ def test_interference_graph_symmetric_with_true_diagonal(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, n_aps=int(rng.integers(2, 5)), n_clients=2,
                          n_channels=int(rng.integers(1, 4)))
-    adj = net.adjacency
+    adj = _dense_adjacency(net)
     assert (adj == adj.transpose(1, 0, 2)).all()
     assert adj[np.arange(net.n_vaps), np.arange(net.n_vaps), :].all()
 
@@ -70,7 +80,90 @@ def test_rate_table_matches_profiles(rng):
             for c, prof in enumerate(net.profiles):
                 d = np.hypot(cl.position[0] - vap.position[0],
                              cl.position[1] - vap.position[1])
-                assert net.rates[i, v, c] == prof.rate_at(d)
+                link = net.link_index(i, v)
+                rate = net.rates[link, c] if link >= 0 else 0.0
+                assert rate == prof.rate_at(d)
+
+
+_coord = st.floats(-400.0, 400.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_link_and_pair_lists_equal_a_brute_force_loop(data):
+    channels = [CHANNEL_PALETTE[k] for k in data.draw(
+        st.lists(st.sampled_from(range(len(CHANNEL_PALETTE))), min_size=1, max_size=3,
+                 unique=True))]
+    profiles = [channel_profile(c) for c in channels]
+    # anchor AP at x = 0: a point (R, y0) is exactly R from it, so clients
+    # sit on tier ranges and on the outermost range, and an AP sits on an
+    # interference range; co-located radios come from multi-radio APs and
+    # from a second AP at the anchor
+    y0 = data.draw(_coord)
+    radios = st.integers(1, 3)
+    aps = [AccessPoint("anchor", (0.0, y0), data.draw(radios))]
+    aps += [AccessPoint(f"a{k}", (data.draw(_coord), data.draw(_coord)), data.draw(radios))
+            for k in range(data.draw(st.integers(0, 3)))]
+    if data.draw(st.booleans()):
+        aps.append(AccessPoint("twin", (0.0, y0), data.draw(radios)))
+    on_range = [p.interference_range_m for p in profiles]
+    if data.draw(st.booleans()):
+        aps.append(AccessPoint("edge", (data.draw(st.sampled_from(on_range)), y0)))
+    tier_ranges = [t.range_m for p in profiles for t in p.tiers]
+    clients = [Client(f"e{k}", (r, y0)) for k, r in enumerate(
+        data.draw(st.lists(st.sampled_from(tier_ranges), max_size=4)))]
+    clients += [Client(f"c{k}", (data.draw(_coord), data.draw(_coord)))
+                for k in range(data.draw(st.integers(0 if clients else 1, 4)))]
+    # small blocks send the pair search through its windowed, multi-block path
+    with mock.patch.object(model, "_PAIR_BLOCK", data.draw(st.sampled_from([1, 2, 3, 64]))):
+        net = Network(channels, aps, clients)
+
+    ref = dense_reference(net)
+    for k, cl in enumerate(clients):
+        if cl.id.startswith("e"):
+            assert ref.distances[k, 0] == cl.position[0]  # exactly on the range
+    # links: every (client, radio) pair within the largest outermost range
+    within = ref.distances <= max(p.max_range_m for p in net.profiles)
+    clients_of, radios_of = within.nonzero()
+    assert net.link_client.tolist() == clients_of.tolist()
+    assert net.link_vap.tolist() == radios_of.tolist()
+    assert net.link_ptr.tolist() == [0] + np.cumsum(within.sum(axis=1)).tolist()
+    assert (net.distances == ref.distances[within]).all()
+    assert (net.rates == ref.rates[within]).all()
+    assert (net.log_rates == ref.log_rates[within]).all()
+    assert (ref.rates[~within] == 0).all()
+    expected = np.full(within.shape, -1)
+    expected[within] = np.arange(within.sum())
+    everyone, every_radio = np.indices(within.shape)
+    assert (net.link_index(everyone, every_radio) == expected).all()
+    by_radio = sorted(range(len(net.link_vap)),
+                      key=lambda l: (net.link_vap[l], net.link_client[l]))
+    assert net.radio_links.tolist() == by_radio
+    assert net.radio_link_ptr.tolist() == [0] + np.cumsum(within.sum(axis=0)).tolist()
+    # pairs: every radio pair within the largest interference range, itself included
+    near = ref.adjacency.any(axis=2)  # within the largest interference range
+    assert np.diag(near).all()
+    first, second = near.nonzero()
+    assert net.pair_radio.tolist() == first.tolist()
+    assert net.pair_vap.tolist() == second.tolist()
+    assert net.pair_ptr.tolist() == [0] + np.cumsum(near.sum(axis=1)).tolist()
+    assert (net.adjacency == ref.adjacency[near]).all()
+    assert not ref.adjacency[~near].any()
+
+
+def test_compiled_grid_holds_no_client_by_radio_table():
+    # 16 x 16 dual-radio APs 300 m apart and 512 clients: I * V = 262 144
+    rng = np.random.default_rng(16)
+    aps = [AccessPoint(f"ap{k}", (300.0 * (k // 16), 300.0 * (k % 16)), radio_count=2)
+           for k in range(256)]
+    clients = [Client(f"c{i}", tuple(rng.uniform(0.0, 4500.0, 2).tolist()))
+               for i in range(512)]
+    net = Network(list(builtin("grid16-weighted").channels), aps, clients)
+    assert net.n_clients * net.n_vaps == 512 * 512
+    arrays = {k: v for k, v in vars(net).items() if isinstance(v, np.ndarray)}
+    assert {"rates", "log_rates", "adjacency", "distances"} <= arrays.keys()
+    for name, arr in arrays.items():
+        assert arr.size < net.n_clients * net.n_vaps, name
 
 
 def test_network_rejects_duplicates_and_empties():
@@ -110,6 +203,20 @@ def test_state_flags_dead_links():
     )
     cfg = Configuration({"c1": "a/r0", "c2": "a/r0"}, {"a/r0": "h"})
     assert not SystemState.from_configuration(net, cfg).feasible
+
+
+def test_network_without_links_evaluates_as_infeasible():
+    # the client is out of every radio's range, so there are no links at all
+    net = Network(
+        [Channel("h", 16000.0, 50.0)],
+        [AccessPoint("a", (0, 0))],
+        [Client("c1", (400, 0))],
+    )
+    assert len(net.link_vap) == 0 and net.link_index(0, 0) == -1
+    state = SystemState(net, "server", np.array([0]), np.array([0]))
+    assert not state.feasible and state.rates().tolist() == [0.0]
+    values, feasible = state.channel_candidates(0)
+    assert values.tolist() == [-np.inf] and feasible.tolist() == [False]
 
 
 def _brute_force_aggregates(net, config):

@@ -19,6 +19,7 @@ from fairband import (
     save_scenario,
 )
 from fairband.scenarios import SCENARIO_FORMAT, Scenario
+from conftest import dense_reference
 
 
 def test_all_builtins_compile():
@@ -70,9 +71,9 @@ def test_grid16_clients_always_reachable():
     # worst case is a region-center client 212 m from the nearest AP; every
     # channel in the sub-GHz plan reaches past 300 m
     for seed in range(5):
-        net = builtin("grid16-unweighted", seed=seed).to_network()
-        assert (net.rates.max(axis=(1, 2)) > 0).all()
-        assert ((net.rates > 0).all(axis=2).any(axis=1)).all()
+        rates = dense_reference(builtin("grid16-unweighted", seed=seed).to_network()).rates
+        assert (rates.max(axis=(1, 2)) > 0).all()
+        assert ((rates > 0).all(axis=2).any(axis=1)).all()
 
 
 def test_region_scenario_requires_seed():
@@ -109,7 +110,8 @@ def test_yaml_round_trip(tmp_path):
     assert loaded.digest() == original.digest()
     a = original.to_network()
     b = loaded.to_network()
-    assert (a.rates == b.rates).all()
+    assert (dense_reference(a).rates == dense_reference(b).rates).all()
+    assert (a.link_vap == b.link_vap).all() and (a.rates == b.rates).all()
     assert a.vap_ids == b.vap_ids
 
 
