@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,27 +94,34 @@ class OptimizerPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.selection not in SELECTION_KINDS:
             raise ValueError(f"unknown selection {self.selection!r}")
+        if self.kind == "greedy" and self.selection != "round-robin":
+            # greedy_step moves round-robin, and run() certifies a local
+            # optimum by a whole unchanged sweep in that order
+            raise ValueError("selection: greedy moves round-robin only")
         _check_scheme(self.scheme)
+        _check_integer("seed", self.seed, 0)
+        _check_integer("iterations", self.iterations, 0)
 
 
-@dataclass
-class Candidate:
-    target: str
-    value: float  # energy (exact policies) or local score (approx policy)
-    probability: float
-    feasible: bool
+def _check_integer(name: str, value, minimum: int):
+    """Raise ValueError naming the field unless value is an integer (not a
+    bool) no smaller than minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        raise ValueError(f"{name}: expected an integer >= {minimum}, got {value!r}")
 
 
-@dataclass
-class MoveProposal:
-    """Record of one optimizer step. Candidate details are filled on request."""
+class Move(NamedTuple):
+    """What one optimizer step did. kind is "association" (index is a client)
+    or "channel" (index is a radio); chosen is the target index the step
+    settled on (a radio or a channel), or None when the mover had no feasible
+    candidate; temperature is T(t), None for greedy steps."""
 
-    mover: str
-    kind: str  # "association" | "channel"
-    chosen: str | None
+    kind: str
+    index: int
+    chosen: int | None
     changed: bool
     temperature: float | None
-    candidates: list[Candidate] = field(default_factory=list)
 
 
 def softmax_probabilities(
@@ -144,59 +152,13 @@ def softmax_probabilities(
 # -- steps ------------------------------------------------------------------
 
 
-def _mover_count(net: Network) -> int:
-    return net.n_clients + net.n_vaps
-
-
-def _mover_at(net: Network, index: int) -> tuple[str, int]:
-    """Movers in fixed order: clients by index, then radios by index."""
-    if index < net.n_clients:
-        return "association", index
-    return "channel", index - net.n_clients
-
-
-def _candidate_values(state: SystemState, kind: str, idx: int, policy_kind: str):
-    if kind == "association":
-        if policy_kind == "dp-approx":
-            return state.association_scores_approx(idx)
-        return state.association_candidates(idx)
-    return state.channel_candidates(idx)
-
-
-def _target_ids(net: Network, kind: str):
-    return net.vap_ids if kind == "association" else net.channel_ids
-
-
-def _current_index(state: SystemState, kind: str, idx: int) -> int:
-    return int(state.assoc[idx]) if kind == "association" else int(state.chan[idx])
-
-
-def _apply(state: SystemState, kind: str, idx: int, choice: int):
-    if kind == "association":
-        state.apply_association(idx, choice)
-    else:
-        state.apply_channel(idx, choice)
-
-
-def _proposal(
-    state, kind, idx, values, feasible, probs, choice, changed, temperature, record
-) -> MoveProposal:
-    net = state.net
-    mover = net.client_ids[idx] if kind == "association" else net.vap_ids[idx]
-    targets = _target_ids(net, kind)
-    prop = MoveProposal(
-        mover=mover,
-        kind=kind,
-        chosen=None if choice is None else targets[choice],
-        changed=changed,
-        temperature=temperature,
-    )
-    if record:
-        prop.candidates = [
-            Candidate(targets[k], float(values[k]), float(probs[k]), bool(feasible[k]))
-            for k in range(len(targets))
-        ]
-    return prop
+def _mover(state: SystemState, index: int) -> tuple[str, int, int]:
+    """The mover at position index of the fixed order (clients by index, then
+    radios by index): its kind, its own index and its current target."""
+    n = state.net.n_clients
+    if index < n:
+        return "association", index, int(state.assoc[index])
+    return "channel", index - n, int(state.chan[index - n])
 
 
 def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -209,86 +171,69 @@ def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def gibbs_step(
-    state: SystemState,
-    t: int,
-    policy: OptimizerPolicy,
-    rng: np.random.Generator,
-    record: bool = False,
-) -> tuple[MoveProposal, float | None]:
-    """One sampled move. Returns the proposal and, for exact policies, the
-    energy of the new configuration (None for approx scores).
+    state: SystemState, t: int, policy: OptimizerPolicy, rng: np.random.Generator
+) -> tuple[Move, float | None]:
+    """One sampled move. Returns the Move and, for exact policies, the energy
+    of the new configuration (None for approx scores).
 
     The mover is chosen per the policy's selection order; its feasible
     candidates are sampled from the softmax at T(t). A mover with no
     feasible candidate leaves the state untouched.
     """
-    net = state.net
-    m = _mover_count(net)
+    m = state.net.n_clients + state.net.n_vaps
     index = (t - 1) % m if policy.selection == "round-robin" else int(rng.integers(m))
-    kind, idx = _mover_at(net, index)
-
-    values, feasible = _candidate_values(state, kind, idx, policy.kind)
+    kind, idx, current = _mover(state, index)
+    if kind == "channel":
+        values, feasible = state.channel_candidates(idx)
+    elif policy.kind == "dp-approx":
+        values, feasible = state.association_scores_approx(idx)
+    else:
+        values, feasible = state.association_candidates(idx)
     temperature = policy.schedule.temperature(t)
     probs = softmax_probabilities(values, temperature, feasible)
     if probs.sum() == 0.0:
         log.warning("no feasible candidate for %s move of index %d", kind, idx)
-        prop = _proposal(
-            state, kind, idx, values, feasible, probs, None, False, temperature, record
-        )
-        return prop, None
+        return Move(kind, idx, None, False, temperature), None
 
     choice = _sample_index(probs, rng)
-    current = _current_index(state, kind, idx)
     changed = choice != current
-    if changed:
-        _apply(state, kind, idx, choice)
+    if changed and kind == "association":
+        state.apply_association(idx, choice)
+    elif changed:
+        state.apply_channel(idx, choice)
     new_u = float(values[choice]) if policy.kind != "dp-approx" else None
-    prop = _proposal(
-        state, kind, idx, values, feasible, probs, choice, changed, temperature, record
-    )
-    return prop, new_u
+    return Move(kind, idx, choice, changed, temperature), new_u
 
 
 def greedy_step(
-    state: SystemState, t: int, policy: OptimizerPolicy, record: bool = False
-) -> tuple[MoveProposal, float | None]:
-    """One argmax move; ties go to the lowest target index.
+    state: SystemState, t: int, policy: OptimizerPolicy
+) -> tuple[Move, float | None]:
+    """One argmax move in round-robin order; ties go to the lowest target
+    index. Returns the Move and the energy of the new configuration.
 
     Candidates within 1e-12 max(1, |U|) of the best, U the current energy,
     count as tied, and the mover moves only when the best gains more than
     that margin over staying, so float noise between equal energies never
     makes a move.
     """
-    net = state.net
-    m = _mover_count(net)
-    index = (t - 1) % m
-    kind, idx = _mover_at(net, index)
-
+    kind, idx, current = _mover(state, (t - 1) % (state.net.n_clients + state.net.n_vaps))
     values, feasible = state.association_candidates(idx) if kind == "association" \
         else state.channel_candidates(idx)
     if not feasible.any():
-        prop = _proposal(
-            state, kind, idx, values, feasible, np.zeros_like(values), None, False,
-            None, record
-        )
-        return prop, None
+        return Move(kind, idx, None, False, None), None
     masked = np.where(feasible, values, -np.inf)
     best = masked.max()
-    current = _current_index(state, kind, idx)
     u_cur = masked[current]
     margin = 1e-12 * max(1.0, abs(u_cur)) if feasible[current] else 0.0
     choice = int(np.argmax(masked >= best - margin))
-    changed = choice != current and best - u_cur > margin
+    changed = bool(choice != current and best - u_cur > margin)
     if not changed:
         choice = current
+    elif kind == "association":
+        state.apply_association(idx, choice)
     else:
-        _apply(state, kind, idx, choice)
-    probs = np.zeros_like(values)
-    probs[choice] = 1.0
-    prop = _proposal(
-        state, kind, idx, values, feasible, probs, choice, changed, None, record
-    )
-    return prop, float(values[choice])
+        state.apply_channel(idx, choice)
+    return Move(kind, idx, choice, changed, None), float(values[choice])
 
 
 # -- initialization -----------------------------------------------------------
@@ -405,6 +350,9 @@ def run(
     """
     net = _coerce_network(scenario_or_network)
     iters = policy.iterations if iterations is None else iterations
+    _check_integer("iterations", iters, 0)
+    if record_every is not None:
+        _check_integer("record_every", record_every, 1)
     cadence = record_every if record_every else max(1, iters // 100)
     rng = np.random.default_rng(policy.seed)
 
@@ -426,21 +374,20 @@ def run(
     for t in range(1, iters + 1):
         last_t = t
         if policy.kind == "greedy":
-            prop, new_u = greedy_step(state, t, policy)
+            move, new_u = greedy_step(state, t, policy)
         else:
-            prop, new_u = gibbs_step(state, t, policy, rng)
-        if prop.chosen is None:
+            move, new_u = gibbs_step(state, t, policy, rng)
+        if move.chosen is None:
             noops += 1
         if new_u is None:  # approx scores: an unchanged state keeps its energy
-            new_u = state.energy() if prop.changed else u
+            new_u = state.energy() if move.changed else u
         u = new_u
-        dirty |= prop.changed
-        unchanged_streak = 0 if prop.changed else unchanged_streak + 1
+        dirty |= move.changed
+        unchanged_streak = 0 if move.changed else unchanged_streak + 1
         if u > best_u + 1e-12:
             best_u, best_t = u, t
             best_snapshot = (state.assoc.copy(), state.chan.copy())
-        greedy_done = policy.kind == "greedy" and policy.selection == "round-robin" \
-            and unchanged_streak >= sweep
+        greedy_done = policy.kind == "greedy" and unchanged_streak >= sweep
         if t % cadence == 0 or t == iters or greedy_done:
             if dirty:
                 recorded = (
@@ -448,7 +395,7 @@ def run(
                     net.digest(state.assoc, state.chan),
                 )
                 dirty = False
-            trajectory.append(TrajectoryPoint(t, prop.temperature, *recorded))
+            trajectory.append(TrajectoryPoint(t, move.temperature, *recorded))
         if greedy_done:
             break
 

@@ -6,7 +6,9 @@ fairband enumerate --scenario micro --scheme server
 Per-run randomness is derived from the top-level seed with SeedSequence, so
 the same flags always produce the same runs (and byte-identical CSV). The
 scenario draw for run k depends only on the seed and k, never on the policy,
-so different policies face identical client layouts.
+so different policies face identical client layouts. The runs execute one
+after another in the calling thread: a chain is a series of small numpy
+calls that hold the interpreter lock, so threads would only add switching.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -139,19 +140,14 @@ def cmd_run(args) -> int:
         print("minint-wifi schedules at the AP, so it only supports --scheme server",
               file=sys.stderr)
         return 2
+    if args.policy == "greedy" and args.selection != "round-robin":
+        print("greedy moves round-robin, so it only supports --selection round-robin",
+              file=sys.stderr)
+        return 2
 
     children = np.random.SeedSequence(args.seed).spawn(args.runs)
     seeds = [tuple(int(s) for s in c.generate_state(2, dtype=np.uint32)) for c in children]
-
-    if args.runs == 1:
-        results = [_run_one(scenario, args, seeds[0], 0)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(args.runs, 8)) as pool:
-            futures = [
-                pool.submit(_run_one, scenario, args, seeds[k], k)
-                for k in range(args.runs)
-            ]
-            results = [f.result() for f in futures]
+    results = [_run_one(scenario, args, seeds[k], k) for k in range(args.runs)]
 
     for res in results:
         print(

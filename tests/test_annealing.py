@@ -1,4 +1,5 @@
 """Schedules, softmax moves, Gibbs/greedy steps, full runs."""
+import logging
 import math
 
 import numpy as np
@@ -235,20 +236,35 @@ def test_round_robin_covers_all_movers(rng):
     rng_step = np.random.default_rng(1)
     movers = []
     for t in range(1, net.n_clients + net.n_vaps + 1):
-        prop, _ = gibbs_step(state, t, pol, rng_step)
-        movers.append(prop.mover)
-    assert set(movers) == set(net.client_ids) | set(net.vap_ids)
+        move, _ = gibbs_step(state, t, pol, rng_step)
+        movers.append((move.kind, move.index))
+    assert set(movers) == {("association", i) for i in range(net.n_clients)} | {
+        ("channel", v) for v in range(net.n_vaps)
+    }
 
 
-def test_proposal_records_candidates(rng):
-    net = random_network(rng, n_aps=2, n_clients=3, n_channels=2)
-    state = random_state(net, rng, "server")
-    pol = OptimizerPolicy(kind="dp-exact", scheme="server")
-    prop, _ = gibbs_step(state, 1, pol, np.random.default_rng(0), record=True)
-    assert len(prop.candidates) == net.n_vaps
-    total = sum(c.probability for c in prop.candidates)
-    assert total == pytest.approx(1.0)
-    assert all(c.probability == 0 for c in prop.candidates if not c.feasible)
+def test_mover_without_a_feasible_candidate_is_a_noop(caplog):
+    # the client reaches its radios only on 2.4 GHz and both sit on 16 GHz:
+    # it has a zero-rate link and no feasible target, so both steps leave it
+    net = Network(
+        [Channel("b", 2400.0, 22.0), Channel("h", 16000.0, 50.0)],
+        [AccessPoint("a0", (0, 0)), AccessPoint("a1", (200, 0))],
+        [Client("c", (100, 0))],
+    )
+    state = SystemState(net, "server", np.array([0]), np.array([1, 1]))
+    u = state.energy()
+    policies = [OptimizerPolicy(kind="greedy"), OptimizerPolicy(kind="dp-exact")]
+    with caplog.at_level(logging.WARNING, logger="fairband.annealing"):
+        moves = [
+            greedy_step(state, 1, policies[0])[0],
+            gibbs_step(state, 1, policies[1], np.random.default_rng(0))[0],
+        ]
+    for move in moves:
+        assert (move.kind, move.index) == ("association", 0)
+        assert move.chosen is None and move.changed is False
+    assert state.assoc.tolist() == [0] and state.chan.tolist() == [1, 1]
+    assert state.energy() == u
+    assert len(caplog.records) == 1
 
 
 # -- initialization ---------------------------------------------------------------
@@ -403,3 +419,21 @@ def test_policy_validation():
         OptimizerPolicy(scheme="mesh")
     with pytest.raises(ValueError):
         OptimizerPolicy(selection="sorted")
+    with pytest.raises(ValueError, match="^selection:"):
+        OptimizerPolicy(kind="greedy", selection="random")
+
+
+@pytest.mark.parametrize("field, policy_args, run_args", [
+    ("seed", {"seed": True}, {}),
+    ("seed", {"seed": -1}, {}),
+    ("seed", {"seed": 1.5}, {}),
+    ("iterations", {"iterations": -5}, {}),
+    ("iterations", {}, {"iterations": -5}),
+    ("record_every", {}, {"record_every": -3}),
+    ("record_every", {}, {"record_every": 0}),
+], ids=["seed-bool", "seed-negative", "seed-float", "iterations-policy",
+        "iterations-run", "record_every-negative", "record_every-zero"])
+def test_bad_arguments_raise_value_error_naming_the_field(field, policy_args, run_args):
+    with pytest.raises(ValueError, match=f"^{field}:"):
+        run(builtin("micro"), OptimizerPolicy(**{"iterations": 10, **policy_args}),
+            **run_args)

@@ -131,8 +131,15 @@ def test_runs_fan_out_with_distinct_seeds(tmp_path):
     ("--record-every", "0"),
     ("--record-every", "-3"),
     ("--limit", "-1"),
+    ("--selection", "random"),  # valid alone, refused for greedy
 ])
 def test_bad_flag_values_exit_2_naming_the_flag(flag, value, capsys):
+    if flag == "--selection":
+        assert main(["run", "--scenario", "micro", "--policy", "greedy",
+                     flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        return
     with pytest.raises(SystemExit) as exc:
         command = "enumerate" if flag == "--limit" else "run"
         main([command, "--scenario", "micro", flag, value])
