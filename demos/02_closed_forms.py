@@ -12,7 +12,6 @@ from fairband import (
     builtin,
     enumerate_optimum,
     numeric_allocation_optimum,
-    optimal_allocation,
     slot_monte_carlo,
     throughput,
 )
@@ -42,7 +41,7 @@ numeric = numeric_allocation_optimum(net, cfg.association, cfg.channel, "server"
 print(f"numeric allocation   {numeric:.6f}")
 
 # finally, simulate the slotted protocol and compare per-client rates
-alloc = optimal_allocation(net, cfg, "server")
+alloc = state.allocation()
 expected = throughput(net, cfg, alloc)
 empirical = slot_monte_carlo(net, cfg, alloc, slots=400_000, seed=3)
 print("\nclient   closed form   simulated")

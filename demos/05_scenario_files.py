@@ -27,7 +27,7 @@ with tempfile.TemporaryDirectory(prefix="fairband-demo-") as tmp:
     path = workdir / "line3-2ch.yaml"
     save_scenario(path, scenario)
     reloaded = load_scenario(path)
-    print(f"wrote {path}")
+    print(f"wrote {path.name}")
     print(f"digest before {scenario.digest()}  after {reloaded.digest()}")
 
     # regions survive the round trip with their seed

@@ -23,6 +23,8 @@ log = logging.getLogger(__name__)
 
 POLICY_KINDS = ("dp-exact", "dp-approx", "greedy")
 SELECTION_KINDS = ("round-robin", "random")
+# channel draws initial_configuration tries before it falls back
+MAX_REDRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,6 @@ class Schedule:
         if self.kind == "geometric":
             return self.t0 * self.ratio ** (t - 1)
         return self.t0
-
-    def satisfies_convergence_conditions(self) -> bool:
-        """True when T(t) -> 0 and T(t) log t -> infinity both hold."""
-        return self.kind == "invsqrtlog"
 
     @classmethod
     def parse(cls, text: str, t0: float = 1.0) -> "Schedule":
@@ -219,12 +217,13 @@ def greedy_step(
     kind, idx, current = _mover(state, (t - 1) % (state.net.n_clients + state.net.n_vaps))
     values, feasible = state.association_candidates(idx) if kind == "association" \
         else state.channel_candidates(idx)
-    if not feasible.any():
+    usable = feasible & np.isfinite(values)  # as softmax_probabilities counts them
+    if not usable.any():
         return Move(kind, idx, None, False, None), None
-    masked = np.where(feasible, values, -np.inf)
+    masked = np.where(usable, values, -np.inf)
     best = masked.max()
     u_cur = masked[current]
-    margin = 1e-12 * max(1.0, abs(u_cur)) if feasible[current] else 0.0
+    margin = 1e-12 * max(1.0, abs(u_cur)) if usable[current] else 0.0
     choice = int(np.argmax(masked >= best - margin))
     changed = bool(choice != current and best - u_cur > margin)
     if not changed:
@@ -240,7 +239,7 @@ def greedy_step(
 
 
 def initial_configuration(
-    net: Network, rng: np.random.Generator, max_redraws: int = 100
+    net: Network, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random channels, then closest-radio association.
 
@@ -249,7 +248,7 @@ def initial_configuration(
     distance ties uniformly at random (co-located radios of one AP are always
     tied). If some client is unreachable on every channel that is a scenario
     error; if the particular channel draw strands a client, the channels are
-    redrawn. After max_redraws stranding draws every radio takes the channel
+    redrawn. After MAX_REDRAWS stranding draws every radio takes the channel
     that reaches farthest: all channels scale one tier table, so that channel
     reaches every link any channel reaches.
     """
@@ -263,7 +262,7 @@ def initial_configuration(
         bad = net.client_ids[int(np.argmin(reachable_somewhere))]
         raise ScenarioError(f"client {bad!r} has no positive-rate AP on any channel")
 
-    for _ in range(max_redraws):
+    for _ in range(MAX_REDRAWS):
         chan = rng.integers(0, C, size=V)
         reach = net.distances <= max_range[chan[net.link_vap]]
         if np.logical_or.reduceat(reach, starts).all():
@@ -336,7 +335,6 @@ def _coerce_network(scenario_or_network) -> Network:
 def run(
     scenario_or_network,
     policy: OptimizerPolicy,
-    iterations: int | None = None,
     record_every: int | None = None,
     run_id: str = "run0",
 ) -> RunResult:
@@ -349,8 +347,7 @@ def run(
     a local optimum under single moves.
     """
     net = _coerce_network(scenario_or_network)
-    iters = policy.iterations if iterations is None else iterations
-    _check_integer("iterations", iters, 0)
+    iters = policy.iterations
     if record_every is not None:
         _check_integer("record_every", record_every, 1)
     cadence = record_every if record_every else max(1, iters // 100)

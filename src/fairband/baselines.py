@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annealing import RunResult, TrajectoryPoint, _nearest
+from .annealing import RunResult, TrajectoryPoint, _coerce_network, _nearest
 from .fairness import (
     SCHEME_SERVER,
     Allocation,
@@ -33,19 +33,17 @@ def interfering_pair_count(net: Network, chan: np.ndarray) -> int:
 class MinIntResult:
     channels: np.ndarray
     cost: int
-    restarts: int
-    descent_costs: list[int]  # cost trace of the winning restart
 
 
-def _descend(net: Network, chan: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
+def _descend(net: Network, chan: np.ndarray) -> tuple[np.ndarray, int]:
     """Steepest descent over single-radio channel moves; ties to lowest
-    (radio, channel)."""
+    (radio, channel). Returns the channels and their pair count."""
     V, C = net.n_vaps, net.n_channels
     chan = chan.copy()
     others = net.pair_radio != net.pair_vap
     radio, partner = net.pair_radio[others], net.pair_vap[others]
     adjacency = net.adjacency[others]
-    trace = [interfering_pair_count(net, chan)]
+    cost = interfering_pair_count(net, chan)
     while True:
         # deg[n, c]: same-channel interferers radio n would have on channel c,
         # counted over its partners that use c and interfere with it there
@@ -58,8 +56,8 @@ def _descend(net: Network, chan: np.ndarray) -> tuple[np.ndarray, int, list[int]
         if delta[n, c] >= 0:
             break
         chan[n] = c
-        trace.append(trace[-1] + int(delta[n, c]))
-    return chan, trace[-1], trace
+        cost += int(delta[n, c])
+    return chan, cost
 
 
 def minint_channel_selection(
@@ -77,9 +75,9 @@ def minint_channel_selection(
     best: MinIntResult | None = None
     for _ in range(restarts):
         start = rng.integers(0, net.n_channels, size=net.n_vaps)
-        chan, cost, trace = _descend(net, start)
+        chan, cost = _descend(net, start)
         if best is None or cost < best.cost:
-            best = MinIntResult(chan, cost, restarts, trace)
+            best = MinIntResult(chan, cost)
         if best.cost == 0:
             break
     return best
@@ -124,16 +122,12 @@ def wifi_allocation(net: Network, assoc: np.ndarray, chan: np.ndarray) -> Alloca
 
 
 def minint_wifi_run(
-    scenario_or_network, seed: int = 0, restarts: int = 20, run_id: str = "run0"
+    scenario_or_network, seed: int = 0, run_id: str = "run0"
 ) -> RunResult:
     """The full baseline: interference-minimal channels, closest-AP
     association, equal-throughput scheduling. One-shot, no trajectory."""
-    net = (
-        scenario_or_network
-        if isinstance(scenario_or_network, Network)
-        else scenario_or_network.to_network()
-    )
-    picked = minint_channel_selection(net, restarts=restarts, seed=seed)
+    net = _coerce_network(scenario_or_network)
+    picked = minint_channel_selection(net, seed=seed)
     assoc = wifi_association(net, picked.channels)
     alloc = wifi_allocation(net, assoc, picked.channels)
     config = net.configuration(assoc, picked.channels)

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .annealing import OptimizerPolicy, RunResult, Schedule, run
+from .annealing import (POLICY_KINDS, SELECTION_KINDS, OptimizerPolicy, RunResult,
+                        Schedule, run)
 from .baselines import minint_wifi_run
 from .fairness import SCHEME_SERVER, SCHEMES
 from .model import ScenarioError
@@ -34,7 +35,7 @@ from .scenarios import (
     save_result,
 )
 
-POLICIES = ("dp-exact", "dp-approx", "greedy", "minint-wifi")
+POLICIES = (*POLICY_KINDS, "minint-wifi")
 
 
 def _resolve_scenario(name_or_path: str) -> Scenario:
@@ -226,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--t0", type=_positive_float, default=1.0)
     p_run.add_argument("--schedule", type=_schedule_text, default="invsqrtlog",
                        help="invsqrtlog | invlog | geometric:<ratio> | const:<T>")
-    p_run.add_argument("--selection", choices=("round-robin", "random"),
-                       default="round-robin")
+    p_run.add_argument("--selection", choices=SELECTION_KINDS, default="round-robin")
     p_run.add_argument("--record-every", type=_at_least(1), default=None,
                        help="trajectory cadence (default: iters/100)")
     p_run.add_argument("--out-dir", default=None)

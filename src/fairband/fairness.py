@@ -14,6 +14,10 @@ Plugging the optima back in collapses the objective to a function of the
 per-AP aggregates (w^n, z^n) alone, which this module calls the energy of
 the configuration. A transmission succeeds only when no other radio (or
 client) in the same-channel interference set transmits in the slot.
+
+SystemState evaluates a configuration: its optimal allocation, energy and
+rates, and the energies of single moves. throughput and slot_monte_carlo
+evaluate any given allocation, in closed form and by simulation.
 """
 from __future__ import annotations
 
@@ -88,14 +92,6 @@ def _load_change(w, z, shift):
             + xlogy(z, z) - xlogy(moved, moved))
 
 
-def optimal_allocation(
-    network: Network, config: Configuration, scheme: str = SCHEME_SERVER
-) -> Allocation:
-    """The closed-form optimal allocation of a configuration; see
-    SystemState.allocation."""
-    return SystemState.from_configuration(network, config, scheme).allocation()
-
-
 def _validate_allocation(network: Network, config: Configuration, alloc: Allocation):
     for key, p in alloc.access.items():
         if not 0.0 <= p <= 1.0:
@@ -115,6 +111,28 @@ def _validate_allocation(network: Network, config: Configuration, alloc: Allocat
                 raise ValueError(f"schedule for {v!r} sums to {s}, expected 1")
 
 
+def _allocation_arrays(network: Network, config: Configuration, allocation: Allocation):
+    """A validated allocation as arrays in network order: the association,
+    each client's link rate, the contention lists (_contention_entries), the
+    access probabilities (per radio under the server scheme, per client under
+    the client scheme) and the schedule (per client; None under the client
+    scheme)."""
+    _validate_allocation(network, config, allocation)
+    chan = network.channel_array(config.channel)
+    assoc = network.association_array(config.association)
+    clients = network.client_ids
+    links = network.link_index(np.arange(len(clients)), assoc)
+    rates_now = _link_rates(network, links, chan[assoc])
+    entries = _contention_entries(
+        allocation.scheme, _same_channel_adjacency(network, chan), assoc
+    )
+    server = allocation.scheme == SCHEME_SERVER
+    keys = network.vap_ids if server else clients
+    p = np.array([allocation.access[k] for k in keys], dtype=float)
+    phi = np.array([allocation.schedule[c] for c in clients], dtype=float) if server else None
+    return assoc, rates_now, entries, p, phi
+
+
 def throughput(
     network: Network, config: Configuration, allocation: Allocation
 ) -> ThroughputReport:
@@ -125,45 +143,18 @@ def throughput(
     so the success probability is evaluated as p_n times the product of
     (1 - p_m) over the other interferers, which is finite everywhere.
     """
-    _validate_allocation(network, config, allocation)
-    chan = network.channel_array(config.channel)
-    assoc = network.association_array(config.association)
-    I = network.n_clients
-    rates_now = _link_rates(network, network.link_index(np.arange(I), assoc), chan[assoc])
-    phi = (
-        np.array([allocation.schedule[c] for c in network.client_ids], dtype=float)
-        if allocation.scheme == SCHEME_SERVER
-        else None
-    )
-    same_ch_adj = _same_channel_adjacency(network, chan)
-    r = _slot_rates(
-        allocation.scheme,
-        _contention_entries(allocation.scheme, same_ch_adj, assoc),
-        assoc,
-        rates_now,
-        _access_vector(network, allocation),
-        phi,
-    )
+    assoc, rates_now, entries, p, phi = _allocation_arrays(network, config, allocation)
+    r = _slot_rates(allocation.scheme, entries, assoc, rates_now, p, phi)
 
     feasible = bool((r > 0).all())
     w = network.weights
     energy = float((w * np.log(r)).sum()) if feasible else -math.inf
     return ThroughputReport(
-        rates={network.client_ids[i]: float(r[i]) for i in range(I)},
+        rates=dict(zip(network.client_ids, r.tolist())),
         feasible=feasible,
         energy=energy,
         weighted_throughput=float((w * r).sum()),
     )
-
-
-def energy(network: Network, config: Configuration, scheme: str = SCHEME_SERVER) -> float:
-    """Closed-form optimum of sum_i w_i log r_i for a configuration.
-
-    Returns -inf when some client sits on a zero-rate link; callers that
-    need a hard flag should use SystemState.feasible or a ThroughputReport.
-    """
-    state = SystemState.from_configuration(network, config, scheme)
-    return state.energy()
 
 
 def _same_channel_pairs(network: Network, chan: np.ndarray) -> np.ndarray:
@@ -195,24 +186,6 @@ def _entries(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its rows, read with one flat nonzero."""
     flat = mask.ravel().nonzero()[0]
     return flat // mask.shape[1], flat % mask.shape[1]
-
-
-def _access_vector(network: Network, allocation: Allocation) -> np.ndarray:
-    """An allocation's access probabilities in radio (server) or client order."""
-    keys = network.vap_ids if allocation.scheme == SCHEME_SERVER else network.client_ids
-    return np.array([allocation.access[k] for k in keys], dtype=float)
-
-
-def _others_mask(scheme: str, same_ch_adj: np.ndarray, assoc: np.ndarray) -> np.ndarray:
-    """Row k marks the transmitters, other than k itself, whose transmission
-    collides with k's: radios under the server scheme, clients under the
-    client scheme."""
-    if scheme == SCHEME_SERVER:
-        others = same_ch_adj.copy()
-    else:
-        others = same_ch_adj.take(assoc, axis=0).take(assoc, axis=1)
-    np.fill_diagonal(others, False)
-    return others
 
 
 def _contention_entries(scheme: str, same_ch_adj: np.ndarray, assoc: np.ndarray):
@@ -339,9 +312,6 @@ class SystemState:
 
     def to_configuration(self) -> Configuration:
         return self.net.configuration(self.assoc, self.chan)
-
-    def copy(self) -> "SystemState":
-        return SystemState(self.net, self.scheme, self.assoc, self.chan)
 
     # -- aggregate maintenance -------------------------------------------
 
@@ -724,43 +694,38 @@ def slot_monte_carlo(
     Under the server scheme a successful radio serves one client drawn from
     its schedule. Returns Mbps averaged over slots.
     """
-    _validate_allocation(network, config, allocation)
+    assoc, rates_now, (rows, cols, starts), p, phi = _allocation_arrays(
+        network, config, allocation
+    )
+    own = rows == cols
     rng = np.random.default_rng(seed)
-    chan = network.channel_array(config.channel)
-    assoc = network.association_array(config.association)
-    I, V = network.n_clients, network.n_vaps
-    rates_now = _link_rates(network, network.link_index(np.arange(I), assoc), chan[assoc])
-    others = _others_mask(
-        allocation.scheme, _same_channel_adjacency(network, chan), assoc
-    ).T.astype(np.int64)
-    p = _access_vector(network, allocation)
-    batch = 200_000
+    # slots per draw, so a batch's entry masks stay near 8 MB; the uniforms
+    # come in the same order however the slots are batched
+    batch = max(1, 2**23 // len(cols))
 
-    # transmitters are radios (server) or clients (client scheme)
+    # transmitters are radios (server) or clients (client scheme); a
+    # transmission clashes when another member of its contention set sends.
+    # Slots run along the last axis, so each reduceat row is contiguous.
     wins = np.zeros(len(p), dtype=np.int64)
     done = 0
     while done < slots:
         n = min(batch, slots - done)
-        tx = rng.random((n, len(p))) < p[None, :]
-        clash = tx.astype(np.int64) @ others
-        wins += (tx & (clash == 0)).sum(axis=0)
+        tx = np.ascontiguousarray((rng.random((n, len(p))) < p[None, :]).T)
+        heard = tx[cols]
+        heard[own] = False
+        clash = np.logical_or.reduceat(heard, starts, axis=0)
+        wins += (tx & ~clash).sum(axis=1)
         done += n
 
     if allocation.scheme == SCHEME_SERVER:
-        counts = np.zeros(I, dtype=np.int64)
-        for v in range(V):
-            members = np.nonzero(assoc == v)[0]
-            if members.size == 0 or wins[v] == 0:
-                continue
-            phi = np.array(
-                [allocation.schedule[network.client_ids[i]] for i in members]
-            )
-            total = phi.sum()
-            if total <= 0:
-                continue
-            counts[members] += rng.multinomial(wins[v], phi / total)
+        counts = np.zeros(len(assoc), dtype=np.int64)
+        for v in np.flatnonzero(wins):
+            members = np.flatnonzero(assoc == v)
+            if members.size:
+                share = phi[members]
+                counts[members] += rng.multinomial(wins[v], share / share.sum())
         r = rates_now * counts / slots
     else:
         r = rates_now * wins / slots
 
-    return {network.client_ids[i]: float(r[i]) for i in range(I)}
+    return dict(zip(network.client_ids, r.tolist()))

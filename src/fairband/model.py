@@ -35,10 +35,9 @@ class Channel:
     bandwidth_mhz: float
 
     def __post_init__(self):
-        if self.center_frequency_mhz <= 0 or self.bandwidth_mhz <= 0:
-            raise ScenarioError(
-                f"channel {self.id!r}: frequency and bandwidth must be positive"
-            )
+        for name in ("center_frequency_mhz", "bandwidth_mhz"):
+            if getattr(self, name) <= 0:
+                raise ScenarioError(f"{name}: must be positive (channel {self.id!r})")
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ class Client:
 
     def __post_init__(self):
         if not self.weight > 0:
-            raise ScenarioError(f"client {self.id!r}: weight must be positive")
+            raise ScenarioError(f"weight: must be positive (client {self.id!r})")
 
 
 def expand_virtual_aps(aps: list[AccessPoint]) -> list[VirtualAP]:

@@ -38,12 +38,12 @@ class ClientRegion:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ScenarioError("region count must be positive")
+            raise ScenarioError("count: must be positive")
         xmin, ymin, xmax, ymax = self.rect
         if xmax < xmin or ymax < ymin:
-            raise ScenarioError(f"region rect {self.rect} is inverted")
+            raise ScenarioError(f"rect: {self.rect} is inverted")
         if self.weight <= 0:
-            raise ScenarioError("region weight must be positive")
+            raise ScenarioError("weight: must be positive")
 
 
 @dataclass(frozen=True)
@@ -245,6 +245,15 @@ def _point(value, where) -> tuple[float, float]:
     return (_number(value[0], where + "[0]"), _number(value[1], where + "[1]"))
 
 
+def _at(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with where prefixed to the field named by the
+    ScenarioError it raises."""
+    try:
+        return make(*args, **kwargs)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{where}.{exc}") from None
+
+
 def _load_radio_model(raw) -> RadioModel:
     if raw is None:
         return RadioModel()
@@ -286,7 +295,9 @@ def load_scenario(path: str | Path) -> Scenario:
     for k, ch in enumerate(_mappings(_require(raw, "channels", str(path)), "channels")):
         where = f"channels[{k}]"
         channels.append(
-            Channel(
+            _at(
+                where,
+                Channel,
                 str(_require(ch, "id", where)),
                 _number(_require(ch, "center_frequency_mhz", where),
                         where + ".center_frequency_mhz"),
@@ -315,7 +326,9 @@ def load_scenario(path: str | Path) -> Scenario:
             where = f"clients[{k}]"
             weight = _number(cl.get("weight", 1.0), where + ".weight")
             clients.append(
-                Client(
+                _at(
+                    where,
+                    Client,
                     str(_require(cl, "id", where)),
                     _point(_require(cl, "position", where), where + ".position"),
                     weight=weight,
@@ -335,7 +348,9 @@ def load_scenario(path: str | Path) -> Scenario:
             if not isinstance(rect, (list, tuple)) or len(rect) != 4:
                 raise ScenarioError(f"{where}.rect: expected [xmin, ymin, xmax, ymax]")
             regions.append(
-                ClientRegion(
+                _at(
+                    where,
+                    ClientRegion,
                     count,
                     tuple(_number(v, f"{where}.rect[{j}]") for j, v in enumerate(rect)),
                     weight=_number(rg.get("weight", 1.0), where + ".weight"),

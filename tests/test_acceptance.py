@@ -29,7 +29,6 @@ from fairband import (
     minint_channel_selection,
     minint_wifi_run,
     numeric_allocation_optimum,
-    optimal_allocation,
     run,
     slot_monte_carlo,
     softmax_probabilities,
@@ -88,7 +87,7 @@ def test_02_closed_form_allocation_optimality(capsys):
         )
         worst_gap = max(worst_gap, numeric - closed)
         # no perturbation of the closed-form allocation may improve it
-        alloc = optimal_allocation(net, cfg, scheme)
+        alloc = SystemState.from_configuration(net, cfg, scheme).allocation()
         for _ in range(5):
             if scheme == "server":
                 phi = np.array([alloc.schedule[c] for c in net.client_ids])
@@ -141,7 +140,8 @@ def test_03_energy_identity(capsys):
         )
         state = random_state(net, rng, scheme)
         cfg = state.to_configuration()
-        assembled = throughput(net, cfg, optimal_allocation(net, cfg, scheme)).energy
+        alloc = SystemState.from_configuration(net, cfg, scheme).allocation()
+        assembled = throughput(net, cfg, alloc).energy
         worst = max(worst, rel(state.energy(), assembled))
     ok = worst < 1e-12
     _report(3, "energy identity", ok,
@@ -222,7 +222,7 @@ def test_05_monte_carlo_agreement(capsys):
         )
         state = random_state(net, rng, scheme)
         cfg = state.to_configuration()
-        alloc = optimal_allocation(net, cfg, scheme)
+        alloc = SystemState.from_configuration(net, cfg, scheme).allocation()
         expected = throughput(net, cfg, alloc)
         emp = slot_monte_carlo(net, cfg, alloc, slots, seed=1000 + k)
         rates = dense_reference(net).rates

@@ -39,10 +39,15 @@ def test_interfering_pair_count_matches_brute_force(rng):
 def test_descent_trace_is_monotone(rng):
     net = random_network(rng, n_aps=5, n_clients=2, n_channels=2, max_radios=2)
     start = rng.integers(0, net.n_channels, size=net.n_vaps)
-    chan, cost, trace = _descend(net, start)
-    assert trace[0] == interfering_pair_count(net, start)
-    assert all(b < a for a, b in zip(trace, trace[1:]))
-    assert cost == trace[-1] == interfering_pair_count(net, chan)
+    chan, cost = _descend(net, start)
+    assert cost == interfering_pair_count(net, chan)
+    assert cost <= interfering_pair_count(net, start)
+    # it stops where no single radio's channel change lowers the count
+    for n in range(net.n_vaps):
+        for c in range(net.n_channels):
+            moved = chan.copy()
+            moved[n] = c
+            assert interfering_pair_count(net, moved) >= cost
 
 
 def test_minint_finds_zero_interference_on_line3_2ch():

@@ -14,8 +14,6 @@ from fairband import (
     Configuration,
     Network,
     SystemState,
-    energy,
-    optimal_allocation,
     oracle_energy,
     slot_monte_carlo,
     throughput,
@@ -23,7 +21,6 @@ from fairband import (
 from fairband.annealing import softmax_probabilities
 from fairband.fairness import (
     _contention_entries,
-    _others_mask,
     _same_channel_adjacency,
     _slot_rates,
 )
@@ -43,7 +40,8 @@ def test_energy_single_ap_two_clients_server():
     # U = 2 log 11 + 2 log(1/2) = 2 log(11/2)
     net = _single_ap_two_clients()
     cfg = Configuration({"c1": "a/r0", "c2": "a/r0"}, {"a/r0": "b"})
-    assert energy(net, cfg, "server") == pytest.approx(2 * math.log(11 / 2), abs=1e-12)
+    u = SystemState.from_configuration(net, cfg, "server").energy()
+    assert u == pytest.approx(2 * math.log(11 / 2), abs=1e-12)
 
 
 def test_energy_single_ap_two_clients_client_scheme():
@@ -52,7 +50,8 @@ def test_energy_single_ap_two_clients_client_scheme():
     net = _single_ap_two_clients()
     cfg = Configuration({"c1": "a/r0", "c2": "a/r0"}, {"a/r0": "b"})
     expected = 2 * math.log(11) - 4 * math.log(2)
-    assert energy(net, cfg, "client") == pytest.approx(expected, abs=1e-12)
+    u = SystemState.from_configuration(net, cfg, "client").energy()
+    assert u == pytest.approx(expected, abs=1e-12)
 
 
 def test_schedule_and_access_closed_forms():
@@ -64,13 +63,13 @@ def test_schedule_and_access_closed_forms():
     cfg = Configuration(
         {"c1": "a/r0", "c2": "a/r0", "c3": "b/r0"}, {"a/r0": "b", "b/r0": "b"}
     )
-    phi = optimal_allocation(net, cfg, "server").schedule
+    phi = SystemState.from_configuration(net, cfg, "server").allocation().schedule
     assert phi["c1"] == pytest.approx(2 / 3) and phi["c2"] == pytest.approx(1 / 3)
     assert phi["c3"] == 1.0
-    p = optimal_allocation(net, cfg, "server").access
+    p = SystemState.from_configuration(net, cfg, "server").allocation().access
     # the APs interfere: z = 4 for both
     assert p["a/r0"] == pytest.approx(3 / 4) and p["b/r0"] == pytest.approx(1 / 4)
-    client = optimal_allocation(net, cfg, "client")
+    client = SystemState.from_configuration(net, cfg, "client").allocation()
     assert client.schedule is None
     pc = client.access
     assert pc["c1"] == pytest.approx(2 / 4) and pc["c3"] == pytest.approx(1 / 4)
@@ -83,10 +82,11 @@ def test_clientless_radio_gets_zero_access():
         [Client("c1", (10, 0))],
     )
     cfg = Configuration({"c1": "a/r0"}, {"a/r0": "b", "b/r0": "b"})
-    p = optimal_allocation(net, cfg, "server").access
+    p = SystemState.from_configuration(net, cfg, "server").allocation().access
     assert p["b/r0"] == 0.0
     assert p["a/r0"] == 1.0  # empty neighbor does not count toward z
-    rep = throughput(net, cfg, optimal_allocation(net, cfg, "server"))
+    alloc = SystemState.from_configuration(net, cfg, "server").allocation()
+    rep = throughput(net, cfg, alloc)
     assert rep.rates["c1"] == pytest.approx(11.0)
 
 
@@ -102,7 +102,8 @@ def test_energy_identity_closed_form_vs_assembled(rng, scheme):
         state = random_state(net, rng, scheme)
         cfg = state.to_configuration()
         u_closed = state.energy()
-        rep = throughput(net, cfg, optimal_allocation(net, cfg, scheme))
+        alloc = SystemState.from_configuration(net, cfg, scheme).allocation()
+        rep = throughput(net, cfg, alloc)
         assert rel(u_closed, rep.energy) < 1e-12
 
 
@@ -121,7 +122,7 @@ def test_perturbing_allocation_never_improves(rng):
     net = random_network(rng, n_aps=2, n_clients=4, n_channels=2, dyadic=False)
     state = random_state(net, rng, "server")
     cfg = state.to_configuration()
-    alloc = optimal_allocation(net, cfg, "server")
+    alloc = SystemState.from_configuration(net, cfg, "server").allocation()
     u_star = throughput(net, cfg, alloc).energy
     for _ in range(50):
         phi = np.array([alloc.schedule[c] for c in net.client_ids])
@@ -147,7 +148,8 @@ def test_isolated_ap_transmits_every_slot():
     # explicit product over other interferers, which is empty here
     net = _single_ap_two_clients()
     cfg = Configuration({"c1": "a/r0", "c2": "a/r0"}, {"a/r0": "b"})
-    rep = throughput(net, cfg, optimal_allocation(net, cfg, "server"))
+    alloc = SystemState.from_configuration(net, cfg, "server").allocation()
+    rep = throughput(net, cfg, alloc)
     assert rep.rates["c1"] == pytest.approx(5.5)
     assert rep.rates["c2"] == pytest.approx(5.5)
 
@@ -189,11 +191,11 @@ def test_infeasible_configuration_reports_minus_inf():
         [Client("c1", (100, 0))],  # beyond 16 GHz range, fine on 2.4
     )
     bad = Configuration({"c1": "a/r0"}, {"a/r0": "h"})
-    assert energy(net, bad, "server") == -math.inf
     state = SystemState.from_configuration(net, bad, "server")
+    assert state.energy() == -math.inf
     assert not state.feasible
     good = Configuration({"c1": "a/r0"}, {"a/r0": "b"})
-    assert math.isfinite(energy(net, good, "server"))
+    assert math.isfinite(SystemState.from_configuration(net, good, "server").energy())
 
 
 @pytest.mark.parametrize("scheme", ["server", "client"])
@@ -434,7 +436,8 @@ def test_state_rates_equal_throughput_of_optimal_allocation(rng, scheme):
                              dyadic=False, max_radios=2)
         state = random_state(net, rng, scheme)
         cfg = state.to_configuration()
-        rep = throughput(net, cfg, optimal_allocation(net, cfg, scheme))
+        alloc = SystemState.from_configuration(net, cfg, scheme).allocation()
+        rep = throughput(net, cfg, alloc)
         expected = np.array([rep.rates[c] for c in net.client_ids])
         np.testing.assert_allclose(state.rates(), expected, rtol=1e-12, atol=0)
 
@@ -456,7 +459,10 @@ def test_slot_rates_equal_a_loop_over_the_set_entries(rng, scheme):
             entries = _contention_entries(scheme, state.same_ch_adj, assoc)
             got = _slot_rates(scheme, entries, assoc, rates_now, p, phi)
 
-            others = _others_mask(scheme, state.same_ch_adj, assoc)
+            # row k marks the transmitters other than k in k's contention set
+            adj = state.same_ch_adj if scheme == "server" else \
+                state.same_ch_adj[np.ix_(assoc, assoc)]
+            others = adj & ~np.eye(n, dtype=bool)
             idle = []
             for k in range(n):
                 prod = 1.0
@@ -505,7 +511,7 @@ def test_monte_carlo_agrees_with_closed_form(rng):
     net = random_network(rng, n_aps=3, n_clients=5, n_channels=2, dyadic=False)
     state = random_state(net, rng, "server")
     cfg = state.to_configuration()
-    alloc = optimal_allocation(net, cfg, "server")
+    alloc = SystemState.from_configuration(net, cfg, "server").allocation()
     rep = throughput(net, cfg, alloc)
     slots = 400_000
     emp = slot_monte_carlo(net, cfg, alloc, slots, seed=7)
@@ -524,7 +530,7 @@ def test_monte_carlo_client_scheme(rng):
     net = random_network(rng, n_aps=2, n_clients=4, n_channels=2, dyadic=False)
     state = random_state(net, rng, "client")
     cfg = state.to_configuration()
-    alloc = optimal_allocation(net, cfg, "client")
+    alloc = SystemState.from_configuration(net, cfg, "client").allocation()
     rep = throughput(net, cfg, alloc)
     slots = 400_000
     emp = slot_monte_carlo(net, cfg, alloc, slots, seed=11)
@@ -536,6 +542,50 @@ def test_monte_carlo_client_scheme(rng):
         q = rep.rates[cid] / b
         sigma = b * math.sqrt(q * (1 - q) / slots)
         assert abs(emp[cid] - rep.rates[cid]) <= 3 * sigma + 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_monte_carlo_equals_a_loop_over_the_slots(rng, scheme):
+    # the same uniforms read slot by slot: a transmitter wins a slot when no
+    # other member of its same-channel interference set sends in it; under
+    # the server scheme one multinomial draw per radio, in radio order,
+    # splits its wins by the schedule
+    for trial in range(6):
+        net = random_network(rng, n_aps=4, n_clients=6, n_channels=1 + trial % 2,
+                             box=150.0, dyadic=False, max_radios=2)
+        state = random_state(net, rng, scheme)
+        cfg = state.to_configuration()
+        alloc = state.allocation()
+        if trial % 2:  # any access probabilities, clientless radios included
+            alloc.access = {k: float(rng.uniform()) for k in alloc.access}
+        assoc, chan = state.assoc, state.chan
+        ref = dense_reference(net)
+        radio = np.arange(net.n_vaps) if scheme == "server" else assoc
+        keys = net.vap_ids if scheme == "server" else net.client_ids
+        slots = 700
+        draws = np.random.default_rng(trial)
+        tx = draws.random((slots, len(keys))) < np.array([alloc.access[k] for k in keys])
+        wins = np.zeros(len(keys), dtype=np.int64)
+        for sent in tx:
+            for k in np.flatnonzero(sent):
+                a = radio[k]
+                wins[k] += not any(
+                    m != k and chan[radio[m]] == chan[a] and ref.adjacency[a, radio[m], chan[a]]
+                    for m in np.flatnonzero(sent)
+                )
+        rates_now = ref.rates[np.arange(net.n_clients), assoc, chan[assoc]]
+        if scheme == "server":
+            counts = np.zeros(net.n_clients, dtype=np.int64)
+            for v in range(net.n_vaps):
+                members = np.flatnonzero(assoc == v)
+                if members.size and wins[v]:
+                    share = np.array([alloc.schedule[net.client_ids[i]] for i in members])
+                    counts[members] += draws.multinomial(wins[v], share / share.sum())
+            want = rates_now * counts / slots
+        else:
+            want = rates_now * wins / slots
+        got = slot_monte_carlo(net, cfg, alloc, slots, seed=trial)
+        assert [got[c] for c in net.client_ids] == want.tolist()
 
 
 def test_allocation_validation():

@@ -10,8 +10,8 @@ from fairband import (
     Client,
     Configuration,
     Network,
+    SystemState,
     builtin,
-    energy,
     enumerate_optimum,
     numeric_allocation_optimum,
     oracle_energy,
@@ -34,7 +34,8 @@ def test_enumerate_micro_counts_and_agrees_both_schemes():
         best = enumerate_optimum(net, scheme)
         assert best.evaluated == 32  # 4 channel maps x 8 associations
         cfg = Configuration(best.association, best.channel)
-        assert rel(best.energy, energy(net, cfg, scheme)) < 1e-12
+        u = SystemState.from_configuration(net, cfg, scheme).energy()
+        assert rel(best.energy, u) < 1e-12
         # nothing beats it in its own enumeration
         assert math.isfinite(best.energy)
 

@@ -173,6 +173,14 @@ _MINIMAL = {
     ({"radio_model": {1: 3.0, "alpha": 3.0}}, r"radio_model: unknown fields"),
     ({"aps": [{"id": "ap0", "position": [0, 0], "radios": True}]}, r"^aps\[0\]\.radios: "),
     ({"seed": -1}, r"^seed: "),
+    ({"regions": [{"count": 2, "rect": [0, 0, 1, 1], "weight": 0}], "clients": None,
+      "seed": 1}, r"^regions\[0\]\.weight: "),
+    ({"regions": [{"count": 2, "rect": [10, 0, 0, 10]}], "clients": None, "seed": 1},
+     r"^regions\[0\]\.rect: "),
+    ({"clients": [{"id": "c", "position": [10, 0], "weight": -1}]},
+     r"^clients\[0\]\.weight: "),
+    ({"channels": [{"id": "a", "center_frequency_mhz": 600, "bandwidth_mhz": 0}]},
+     r"^channels\[0\]\.bandwidth_mhz: "),
 ])
 def test_yaml_wrong_shapes_name_the_field(tmp_path, patch, field):
     p = tmp_path / "bad.yaml"
