@@ -170,9 +170,9 @@ def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 def gibbs_step(
     state: SystemState, t: int, policy: OptimizerPolicy, rng: np.random.Generator
-) -> tuple[Move, float | None]:
-    """One sampled move. Returns the Move and, for exact policies, the energy
-    of the new configuration (None for approx scores).
+) -> tuple[Move, float]:
+    """One sampled move. Returns the Move and state.energy() after it, under
+    every policy and also after a no-op.
 
     The mover is chosen per the policy's selection order; its feasible
     candidates are sampled from the softmax at T(t). A mover with no
@@ -191,7 +191,7 @@ def gibbs_step(
     probs = softmax_probabilities(values, temperature, feasible)
     if probs.sum() == 0.0:
         log.warning("no feasible candidate for %s move of index %d", kind, idx)
-        return Move(kind, idx, None, False, temperature), None
+        return Move(kind, idx, None, False, temperature), state.energy()
 
     choice = _sample_index(probs, rng)
     changed = choice != current
@@ -199,15 +199,14 @@ def gibbs_step(
         state.apply_association(idx, choice)
     elif changed:
         state.apply_channel(idx, choice)
-    new_u = float(values[choice]) if policy.kind != "dp-approx" else None
-    return Move(kind, idx, choice, changed, temperature), new_u
+    return Move(kind, idx, choice, changed, temperature), state.energy()
 
 
 def greedy_step(
     state: SystemState, t: int, policy: OptimizerPolicy
-) -> tuple[Move, float | None]:
+) -> tuple[Move, float]:
     """One argmax move in round-robin order; ties go to the lowest target
-    index. Returns the Move and the energy of the new configuration.
+    index. Returns the Move and state.energy() after it, also after a no-op.
 
     Candidates within 1e-12 max(1, |U|) of the best, U the current energy,
     count as tied, and the mover moves only when the best gains more than
@@ -219,7 +218,7 @@ def greedy_step(
         else state.channel_candidates(idx)
     usable = feasible & np.isfinite(values)  # as softmax_probabilities counts them
     if not usable.any():
-        return Move(kind, idx, None, False, None), None
+        return Move(kind, idx, None, False, None), state.energy()
     masked = np.where(usable, values, -np.inf)
     best = masked.max()
     u_cur = masked[current]
@@ -232,7 +231,7 @@ def greedy_step(
         state.apply_association(idx, choice)
     else:
         state.apply_channel(idx, choice)
-    return Move(kind, idx, choice, changed, None), float(values[choice])
+    return Move(kind, idx, choice, changed, None), state.energy()
 
 
 # -- initialization -----------------------------------------------------------
@@ -253,9 +252,6 @@ def initial_configuration(
     reaches every link any channel reaches.
     """
     V, C = net.n_vaps, net.n_channels
-    # a link has a positive rate exactly when it is within the outermost
-    # rate tier of its channel; the links reach the farthest of those tiers
-    max_range = np.array([prof.max_range_m for prof in net.profiles])
     starts = net.link_ptr[:-1]
     reachable_somewhere = net.link_ptr[1:] > starts
     if not reachable_somewhere.all():
@@ -264,14 +260,12 @@ def initial_configuration(
 
     for _ in range(MAX_REDRAWS):
         chan = rng.integers(0, C, size=V)
-        reach = net.distances <= max_range[chan[net.link_vap]]
-        if np.logical_or.reduceat(reach, starts).all():
+        if np.logical_or.reduceat(_usable_links(net, chan), starts).all():
             break
     else:
-        far = int(np.argmax(max_range))
+        far = int(np.argmax([prof.max_range_m for prof in net.profiles]))
         chan = np.full(V, far, dtype=np.int64)
-        reach = net.distances <= max_range[far]
-    hits, counts = _nearest(net, reach)
+    hits, counts = _nearest(net, _usable_links(net, chan))
     first = np.cumsum(counts) - counts
     assoc = net.link_vap[hits[first]]  # the lowest-index nearest radio
     tied = np.flatnonzero(counts > 1)
@@ -280,6 +274,11 @@ def initial_configuration(
         picks = [rng.integers(n) for n in counts[tied].tolist()]
         assoc[tied] = net.link_vap[hits[first[tied] + picks]]
     return assoc, chan
+
+
+def _usable_links(net: Network, chan: np.ndarray) -> np.ndarray:
+    """Mask of the links with a positive rate on their radio's channel."""
+    return net.rates[np.arange(len(net.link_vap)), chan[net.link_vap]] > 0
 
 
 def _nearest(net: Network, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,14 +370,11 @@ def run(
     for t in range(1, iters + 1):
         last_t = t
         if policy.kind == "greedy":
-            move, new_u = greedy_step(state, t, policy)
+            move, u = greedy_step(state, t, policy)
         else:
-            move, new_u = gibbs_step(state, t, policy, rng)
+            move, u = gibbs_step(state, t, policy, rng)
         if move.chosen is None:
             noops += 1
-        if new_u is None:  # approx scores: an unchanged state keeps its energy
-            new_u = state.energy() if move.changed else u
-        u = new_u
         dirty |= move.changed
         unchanged_streak = 0 if move.changed else unchanged_streak + 1
         if u > best_u + 1e-12:
@@ -388,8 +384,7 @@ def run(
         if t % cadence == 0 or t == iters or greedy_done:
             if dirty:
                 recorded = (
-                    state.energy(), state.weighted_throughput(),
-                    net.digest(state.assoc, state.chan),
+                    u, state.weighted_throughput(), net.digest(state.assoc, state.chan)
                 )
                 dirty = False
             trajectory.append(TrajectoryPoint(t, move.temperature, *recorded))

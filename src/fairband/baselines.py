@@ -11,15 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annealing import RunResult, TrajectoryPoint, _coerce_network, _nearest
-from .fairness import (
-    SCHEME_SERVER,
-    Allocation,
-    SystemState,
-    _link_rates,
-    _same_channel_pairs,
-    throughput,
-)
+from .annealing import RunResult, TrajectoryPoint, _coerce_network, _nearest, _usable_links
+from .fairness import SCHEME_SERVER, Allocation, SystemState, _same_channel_pairs, throughput
 from .model import Network, ScenarioError
 
 
@@ -85,7 +78,7 @@ def minint_channel_selection(
 
 def wifi_association(net: Network, chan: np.ndarray) -> np.ndarray:
     """Closest radio with a positive rate, ties to the lowest radio index."""
-    usable = net.rates[np.arange(len(net.link_vap)), chan[net.link_vap]] > 0
+    usable = _usable_links(net, chan)
     stranded = np.bincount(net.link_client[usable], minlength=net.n_clients) == 0
     if stranded.any():
         raise ScenarioError(
@@ -102,8 +95,8 @@ def wifi_allocation(net: Network, assoc: np.ndarray, chan: np.ndarray) -> Alloca
     phi_i is proportional to 1/B_i among the clients of each radio, so all
     of them see the same throughput whenever the radio wins a slot.
     """
-    links = net.link_index(np.arange(net.n_clients), assoc)
-    rates_now = _link_rates(net, links, chan[assoc])
+    state = SystemState(net, SCHEME_SERVER, assoc, chan)
+    rates_now = state._link_rates()
     if not (rates_now > 0).all():
         raise ScenarioError("equal-throughput split needs positive rates")
     inv = 1.0 / rates_now
@@ -112,7 +105,6 @@ def wifi_allocation(net: Network, assoc: np.ndarray, chan: np.ndarray) -> Alloca
         members = assoc == n
         if members.any():
             phi[members] = inv[members] / inv[members].sum()
-    state = SystemState(net, SCHEME_SERVER, assoc, chan)
     p = state.access_probabilities()
     schedule = {
         net.client_ids[i]: float(phi[i]) for i in range(net.n_clients)

@@ -17,7 +17,9 @@ client) in the same-channel interference set transmits in the slot.
 
 SystemState evaluates a configuration: its optimal allocation, energy and
 rates, and the energies of single moves. throughput and slot_monte_carlo
-evaluate any given allocation, in closed form and by simulation.
+evaluate any given allocation, in closed form and by simulation, on the
+association, link rates and contention lists of the configuration's
+SystemState.
 """
 from __future__ import annotations
 
@@ -92,45 +94,31 @@ def _load_change(w, z, shift):
             + xlogy(z, z) - xlogy(moved, moved))
 
 
-def _validate_allocation(network: Network, config: Configuration, alloc: Allocation):
+def _allocation_vectors(network: Network, config: Configuration, alloc: Allocation):
+    """A validated allocation as vectors in network order: the access
+    probabilities (per radio under the server scheme, per client under the
+    client scheme) and the schedule (per client; None under the client
+    scheme)."""
     for key, p in alloc.access.items():
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"access probability out of range for {key!r}: {p}")
-    if alloc.scheme == SCHEME_SERVER:
-        if alloc.schedule is None:
-            raise ValueError("server scheme requires a schedule")
-        sums: dict[str, float] = {}
-        for cid in network.client_ids:
-            phi = alloc.schedule[cid]
-            if phi < 0:
-                raise ValueError(f"schedule weight negative for {cid!r}")
-            v = config.association[cid]
-            sums[v] = sums.get(v, 0.0) + phi
-        for v, s in sums.items():
-            if abs(s - 1.0) > 1e-9:
-                raise ValueError(f"schedule for {v!r} sums to {s}, expected 1")
-
-
-def _allocation_arrays(network: Network, config: Configuration, allocation: Allocation):
-    """A validated allocation as arrays in network order: the association,
-    each client's link rate, the contention lists (_contention_entries), the
-    access probabilities (per radio under the server scheme, per client under
-    the client scheme) and the schedule (per client; None under the client
-    scheme)."""
-    _validate_allocation(network, config, allocation)
-    chan = network.channel_array(config.channel)
-    assoc = network.association_array(config.association)
     clients = network.client_ids
-    links = network.link_index(np.arange(len(clients)), assoc)
-    rates_now = _link_rates(network, links, chan[assoc])
-    entries = _contention_entries(
-        allocation.scheme, _same_channel_adjacency(network, chan), assoc
-    )
-    server = allocation.scheme == SCHEME_SERVER
-    keys = network.vap_ids if server else clients
-    p = np.array([allocation.access[k] for k in keys], dtype=float)
-    phi = np.array([allocation.schedule[c] for c in clients], dtype=float) if server else None
-    return assoc, rates_now, entries, p, phi
+    if alloc.scheme == SCHEME_CLIENT:
+        return np.array([alloc.access[c] for c in clients], dtype=float), None
+    if alloc.schedule is None:
+        raise ValueError("server scheme requires a schedule")
+    sums: dict[str, float] = {}
+    for cid in clients:
+        phi = alloc.schedule[cid]
+        if phi < 0:
+            raise ValueError(f"schedule weight negative for {cid!r}")
+        v = config.association[cid]
+        sums[v] = sums.get(v, 0.0) + phi
+    for v, s in sums.items():
+        if abs(s - 1.0) > 1e-9:
+            raise ValueError(f"schedule for {v!r} sums to {s}, expected 1")
+    p = np.array([alloc.access[v] for v in network.vap_ids], dtype=float)
+    return p, np.array([alloc.schedule[c] for c in clients], dtype=float)
 
 
 def throughput(
@@ -143,8 +131,10 @@ def throughput(
     so the success probability is evaluated as p_n times the product of
     (1 - p_m) over the other interferers, which is finite everywhere.
     """
-    assoc, rates_now, entries, p, phi = _allocation_arrays(network, config, allocation)
-    r = _slot_rates(allocation.scheme, entries, assoc, rates_now, p, phi)
+    p, phi = _allocation_vectors(network, config, allocation)
+    state = SystemState.from_configuration(network, config, allocation.scheme)
+    r = _slot_rates(allocation.scheme, state._contention(), state.assoc, state._link_rates(),
+                    p, phi)
 
     feasible = bool((r > 0).all())
     w = network.weights
@@ -170,14 +160,6 @@ def _same_channel_adjacency(network: Network, chan: np.ndarray) -> np.ndarray:
     adj = np.zeros((network.n_vaps, network.n_vaps), dtype=bool)
     adj[network.pair_radio[on], network.pair_vap[on]] = True
     return adj
-
-
-def _link_rates(network: Network, links: np.ndarray, channels: np.ndarray) -> np.ndarray:
-    """The rates of the given links (positions, -1 for none) on the given
-    channels, 0 where there is no link."""
-    if not len(network.link_vap):  # nothing to index
-        return np.zeros(len(links))
-    return np.where(links >= 0, network.rates[links, channels], 0.0)
 
 
 def _entries(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +235,8 @@ class SystemState:
     lookup. Kept until a channel move changes the neighbour lists: each
     evaluated client's reachable radios and their lists (``_reach``), each
     evaluated radio's old and new neighbourhoods (``_channel_frame``) and the
-    full lists that ``rates`` multiplies over (``_edges``).
+    server scheme's contention lists (``_edges``, read through
+    ``_contention``).
 
     A move changes z only on the neighbourhoods of the radios it touches:
     N(a) and N(b) when a client moves from radio a to b, the old and the new
@@ -287,7 +270,7 @@ class SystemState:
         self._log_b_clients = self._lb[self._clients, self.assoc]
         # each client's link to its radio (-1 for none)
         self._link = network.link_index(self._clients, self.assoc)
-        self._edges = None  # the lists rates() multiplies over, until a channel move
+        self._edges = None  # the server contention lists, until a channel move
         # client i -> _reach(i) and radio v (as ~v) -> _channel_frame(v); they
         # depend only on the channels and are dropped on a channel move
         self._frames = {}
@@ -656,25 +639,35 @@ class SystemState:
             self.scheme, dict(zip(net.client_ids, phi)), dict(zip(net.vap_ids, p))
         )
 
+    def _link_rates(self) -> np.ndarray:
+        """Each client's rate on its link at its radio's channel, 0 where it
+        has no link."""
+        if not len(self.net.link_vap):  # nothing to index
+            return np.zeros(self.net.n_clients)
+        rates = self.net.rates[self._link, self.chan[self.assoc]]
+        return np.where(self._link >= 0, rates, 0.0)
+
+    def _contention(self):
+        """The contention lists of this state (_contention_entries); under the
+        server scheme they depend only on the channels and are kept until a
+        channel move."""
+        if self.scheme == SCHEME_CLIENT:
+            return _contention_entries(SCHEME_CLIENT, self.same_ch_adj, self.assoc)
+        if self._edges is None:
+            self._edges = _contention_entries(SCHEME_SERVER, self.same_ch_adj, self.assoc)
+        return self._edges
+
     def rates(self) -> np.ndarray:
         """Per-client rates under the optimal allocation for this state.
 
-        The server scheme multiplies over every radio's neighbour list, kept
-        until a channel move changes the lists; the client scheme over every
-        client's list of the clients of its radio's neighbours.
+        The server scheme multiplies over every radio's neighbour list, the
+        client scheme over every client's list of the clients of its radio's
+        neighbours (_contention).
         """
-        net = self.net
-        rates_now = _link_rates(net, self._link, self.chan[self.assoc])
-        if self.scheme == SCHEME_SERVER:
-            if self._edges is None:
-                self._edges = _contention_entries(SCHEME_SERVER, self.same_ch_adj, self.assoc)
-            entries, phi = self._edges, net.weights / self.w_ap[self.assoc]
-        else:
-            entries = _contention_entries(self.scheme, self.same_ch_adj, self.assoc)
-            phi = None
-        return _slot_rates(
-            self.scheme, entries, self.assoc, rates_now, self.access_probabilities(), phi
-        )
+        server = self.scheme == SCHEME_SERVER
+        phi = self.net.weights / self.w_ap[self.assoc] if server else None
+        return _slot_rates(self.scheme, self._contention(), self.assoc, self._link_rates(),
+                           self.access_probabilities(), phi)
 
     def weighted_throughput(self) -> float:
         return float((self.net.weights * self.rates()).sum())
@@ -694,9 +687,10 @@ def slot_monte_carlo(
     Under the server scheme a successful radio serves one client drawn from
     its schedule. Returns Mbps averaged over slots.
     """
-    assoc, rates_now, (rows, cols, starts), p, phi = _allocation_arrays(
-        network, config, allocation
-    )
+    p, phi = _allocation_vectors(network, config, allocation)
+    state = SystemState.from_configuration(network, config, allocation.scheme)
+    assoc, rates_now = state.assoc, state._link_rates()
+    rows, cols, starts = state._contention()
     own = rows == cols
     rng = np.random.default_rng(seed)
     # slots per draw, so a batch's entry masks stay near 8 MB; the uniforms

@@ -52,15 +52,6 @@ class AccessPoint:
 
 
 @dataclass(frozen=True)
-class VirtualAP:
-    """A single radio of a physical AP, at the parent's position."""
-
-    id: str
-    parent_ap: str
-    position: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class Client:
     id: str
     position: tuple[float, float]
@@ -69,15 +60,6 @@ class Client:
     def __post_init__(self):
         if not self.weight > 0:
             raise ScenarioError(f"weight: must be positive (client {self.id!r})")
-
-
-def expand_virtual_aps(aps: list[AccessPoint]) -> list[VirtualAP]:
-    """One virtual AP per radio, ordered by parent then radio index."""
-    out = []
-    for ap in aps:
-        for k in range(ap.radio_count):
-            out.append(VirtualAP(f"{ap.id}/r{k}", ap.id, ap.position))
-    return out
 
 
 @dataclass
@@ -166,10 +148,15 @@ class Network:
         self.channels = tuple(channels)
         self.aps = tuple(aps)
         self.clients = tuple(clients)
-        self.vaps = tuple(expand_virtual_aps(list(aps)))
 
         self.channel_ids = tuple(c.id for c in self.channels)
-        self.vap_ids = tuple(v.id for v in self.vaps)
+        # one virtual AP per radio, "<ap>/r<k>", ordered by AP then radio, at
+        # its AP's position
+        self.vap_ids = tuple(f"{ap.id}/r{k}" for ap in aps for k in range(ap.radio_count))
+        self.vap_positions = np.repeat(
+            np.array([ap.position for ap in aps], dtype=float),
+            [ap.radio_count for ap in aps], axis=0,
+        )
         self.client_ids = tuple(c.id for c in self.clients)
         self.channel_index = {c: i for i, c in enumerate(self.channel_ids)}
         self.vap_index = {v: i for i, v in enumerate(self.vap_ids)}
@@ -178,9 +165,9 @@ class Network:
         self.profiles: tuple[ChannelProfile, ...] = tuple(
             channel_profile(ch, self.radio_model) for ch in self.channels
         )
-        vpos = np.array([v.position for v in self.vaps], dtype=float)
+        vpos = self.vap_positions
         cpos = np.array([c.position for c in self.clients], dtype=float)
-        I, V, C = len(self.clients), len(self.vaps), len(self.channels)
+        I, V, C = len(self.clients), len(self.vap_ids), len(self.channels)
         # (C, T) tier ranges and (C, T + 1) tier rates, 0 past the last tier;
         # every channel scales the radio model's tiers, so T is shared
         ranges = np.array([[t.range_m for t in p.tiers] for p in self.profiles])
@@ -212,7 +199,7 @@ class Network:
         """Position in the link lists of the link from each client to each
         radio, -1 where the pair is not a link. clients and radios are ints
         or integer ndarrays (not lists), broadcast against each other."""
-        key = clients * len(self.vaps) + radios
+        key = clients * len(self.vap_ids) + radios
         pos = self._link_keys.searchsorted(key)
         return (pos + 1) * (self._link_keys[pos] == key) - 1
 
@@ -222,7 +209,7 @@ class Network:
 
     @property
     def n_vaps(self) -> int:
-        return len(self.vaps)
+        return len(self.vap_ids)
 
     @property
     def n_channels(self) -> int:

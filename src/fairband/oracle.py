@@ -39,7 +39,7 @@ def oracle_energy(
     """
     _check_scheme(scheme)
     profiles = _profiles(net)
-    vpos = {v.id: v.position for v in net.vaps}
+    vpos = dict(zip(net.vap_ids, net.vap_positions.tolist()))
     weights = {c.id: c.weight for c in net.clients}
 
     link = {}
@@ -49,7 +49,7 @@ def oracle_energy(
     if any(b <= 0 for b in link.values()):
         return -math.inf
 
-    w_ap = {v.id: 0.0 for v in net.vaps}
+    w_ap = {v: 0.0 for v in net.vap_ids}
     for cl in net.clients:
         w_ap[association[cl.id]] += weights[cl.id]
 
@@ -60,20 +60,20 @@ def oracle_energy(
         return math.dist(vpos[a], vpos[b]) <= reach
 
     z = {
-        v.id: sum(w_ap[m.id] for m in net.vaps if interfere(v.id, m.id))
-        for v in net.vaps
+        v: sum(w_ap[m] for m in net.vap_ids if interfere(v, m))
+        for v in net.vap_ids
     }
 
     total = 0.0
     if scheme == SCHEME_SERVER:
-        p = {v.id: (w_ap[v.id] / z[v.id] if w_ap[v.id] > 0 else 0.0) for v in net.vaps}
+        p = {v: (w_ap[v] / z[v] if w_ap[v] > 0 else 0.0) for v in net.vap_ids}
         for cl in net.clients:
             n = association[cl.id]
             phi = weights[cl.id] / w_ap[n]
             succ = p[n]
-            for m in net.vaps:
-                if m.id != n and interfere(n, m.id):
-                    succ *= 1.0 - p[m.id]
+            for m in net.vap_ids:
+                if m != n and interfere(n, m):
+                    succ *= 1.0 - p[m]
             r = link[cl.id] * phi * succ
             if r <= 0:
                 return -math.inf
@@ -112,7 +112,7 @@ def enumerate_optimum(
     """
     _check_scheme(scheme)
     profiles = _profiles(net)
-    vpos = {v.id: v.position for v in net.vaps}
+    vpos = dict(zip(net.vap_ids, net.vap_positions.tolist()))
     if net.n_channels ** net.n_vaps > limit:
         raise ValueError("channel space alone exceeds the enumeration limit")
 
@@ -123,9 +123,9 @@ def enumerate_optimum(
         feasible = []
         for cl in net.clients:
             ok = [
-                v.id
-                for v in net.vaps
-                if link_rate(cl.position, vpos[v.id], profiles[channel_map[v.id]]) > 0
+                v
+                for v in net.vap_ids
+                if link_rate(cl.position, vpos[v], profiles[channel_map[v]]) > 0
             ]
             feasible.append(ok)
         if any(not f for f in feasible):
@@ -166,7 +166,7 @@ def numeric_allocation_optimum(
     """
     _check_scheme(scheme)
     profiles = _profiles(net)
-    vpos = {v.id: v.position for v in net.vaps}
+    vpos = dict(zip(net.vap_ids, net.vap_positions.tolist()))
     weights = np.array([c.weight for c in net.clients])
     assoc = [association[c.id] for c in net.clients]
 
@@ -192,7 +192,7 @@ def numeric_allocation_optimum(
     I = net.n_clients
 
     if scheme == SCHEME_SERVER:
-        occupied = [v.id for v in net.vaps if any(a == v.id for a in assoc)]
+        occupied = [v for v in net.vap_ids if any(a == v for a in assoc)]
         members = {v: [i for i in range(I) if assoc[i] == v] for v in occupied}
         n_phi = I
         dims = n_phi + len(occupied)

@@ -46,13 +46,13 @@ def dense_reference(net: Network) -> SimpleNamespace:
     ``rates`` and ``log_rates`` (I, V, C), ``adjacency`` (V, V, C) and
     ``distances`` (I, V)."""
     I, V, C = net.n_clients, net.n_vaps, net.n_channels
-    distances = np.array([[_dist(c.position, v.position) for v in net.vaps]
+    distances = np.array([[_dist(c.position, v) for v in net.vap_positions]
                           for c in net.clients]).reshape(I, V)
     rates = np.array([[[prof.rate_at(d) for prof in net.profiles] for d in row]
                       for row in distances]).reshape(I, V, C)
-    adjacency = np.array([[[_dist(a.position, b.position) <= prof.interference_range_m
-                            for prof in net.profiles] for b in net.vaps]
-                          for a in net.vaps]).reshape(V, V, C)
+    adjacency = np.array([[[_dist(a, b) <= prof.interference_range_m
+                            for prof in net.profiles] for b in net.vap_positions]
+                          for a in net.vap_positions]).reshape(V, V, C)
     with np.errstate(divide="ignore"):
         log_rates = np.log(rates)  # -inf at rate 0
     return SimpleNamespace(rates=rates, log_rates=log_rates, adjacency=adjacency,

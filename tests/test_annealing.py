@@ -272,7 +272,7 @@ def test_mover_without_a_feasible_candidate_is_a_noop(caplog):
             ]
         for move, new_u in steps:
             assert (move.kind, move.index) == ("association", mover)
-            assert move.chosen is None and move.changed is False and new_u is None
+            assert move.chosen is None and move.changed is False and new_u == u
         assert state.assoc.tolist() == assoc and state.chan.tolist() == [1, 1]
         assert state.energy() == u
         assert len(caplog.records) == 1
@@ -384,6 +384,23 @@ def test_run_records_trajectory_and_best(rng):
     assert res.best_energy >= res.final_energy - 1e-12
     traj_max = max(p.energy for p in res.trajectory)
     assert res.best_energy >= traj_max - 1e-12
+
+
+def test_best_is_the_first_record_of_the_maximum_energy():
+    # weights near 1e4 put the best energies at |U| >= 2e4, where one ulp
+    # (3.6e-12 or more) exceeds run()'s 1e-12 margin: best tracking must
+    # follow the state's exact energy, not a candidate value close to it
+    for seed in range(3):
+        base = random_network(np.random.default_rng(seed), n_aps=4, n_clients=12,
+                              dyadic=False)
+        clients = [Client(c.id, c.position, c.weight * 1e4) for c in base.clients]
+        net = Network(list(base.channels), list(base.aps), clients)
+        pol = OptimizerPolicy(kind="dp-exact", iterations=400, seed=seed,
+                              schedule=Schedule(kind="const", t0=2e4))
+        res = run(net, pol, record_every=1)
+        top = max(p.energy for p in res.trajectory)
+        assert res.best_t == next(p.t for p in res.trajectory if p.energy == top)
+        assert res.best_energy == top
 
 
 def test_greedy_stops_at_verified_local_optimum(rng):

@@ -15,7 +15,6 @@ from fairband import (
     Network,
     ScenarioError,
     SystemState,
-    expand_virtual_aps,
 )
 from fairband import builtin, channel_profile, model
 from conftest import CHANNEL_PALETTE, dense_reference, random_network, random_state
@@ -35,10 +34,9 @@ def _interfere(net, a, b, channel_id):
 
 def test_virtual_ap_expansion_order_and_ids():
     aps = [AccessPoint("a", (0, 0), radio_count=2), AccessPoint("b", (1, 1))]
-    vaps = expand_virtual_aps(aps)
-    assert [v.id for v in vaps] == ["a/r0", "a/r1", "b/r0"]
-    assert all(v.position == (0, 0) for v in vaps[:2])
-    assert vaps[0].parent_ap == "a" and vaps[2].parent_ap == "b"
+    net = Network([Channel("x", 2400.0, 22.0)], aps, [Client("c", (10, 0))])
+    assert net.vap_ids == ("a/r0", "a/r1", "b/r0")
+    assert net.vap_positions.tolist() == [[0, 0], [0, 0], [1, 1]]
 
 
 def test_co_located_radios_always_interfere():
@@ -76,10 +74,9 @@ def test_interference_graph_symmetric_with_true_diagonal(seed):
 def test_rate_table_matches_profiles(rng):
     net = random_network(rng, n_aps=3, n_clients=5, n_channels=3)
     for i, cl in enumerate(net.clients):
-        for v, vap in enumerate(net.vaps):
+        for v, pos in enumerate(net.vap_positions):
             for c, prof in enumerate(net.profiles):
-                d = np.hypot(cl.position[0] - vap.position[0],
-                             cl.position[1] - vap.position[1])
+                d = np.hypot(cl.position[0] - pos[0], cl.position[1] - pos[1])
                 link = net.link_index(i, v)
                 rate = net.rates[link, c] if link >= 0 else 0.0
                 assert rate == prof.rate_at(d)
