@@ -9,7 +9,6 @@ the sampled chain concentrates on globally optimal configurations.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -18,8 +17,6 @@ import numpy as np
 
 from .model import Configuration, Network, ScenarioError
 from .fairness import SCHEME_SERVER, SystemState, _check_scheme
-
-log = logging.getLogger(__name__)
 
 POLICY_KINDS = ("dp-exact", "dp-approx", "greedy")
 SELECTION_KINDS = ("round-robin", "random")
@@ -112,12 +109,12 @@ def _check_integer(name: str, value, minimum: int):
 class Move(NamedTuple):
     """What one optimizer step did. kind is "association" (index is a client)
     or "channel" (index is a radio); chosen is the target index the step
-    settled on (a radio or a channel), or None when the mover had no feasible
-    candidate; temperature is T(t), None for greedy steps."""
+    settled on (a radio or a channel), the current one when it stayed;
+    temperature is T(t), None for greedy steps."""
 
     kind: str
     index: int
-    chosen: int | None
+    chosen: int
     changed: bool
     temperature: float | None
 
@@ -150,10 +147,21 @@ def softmax_probabilities(
 # -- steps ------------------------------------------------------------------
 
 
-def _mover(state: SystemState, index: int) -> tuple[str, int, int]:
-    """The mover at position index of the fixed order (clients by index, then
-    radios by index): its kind, its own index and its current target."""
+def _mover(state: SystemState, t: int, rng=None) -> tuple[str, int, int]:
+    """The mover of step t, at position (t - 1) mod m of the fixed order
+    (clients by index, then radios by index) or at one drawn from rng: its
+    kind, its own index and its current target.
+
+    An infeasible state raises ValueError before any draw. In a feasible
+    state the current target is a usable candidate and every usable
+    candidate keeps the state feasible, so a step always has a target.
+    """
+    if not state.feasible:
+        raise ValueError("state: infeasible (a client sits on a zero-rate link); "
+                         "steps need a feasible state")
     n = state.net.n_clients
+    m = n + state.net.n_vaps
+    index = (t - 1) % m if rng is None else int(rng.integers(m))
     if index < n:
         return "association", index, int(state.assoc[index])
     return "channel", index - n, int(state.chan[index - n])
@@ -171,16 +179,13 @@ def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
 def gibbs_step(
     state: SystemState, t: int, policy: OptimizerPolicy, rng: np.random.Generator
 ) -> tuple[Move, float]:
-    """One sampled move. Returns the Move and state.energy() after it, under
-    every policy and also after a no-op.
+    """One sampled move from a feasible state (see _mover). Returns the Move
+    and state.energy() after it, under every policy.
 
     The mover is chosen per the policy's selection order; its feasible
-    candidates are sampled from the softmax at T(t). A mover with no
-    feasible candidate leaves the state untouched.
+    candidates are sampled from the softmax at T(t) with one uniform draw.
     """
-    m = state.net.n_clients + state.net.n_vaps
-    index = (t - 1) % m if policy.selection == "round-robin" else int(rng.integers(m))
-    kind, idx, current = _mover(state, index)
+    kind, idx, current = _mover(state, t, rng if policy.selection == "random" else None)
     if kind == "channel":
         values, feasible = state.channel_candidates(idx)
     elif policy.kind == "dp-approx":
@@ -189,10 +194,6 @@ def gibbs_step(
         values, feasible = state.association_candidates(idx)
     temperature = policy.schedule.temperature(t)
     probs = softmax_probabilities(values, temperature, feasible)
-    if probs.sum() == 0.0:
-        log.warning("no feasible candidate for %s move of index %d", kind, idx)
-        return Move(kind, idx, None, False, temperature), state.energy()
-
     choice = _sample_index(probs, rng)
     changed = choice != current
     if changed and kind == "association":
@@ -205,24 +206,22 @@ def gibbs_step(
 def greedy_step(
     state: SystemState, t: int, policy: OptimizerPolicy
 ) -> tuple[Move, float]:
-    """One argmax move in round-robin order; ties go to the lowest target
-    index. Returns the Move and state.energy() after it, also after a no-op.
+    """One argmax move in round-robin order from a feasible state (see
+    _mover); ties go to the lowest target index. Returns the Move and
+    state.energy() after it.
 
     Candidates within 1e-12 max(1, |U|) of the best, U the current energy,
     count as tied, and the mover moves only when the best gains more than
     that margin over staying, so float noise between equal energies never
     makes a move.
     """
-    kind, idx, current = _mover(state, (t - 1) % (state.net.n_clients + state.net.n_vaps))
+    kind, idx, current = _mover(state, t)
     values, feasible = state.association_candidates(idx) if kind == "association" \
         else state.channel_candidates(idx)
-    usable = feasible & np.isfinite(values)  # as softmax_probabilities counts them
-    if not usable.any():
-        return Move(kind, idx, None, False, None), state.energy()
-    masked = np.where(usable, values, -np.inf)
+    masked = np.where(feasible, values, -np.inf)
     best = masked.max()
     u_cur = masked[current]
-    margin = 1e-12 * max(1.0, abs(u_cur)) if usable[current] else 0.0
+    margin = 1e-12 * max(1.0, abs(u_cur))
     choice = int(np.argmax(masked >= best - margin))
     changed = bool(choice != current and best - u_cur > margin)
     if not changed:
@@ -245,27 +244,25 @@ def initial_configuration(
     Each radio draws a uniform channel. Each client then associates with the
     closest radio offering a positive rate under the drawn channels, breaking
     distance ties uniformly at random (co-located radios of one AP are always
-    tied). If some client is unreachable on every channel that is a scenario
-    error; if the particular channel draw strands a client, the channels are
+    tied). If the particular channel draw strands a client, the channels are
     redrawn. After MAX_REDRAWS stranding draws every radio takes the channel
     that reaches farthest: all channels scale one tier table, so that channel
-    reaches every link any channel reaches.
+    reaches every link any channel reaches, and a client it strands is
+    unreachable on every channel, which is a scenario error.
     """
     V, C = net.n_vaps, net.n_channels
-    starts = net.link_ptr[:-1]
-    reachable_somewhere = net.link_ptr[1:] > starts
-    if not reachable_somewhere.all():
-        bad = net.client_ids[int(np.argmin(reachable_somewhere))]
-        raise ScenarioError(f"client {bad!r} has no positive-rate AP on any channel")
-
-    for _ in range(MAX_REDRAWS):
-        chan = rng.integers(0, C, size=V)
-        if np.logical_or.reduceat(_usable_links(net, chan), starts).all():
+    for attempt in range(MAX_REDRAWS + 1):
+        if attempt < MAX_REDRAWS:
+            chan = rng.integers(0, C, size=V)
+        else:
+            far = np.argmax([prof.max_range_m for prof in net.profiles])
+            chan = np.full(V, far, dtype=np.int64)
+        hits, counts = net.nearest_links(net.usable_links(chan))
+        if counts.all():
             break
     else:
-        far = int(np.argmax([prof.max_range_m for prof in net.profiles]))
-        chan = np.full(V, far, dtype=np.int64)
-    hits, counts = _nearest(net, _usable_links(net, chan))
+        bad = net.client_ids[int(np.argmin(counts))]
+        raise ScenarioError(f"client {bad!r} has no positive-rate AP on any channel")
     first = np.cumsum(counts) - counts
     assoc = net.link_vap[hits[first]]  # the lowest-index nearest radio
     tied = np.flatnonzero(counts > 1)
@@ -274,21 +271,6 @@ def initial_configuration(
         picks = [rng.integers(n) for n in counts[tied].tolist()]
         assoc[tied] = net.link_vap[hits[first[tied] + picks]]
     return assoc, chan
-
-
-def _usable_links(net: Network, chan: np.ndarray) -> np.ndarray:
-    """Mask of the links with a positive rate on their radio's channel."""
-    return net.rates[np.arange(len(net.link_vap)), chan[net.link_vap]] > 0
-
-
-def _nearest(net: Network, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The links of every client at its smallest distance among the links
-    marked in reach, client by client with radios ascending, and how many
-    each client has. Every client must reach some radio."""
-    d = np.where(reach, net.distances, np.inf)
-    nearest = d == np.minimum.reduceat(d, net.link_ptr[:-1])[net.link_client]
-    hits = nearest.nonzero()[0]
-    return hits, np.bincount(net.link_client[hits], minlength=net.n_clients)
 
 
 # -- full runs ---------------------------------------------------------------
@@ -322,7 +304,6 @@ class RunResult:
     best_energy: float
     best_t: int
     best_configuration: Configuration
-    noop_steps: int = 0
 
 
 def _coerce_network(scenario_or_network) -> Network:
@@ -365,16 +346,11 @@ def run(
 
     sweep = net.n_clients + net.n_vaps
     unchanged_streak = 0
-    noops = 0
-    last_t = 0
     for t in range(1, iters + 1):
-        last_t = t
         if policy.kind == "greedy":
             move, u = greedy_step(state, t, policy)
         else:
             move, u = gibbs_step(state, t, policy, rng)
-        if move.chosen is None:
-            noops += 1
         dirty |= move.changed
         unchanged_streak = 0 if move.changed else unchanged_streak + 1
         if u > best_u + 1e-12:
@@ -395,13 +371,12 @@ def run(
     final_cfg = state.to_configuration()
     alloc = state.allocation()
     rates = state.rates()
-    best_state = SystemState(net, policy.scheme, best_snapshot[0], best_snapshot[1])
     return RunResult(
         run_id=run_id,
         policy_kind=policy.kind,
         scheme=policy.scheme,
         seed=policy.seed,
-        iterations=last_t,
+        iterations=trajectory[-1].t,
         trajectory=trajectory,
         final_configuration=final_cfg,
         final_energy=final_energy,
@@ -409,8 +384,7 @@ def run(
         rates={net.client_ids[i]: float(rates[i]) for i in range(net.n_clients)},
         schedule_phi=alloc.schedule,
         access_p=alloc.access,
-        best_energy=best_state.energy(),
+        best_energy=best_u,
         best_t=best_t,
-        best_configuration=best_state.to_configuration(),
-        noop_steps=noops,
+        best_configuration=net.configuration(*best_snapshot),
     )

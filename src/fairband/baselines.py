@@ -11,14 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .annealing import RunResult, TrajectoryPoint, _coerce_network, _nearest, _usable_links
-from .fairness import SCHEME_SERVER, Allocation, SystemState, _same_channel_pairs, throughput
+from .annealing import RunResult, TrajectoryPoint, _coerce_network
+from .fairness import SCHEME_SERVER, Allocation, SystemState, throughput
 from .model import Network, ScenarioError
 
 
 def interfering_pair_count(net: Network, chan: np.ndarray) -> int:
     """Number of unordered radio pairs that interfere on a shared channel."""
-    same = _same_channel_pairs(net, np.asarray(chan))  # each radio paired with itself
+    same = net.same_channel_pairs(np.asarray(chan))  # each radio paired with itself
     return int((same.sum() - net.n_vaps) // 2)
 
 
@@ -78,14 +78,12 @@ def minint_channel_selection(
 
 def wifi_association(net: Network, chan: np.ndarray) -> np.ndarray:
     """Closest radio with a positive rate, ties to the lowest radio index."""
-    usable = _usable_links(net, chan)
-    stranded = np.bincount(net.link_client[usable], minlength=net.n_clients) == 0
-    if stranded.any():
+    hits, counts = net.nearest_links(net.usable_links(chan))
+    if not counts.all():
         raise ScenarioError(
-            f"client {net.client_ids[int(stranded.argmax())]!r} has no usable radio "
+            f"client {net.client_ids[int(counts.argmin())]!r} has no usable radio "
             "under the selected channels"
         )
-    hits, counts = _nearest(net, usable)
     return net.link_vap[hits[np.cumsum(counts) - counts]]
 
 
@@ -96,10 +94,9 @@ def wifi_allocation(net: Network, assoc: np.ndarray, chan: np.ndarray) -> Alloca
     of them see the same throughput whenever the radio wins a slot.
     """
     state = SystemState(net, SCHEME_SERVER, assoc, chan)
-    rates_now = state._link_rates()
-    if not (rates_now > 0).all():
+    if not state.feasible:
         raise ScenarioError("equal-throughput split needs positive rates")
-    inv = 1.0 / rates_now
+    inv = 1.0 / state._link_rates()
     phi = np.empty(net.n_clients)
     for n in range(net.n_vaps):
         members = assoc == n

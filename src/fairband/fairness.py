@@ -147,16 +147,9 @@ def throughput(
     )
 
 
-def _same_channel_pairs(network: Network, chan: np.ndarray) -> np.ndarray:
-    """Mask of the interference pairs whose radios share a channel on which
-    they interfere."""
-    here = chan[network.pair_radio]
-    return network.adjacency[np.arange(len(here)), here] & (chan[network.pair_vap] == here)
-
-
 def _same_channel_adjacency(network: Network, chan: np.ndarray) -> np.ndarray:
     """V x V bool: radios n and m share a channel and interfere on it."""
-    on = _same_channel_pairs(network, chan)
+    on = network.same_channel_pairs(chan)
     adj = np.zeros((network.n_vaps, network.n_vaps), dtype=bool)
     adj[network.pair_radio[on], network.pair_vap[on]] = True
     return adj
@@ -416,9 +409,10 @@ class SystemState:
         """Exact energies of moving one client to each radio.
 
         Returns (values, feasible): values[b] is the full system energy with
-        the client on radio b (-inf when that link has zero rate, and
-        everywhere when the current state is infeasible), so differences of
-        entries are exact energy deltas.
+        the client on radio b (-inf when that link has zero rate), so
+        differences of entries are exact energy deltas. On an infeasible
+        state every value is -inf; that is for evaluation, since the steps
+        refuse such a state.
 
         Closed form, evaluated only on the radios F the client reaches. With
         psi(x) = x log x, N(b) the same-channel neighbours of b (b included),
@@ -529,7 +523,9 @@ class SystemState:
 
         A channel is infeasible when any client of the radio would lose its
         link. A clientless radio can take any channel without changing the
-        energy of anyone, so every value is the current energy.
+        energy of anyone, so every value is the current energy. On an
+        infeasible state every value of a radio with clients is -inf; that is
+        for evaluation, since the steps refuse such a state.
 
         U = b_term + sum_w_log_w + the sum of t(w, z) = psi(z - w) - psi(z)
         over radios (server scheme) or clients (client scheme). On another

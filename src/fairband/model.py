@@ -122,7 +122,10 @@ class Network:
     row per link or pair, so code that measures the compiled tables by those
     names measures these. ``link_index`` finds a link's position; a
     configuration may still use a pair that is not a link, which has rate 0
-    and log rate -inf.
+    and log rate -inf. Under a channel map, ``usable_links``,
+    ``nearest_links`` and ``same_channel_pairs`` answer which links carry a
+    rate, which of them are each client's nearest and which pairs share a
+    channel on which they interfere.
     """
 
     def __init__(
@@ -202,6 +205,28 @@ class Network:
         key = clients * len(self.vap_ids) + radios
         pos = self._link_keys.searchsorted(key)
         return (pos + 1) * (self._link_keys[pos] == key) - 1
+
+    def usable_links(self, chan: np.ndarray) -> np.ndarray:
+        """Mask of the links with a positive rate on their radio's channel
+        under the channel indices chan."""
+        return self.rates[np.arange(len(self.link_vap)), chan[self.link_vap]] > 0
+
+    def nearest_links(self, usable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The links of every client at its smallest distance among the links
+        marked in usable, client by client with radios ascending, and how many
+        each client has: 0 for a stranded client, one without a usable link."""
+        # the trailing inf closes the last client's segment, also when it is
+        # empty; an empty segment's minimum is never read
+        d = np.append(np.where(usable, self.distances, np.inf), np.inf)
+        least = np.minimum.reduceat(d, self.link_ptr[:-1])
+        hits = (usable & (d[:-1] == least[self.link_client])).nonzero()[0]
+        return hits, np.bincount(self.link_client[hits], minlength=self.n_clients)
+
+    def same_channel_pairs(self, chan: np.ndarray) -> np.ndarray:
+        """Mask of the pairs whose radios share a channel under the channel
+        indices chan and interfere on it."""
+        here = chan[self.pair_radio]
+        return self.adjacency[np.arange(len(here)), here] & (chan[self.pair_vap] == here)
 
     @property
     def n_clients(self) -> int:

@@ -183,29 +183,23 @@ def builtin_grid16(weighted: bool, seed: int = 0) -> Scenario:
     )
 
 
-BUILTIN_NAMES = (
-    "micro",
-    "line3-1ch",
-    "line3-2ch",
-    "grid16-unweighted",
-    "grid16-weighted",
-)
+# name -> factory of the scenario drawn from a seed (used by grid16 only)
+_BUILTINS = {
+    "micro": lambda seed: builtin_micro(),
+    "line3-1ch": lambda seed: builtin_line3(two_channels=False),
+    "line3-2ch": lambda seed: builtin_line3(two_channels=True),
+    "grid16-unweighted": lambda seed: builtin_grid16(weighted=False, seed=seed),
+    "grid16-weighted": lambda seed: builtin_grid16(weighted=True, seed=seed),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str, seed: int | None = None) -> Scenario:
-    if name == "micro":
-        return builtin_micro()
-    if name == "line3-1ch":
-        return builtin_line3(two_channels=False)
-    if name == "line3-2ch":
-        return builtin_line3(two_channels=True)
-    if name == "grid16-unweighted":
-        return builtin_grid16(weighted=False, seed=seed if seed is not None else 0)
-    if name == "grid16-weighted":
-        return builtin_grid16(weighted=True, seed=seed if seed is not None else 0)
-    raise ScenarioError(
-        f"unknown scenario {name!r}; built-ins are {', '.join(BUILTIN_NAMES)}"
-    )
+    if name not in _BUILTINS:
+        raise ScenarioError(
+            f"unknown scenario {name!r}; built-ins are {', '.join(BUILTIN_NAMES)}"
+        )
+    return _BUILTINS[name](0 if seed is None else seed)
 
 
 # -- YAML files ---------------------------------------------------------------

@@ -1,5 +1,4 @@
 """Schedules, softmax moves, Gibbs/greedy steps, full runs."""
-import logging
 import math
 
 import numpy as np
@@ -243,7 +242,7 @@ def test_round_robin_covers_all_movers(rng):
     }
 
 
-def test_mover_without_a_feasible_candidate_is_a_noop(caplog):
+def test_steps_refuse_an_infeasible_state():
     channels = [Channel("b", 2400.0, 22.0), Channel("h", 16000.0, 50.0)]
     cases = [
         # the client reaches its radios only on 2.4 GHz and both sit on
@@ -259,23 +258,47 @@ def test_mover_without_a_feasible_candidate_is_a_noop(caplog):
                  [Client("c0", (-80, 0)), Client("c1", (30, 0))]),
          [1, 0], 1),
     ]
-    policies = [OptimizerPolicy(kind="greedy"), OptimizerPolicy(kind="dp-exact")]
     for net, assoc, mover in cases:
         state = SystemState(net, "server", np.array(assoc), np.array([1, 1]))
         u = state.energy()
         t = mover + 1  # round-robin: step t moves client t - 1
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="fairband.annealing"):
-            steps = [
-                greedy_step(state, t, policies[0]),
-                gibbs_step(state, t, policies[1], np.random.default_rng(0)),
-            ]
-        for move, new_u in steps:
-            assert (move.kind, move.index) == ("association", mover)
-            assert move.chosen is None and move.changed is False and new_u == u
+        with pytest.raises(ValueError, match="^state:"):
+            greedy_step(state, t, OptimizerPolicy(kind="greedy"))
+        for selection in ("round-robin", "random"):
+            policy = OptimizerPolicy(kind="dp-exact", selection=selection)
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match="^state:"):
+                gibbs_step(state, t, policy, rng)
+            assert rng.random() == np.random.default_rng(0).random()  # no draw made
         assert state.assoc.tolist() == assoc and state.chan.tolist() == [1, 1]
-        assert state.energy() == u
-        assert len(caplog.records) == 1
+        assert state.energy() == u == -math.inf
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_steps_keep_the_state_feasible_and_draw_once(scheme):
+    # from a feasible start every step picks a target and stays feasible, at
+    # any temperature, and a Gibbs step makes exactly one uniform draw; the
+    # networks take the policies and temperatures in turn
+    runs = [(kind, temp) for temp in (0.0, 1e-9, 1.0, 50.0)
+            for kind in ("dp-exact", "dp-approx", "greedy")]
+    for seed in range(30):
+        kind, temp = runs[seed % len(runs)]
+        meta = np.random.default_rng(seed)
+        net = random_network(meta, n_aps=3, n_clients=6, n_channels=3, dyadic=False,
+                             max_radios=2)
+        state = SystemState(net, scheme, *initial_configuration(net, meta))
+        policy = OptimizerPolicy(kind=kind, scheme=scheme,
+                                 schedule=Schedule(kind="const", t0=temp))
+        rng, mirror = np.random.default_rng(seed), np.random.default_rng(seed)
+        for t in range(1, 201):
+            if kind == "greedy":
+                move, u = greedy_step(state, t, policy)
+            else:
+                move, u = gibbs_step(state, t, policy, rng)
+                mirror.random()
+                assert rng.bit_generator.state == mirror.bit_generator.state
+            assert isinstance(move.chosen, int)
+            assert state.feasible and math.isfinite(u) and u == state.energy()
 
 
 # -- initialization ---------------------------------------------------------------

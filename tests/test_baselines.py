@@ -102,6 +102,11 @@ def test_wifi_association_skips_dead_links():
     assert net2.vap_ids[assoc[0]] == "near/r0"
     with pytest.raises(ScenarioError):
         wifi_association(net2, np.array([1, 1]))  # both out of reach on 16 GHz
+    # a last client beyond every radio's reach has no link at all
+    net3 = Network(list(net2.channels), list(net2.aps),
+                   list(net2.clients) + [Client("lost", (5000, 0))])
+    with pytest.raises(ScenarioError, match="'lost'"):
+        wifi_association(net3, np.array([0, 0]))
 
 
 def test_wifi_allocation_equalizes_throughput_within_ap():

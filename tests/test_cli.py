@@ -132,10 +132,13 @@ def test_runs_fan_out_with_distinct_seeds(tmp_path):
     ("--record-every", "-3"),
     ("--limit", "-1"),
     ("--selection", "random"),  # valid alone, refused for greedy
+    ("--t0", "3"),  # valid alone, refused for a const schedule
 ])
 def test_bad_flag_values_exit_2_naming_the_flag(flag, value, capsys):
-    if flag == "--selection":
-        assert main(["run", "--scenario", "micro", "--policy", "greedy",
+    refused_with = {("--selection", "random"): ["--policy", "greedy"],
+                    ("--t0", "3"): ["--schedule", "const:0.5"]}
+    if (flag, value) in refused_with:
+        assert main(["run", "--scenario", "micro", *refused_with[flag, value],
                      flag, value]) == 2
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
