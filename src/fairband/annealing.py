@@ -1,11 +1,14 @@
-"""Slow-timescale search over configurations by Gibbs sampling or greedy moves.
+"""Slow-timescale search over configurations by Gibbs sampling.
 
 Each step selects one mover, either a client (association move) or a radio
 (channel move), evaluates the energy of every feasible single move and
-either samples a target from the softmax of those energies at the current
-temperature or takes the argmax. With a temperature schedule that cools
-slowly enough (the inverse-sqrt-log kind: T -> 0 while T log t -> infinity)
-the sampled chain concentrates on globally optimal configurations.
+samples a target from the softmax of those energies at the current
+temperature. With a temperature schedule that cools slowly enough (the
+inverse-sqrt-log kind: T -> 0 while T log t -> infinity) the sampled chain
+concentrates on globally optimal configurations. At T = 0 the step takes
+the argmax instead, which is greedy ascent (iterated conditional modes): a
+greedy policy is the Gibbs step at T = 0, and every T = 0 step uses
+greedy's tie rule.
 """
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ class Schedule:
     Kinds: invsqrtlog T0/sqrt(log(t+2)), invlog T0/log(t+2), geometric
     T0*ratio^(t-1), const T0. Only invsqrtlog satisfies both convergence
     conditions (T -> 0 and T log t -> infinity). A constant schedule may be
-    zero, which turns sampling into deterministic argmax; every other kind
-    requires a positive temperature.
+    zero, which turns sampling into greedy's argmax with its tie margin (see
+    gibbs_step); every other kind requires a positive temperature.
     """
 
     kind: str = "invsqrtlog"
@@ -90,7 +93,7 @@ class OptimizerPolicy:
         if self.selection not in SELECTION_KINDS:
             raise ValueError(f"unknown selection {self.selection!r}")
         if self.kind == "greedy" and self.selection != "round-robin":
-            # greedy_step moves round-robin, and run() certifies a local
+            # a greedy run moves round-robin, and run() certifies a local
             # optimum by a whole unchanged sweep in that order
             raise ValueError("selection: greedy moves round-robin only")
         _check_scheme(self.scheme)
@@ -110,7 +113,7 @@ class Move(NamedTuple):
     """What one optimizer step did. kind is "association" (index is a client)
     or "channel" (index is a radio); chosen is the target index the step
     settled on (a radio or a channel), the current one when it stayed;
-    temperature is T(t), None for greedy steps."""
+    temperature is T(t), None for a greedy policy (which steps at T = 0)."""
 
     kind: str
     index: int
@@ -122,13 +125,12 @@ class Move(NamedTuple):
 def softmax_probabilities(
     values: np.ndarray, temperature: float, feasible: np.ndarray
 ) -> np.ndarray:
-    """Move probabilities proportional to exp(value / T) over feasible entries.
+    """Move probabilities proportional to exp(value / T) over feasible
+    entries, for a temperature T > 0 (gibbs_step takes the argmax at T = 0).
 
     The max feasible value is subtracted before exponentiating, so adding
     any constant to all values changes nothing. Infeasible entries are set
-    to -inf before exp, so their probability is exactly 0. At T = 0 the
-    distribution degenerates to the first exact argmax; greedy_step also
-    counts near-equal values as ties.
+    to -inf before exp, so their probability is exactly 0.
     """
     values = np.asarray(values, dtype=float)
     usable = np.asarray(feasible, dtype=bool) & np.isfinite(values)
@@ -136,10 +138,6 @@ def softmax_probabilities(
     top = masked.max(initial=-np.inf)
     if top == -np.inf:
         return np.zeros_like(values)
-    if temperature == 0.0:
-        probs = np.zeros_like(values)
-        probs[np.argmax(masked >= top)] = 1.0
-        return probs
     ex = np.exp((masked - top) / temperature)
     return ex / ex.sum()
 
@@ -167,23 +165,28 @@ def _mover(state: SystemState, t: int, rng=None) -> tuple[str, int, int]:
     return "channel", index - n, int(state.chan[index - n])
 
 
-def _sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+def _sample_index(probs: np.ndarray, uniform: float) -> int:
     """rng.choice(len(probs), p=probs / probs.sum()) without its argument
-    checks: the same inverse-CDF arithmetic on the same one uniform draw, so
-    the same index and the same random stream afterwards."""
+    checks, given the one uniform draw rng.choice would make: the same
+    inverse-CDF arithmetic, so the same index."""
     cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(cdf.searchsorted(uniform, side="right"))
 
 
 def gibbs_step(
     state: SystemState, t: int, policy: OptimizerPolicy, rng: np.random.Generator
 ) -> tuple[Move, float]:
-    """One sampled move from a feasible state (see _mover). Returns the Move
-    and state.energy() after it, under every policy.
+    """One move from a feasible state (see _mover). Returns the Move and
+    state.energy() after it, under every policy.
 
-    The mover is chosen per the policy's selection order; its feasible
-    candidates are sampled from the softmax at T(t) with one uniform draw.
+    The mover is chosen per the policy's selection order and every step makes
+    one uniform draw. At T(t) > 0 that draw samples the mover's feasible
+    candidates from the softmax. At T = 0, and under a greedy policy, the
+    step takes their argmax instead: candidates within 1e-12 max(1, |u|) of
+    the best, u the current target's value, count as tied and the lowest
+    index wins, and the mover stays unless the best beats u by more than that
+    margin, so float noise between equal energies never makes a move.
     """
     kind, idx, current = _mover(state, t, rng if policy.selection == "random" else None)
     if kind == "channel":
@@ -192,9 +195,17 @@ def gibbs_step(
         values, feasible = state.association_scores_approx(idx)
     else:
         values, feasible = state.association_candidates(idx)
-    temperature = policy.schedule.temperature(t)
-    probs = softmax_probabilities(values, temperature, feasible)
-    choice = _sample_index(probs, rng)
+    temperature = None if policy.kind == "greedy" else policy.schedule.temperature(t)
+    uniform = rng.random()
+    if temperature:
+        probs = softmax_probabilities(values, temperature, feasible)
+        choice = _sample_index(probs, uniform)
+    else:
+        masked = np.where(feasible, values, -np.inf)
+        best, u_cur = masked.max(), masked[current]
+        margin = 1e-12 * max(1.0, abs(u_cur))
+        choice = current if best - u_cur <= margin \
+            else int(np.argmax(masked >= best - margin))
     changed = choice != current
     if changed and kind == "association":
         state.apply_association(idx, choice)
@@ -203,34 +214,8 @@ def gibbs_step(
     return Move(kind, idx, choice, changed, temperature), state.energy()
 
 
-def greedy_step(
-    state: SystemState, t: int, policy: OptimizerPolicy
-) -> tuple[Move, float]:
-    """One argmax move in round-robin order from a feasible state (see
-    _mover); ties go to the lowest target index. Returns the Move and
-    state.energy() after it.
-
-    Candidates within 1e-12 max(1, |U|) of the best, U the current energy,
-    count as tied, and the mover moves only when the best gains more than
-    that margin over staying, so float noise between equal energies never
-    makes a move.
-    """
-    kind, idx, current = _mover(state, t)
-    values, feasible = state.association_candidates(idx) if kind == "association" \
-        else state.channel_candidates(idx)
-    masked = np.where(feasible, values, -np.inf)
-    best = masked.max()
-    u_cur = masked[current]
-    margin = 1e-12 * max(1.0, abs(u_cur))
-    choice = int(np.argmax(masked >= best - margin))
-    changed = bool(choice != current and best - u_cur > margin)
-    if not changed:
-        choice = current
-    elif kind == "association":
-        state.apply_association(idx, choice)
-    else:
-        state.apply_channel(idx, choice)
-    return Move(kind, idx, choice, changed, None), state.energy()
+# bench/tracing.py::targets() still patches this name
+greedy_step = gibbs_step
 
 
 # -- initialization -----------------------------------------------------------
@@ -347,10 +332,7 @@ def run(
     sweep = net.n_clients + net.n_vaps
     unchanged_streak = 0
     for t in range(1, iters + 1):
-        if policy.kind == "greedy":
-            move, u = greedy_step(state, t, policy)
-        else:
-            move, u = gibbs_step(state, t, policy, rng)
+        move, u = gibbs_step(state, t, policy, rng)
         dirty |= move.changed
         unchanged_streak = 0 if move.changed else unchanged_streak + 1
         if u > best_u + 1e-12:

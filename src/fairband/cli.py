@@ -101,7 +101,7 @@ def _run_one(scenario: Scenario, args, run_seed: tuple[int, int], k: int) -> Run
         kind=args.policy,
         scheme=args.scheme,
         selection=args.selection,
-        schedule=Schedule.parse(args.schedule, t0=args.t0 or 1.0),
+        schedule=Schedule.parse(args.schedule or "invsqrtlog", t0=args.t0 or 1.0),
         iterations=args.iters,
         seed=policy_seed,
     )
@@ -145,7 +145,13 @@ def cmd_run(args) -> int:
         print("greedy moves round-robin, so it only supports --selection round-robin",
               file=sys.stderr)
         return 2
-    if args.t0 is not None and args.schedule.startswith("const:"):
+    if args.policy in ("greedy", "minint-wifi"):
+        for flag, value in (("--t0", args.t0), ("--schedule", args.schedule)):
+            if value is not None:
+                print(f"{args.policy} uses no temperature, so it takes no {flag}",
+                      file=sys.stderr)
+                return 2
+    if args.t0 is not None and args.schedule and args.schedule.startswith("const:"):
         print("--schedule const:<T> sets the temperature itself, so it takes no --t0",
               file=sys.stderr)
         return 2
@@ -229,9 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--runs", type=_at_least(1), default=1)
     p_run.add_argument("--seed", type=_at_least(0), default=0)
     p_run.add_argument("--t0", type=_positive_float, default=None,
-                       help="initial temperature; not with const:<T> (default: 1)")
-    p_run.add_argument("--schedule", type=_schedule_text, default="invsqrtlog",
-                       help="invsqrtlog | invlog | geometric:<ratio> | const:<T>")
+                       help="initial temperature; not with const:<T>, greedy or "
+                       "minint-wifi (default: 1)")
+    p_run.add_argument("--schedule", type=_schedule_text, default=None,
+                       help="invsqrtlog | invlog | geometric:<ratio> | const:<T> "
+                       "(default: invsqrtlog)")
     p_run.add_argument("--selection", choices=SELECTION_KINDS, default="round-robin")
     p_run.add_argument("--record-every", type=_at_least(1), default=None,
                        help="trajectory cadence (default: iters/100)")

@@ -1,4 +1,4 @@
-"""Schedules, softmax moves, Gibbs/greedy steps, full runs."""
+"""Schedules, softmax moves, Gibbs steps (greedy at T = 0), full runs."""
 import math
 
 import numpy as np
@@ -20,7 +20,7 @@ from fairband import (
     run,
     softmax_probabilities,
 )
-from fairband.annealing import MAX_REDRAWS, _sample_index, gibbs_step, greedy_step
+from fairband.annealing import MAX_REDRAWS, _sample_index, gibbs_step
 from conftest import dense_reference, random_network, random_state, rel
 
 
@@ -87,13 +87,6 @@ def test_softmax_infeasible_is_exactly_zero():
     assert probs.sum() == pytest.approx(1.0)
 
 
-def test_softmax_zero_temperature_is_first_argmax():
-    probs = softmax_probabilities(
-        np.array([2.0, 7.0, 7.0]), 0.0, np.ones(3, dtype=bool)
-    )
-    assert probs.tolist() == [0.0, 1.0, 0.0]
-
-
 def test_softmax_all_infeasible():
     probs = softmax_probabilities(np.array([1.0, 2.0]), 1.0, np.zeros(2, dtype=bool))
     assert (probs == 0).all()
@@ -122,7 +115,8 @@ def test_inverse_cdf_draw_matches_generator_choice():
         probs = softmax_probabilities(values, temperature, np.isfinite(values))
         seed = int(meta.integers(2**32))
         ours, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _sample_index(probs, ours) == int(numpy_.choice(n, p=probs / probs.sum()))
+        assert _sample_index(probs, ours.random()) == \
+            int(numpy_.choice(n, p=probs / probs.sum()))
         assert ours.random() == numpy_.random()
 
 
@@ -188,8 +182,9 @@ def test_delta_is_local_to_the_neighborhood(rng):
 
 
 def test_zero_temperature_gibbs_equals_greedy(rng):
-    # at T = 0 the sampled kernel degenerates to argmax with first-max
-    # tie-breaking, which is exactly the greedy step
+    # at T = 0 the sampled kernel degenerates to argmax under greedy's tie
+    # rule, so a const:0 dp-exact chain follows the greedy chain whatever
+    # their generators draw
     net = random_network(rng, n_aps=3, n_clients=6, n_channels=2, dyadic=False)
     state_g = random_state(net, rng, "server")
     state_z = SystemState(net, "server", state_g.assoc, state_g.chan)
@@ -197,25 +192,30 @@ def test_zero_temperature_gibbs_equals_greedy(rng):
         kind="dp-exact", scheme="server", schedule=Schedule(kind="const", t0=0.0)
     )
     pol_greedy = OptimizerPolicy(kind="greedy", scheme="server")
-    rng_step = np.random.default_rng(0)
+    rng_z, rng_g = np.random.default_rng(0), np.random.default_rng(1)
     for t in range(1, 150):
-        prop_z, _ = gibbs_step(state_z, t, pol_zero, rng_step)
-        prop_g, _ = greedy_step(state_g, t, pol_greedy)
+        prop_z, _ = gibbs_step(state_z, t, pol_zero, rng_z)
+        prop_g, _ = gibbs_step(state_g, t, pol_greedy, rng_g)
         assert (state_z.assoc == state_g.assoc).all()
         assert (state_z.chan == state_g.chan).all()
 
 
-def test_greedy_treats_near_equal_candidates_as_tied(rng):
+@pytest.mark.parametrize("pol", [
+    OptimizerPolicy(kind="greedy", scheme="server"),
+    OptimizerPolicy(kind="dp-exact", scheme="server", schedule=Schedule("const", 0.0)),
+], ids=["greedy", "dp-exact-const0"])
+def test_greedy_treats_near_equal_candidates_as_tied(rng, pol):
     # candidate values within 1e-12 max(1, |U|) of the best are ties: the
-    # lowest index wins, and the mover stays unless the gain beats the margin
+    # lowest index wins, and the mover stays unless the gain beats the
+    # margin; a zero-temperature Gibbs step follows the same rule
     net = random_network(rng, n_aps=3, n_clients=4, n_channels=1)
-    pol = OptimizerPolicy(kind="greedy", scheme="server")
     u = -40.0
     m = 1e-12 * abs(u)
     cases = [
         ([u + 0.5 * m, u, u], 1, 1, False),  # gain below the margin: stay
         ([u + 2.0 * m, u, u], 1, 0, True),  # gain above it: move
         ([u + 5.0 * m, u + 5.5 * m, u], 2, 0, True),  # tied best: lowest index
+        ([u, u, u], 1, 1, False),  # exact tie with the current target: stay
     ]
     for values, current, expected, moved in cases:
         state = random_state(net, rng, "server")
@@ -223,7 +223,7 @@ def test_greedy_treats_near_equal_candidates_as_tied(rng):
         state.association_candidates = lambda i, v=values: (
             np.array(v), np.ones(3, dtype=bool)
         )
-        prop, _ = greedy_step(state, 1, pol)
+        prop, _ = gibbs_step(state, 1, pol, np.random.default_rng(0))
         assert prop.changed == moved
         assert int(state.assoc[0]) == expected
 
@@ -262,10 +262,9 @@ def test_steps_refuse_an_infeasible_state():
         state = SystemState(net, "server", np.array(assoc), np.array([1, 1]))
         u = state.energy()
         t = mover + 1  # round-robin: step t moves client t - 1
-        with pytest.raises(ValueError, match="^state:"):
-            greedy_step(state, t, OptimizerPolicy(kind="greedy"))
-        for selection in ("round-robin", "random"):
-            policy = OptimizerPolicy(kind="dp-exact", selection=selection)
+        for policy in (OptimizerPolicy(kind="greedy"),
+                       OptimizerPolicy(kind="dp-exact", selection="round-robin"),
+                       OptimizerPolicy(kind="dp-exact", selection="random")):
             rng = np.random.default_rng(0)
             with pytest.raises(ValueError, match="^state:"):
                 gibbs_step(state, t, policy, rng)
@@ -277,8 +276,8 @@ def test_steps_refuse_an_infeasible_state():
 @pytest.mark.parametrize("scheme", ["server", "client"])
 def test_steps_keep_the_state_feasible_and_draw_once(scheme):
     # from a feasible start every step picks a target and stays feasible, at
-    # any temperature, and a Gibbs step makes exactly one uniform draw; the
-    # networks take the policies and temperatures in turn
+    # any temperature, and every step, greedy included, makes exactly one
+    # uniform draw; the networks take the policies and temperatures in turn
     runs = [(kind, temp) for temp in (0.0, 1e-9, 1.0, 50.0)
             for kind in ("dp-exact", "dp-approx", "greedy")]
     for seed in range(30):
@@ -291,12 +290,9 @@ def test_steps_keep_the_state_feasible_and_draw_once(scheme):
                                  schedule=Schedule(kind="const", t0=temp))
         rng, mirror = np.random.default_rng(seed), np.random.default_rng(seed)
         for t in range(1, 201):
-            if kind == "greedy":
-                move, u = greedy_step(state, t, policy)
-            else:
-                move, u = gibbs_step(state, t, policy, rng)
-                mirror.random()
-                assert rng.bit_generator.state == mirror.bit_generator.state
+            move, u = gibbs_step(state, t, policy, rng)
+            mirror.random()
+            assert rng.bit_generator.state == mirror.bit_generator.state
             assert isinstance(move.chosen, int)
             assert state.feasible and math.isfinite(u) and u == state.energy()
 

@@ -133,10 +133,18 @@ def test_runs_fan_out_with_distinct_seeds(tmp_path):
     ("--limit", "-1"),
     ("--selection", "random"),  # valid alone, refused for greedy
     ("--t0", "3"),  # valid alone, refused for a const schedule
+    ("--t0", "2"),  # valid alone, refused for greedy
+    ("--schedule", "invlog"),  # valid alone, refused for greedy
+    ("--t0", "5"),  # valid alone, refused for minint-wifi
+    ("--schedule", "const:0"),  # valid alone, refused for minint-wifi
 ])
 def test_bad_flag_values_exit_2_naming_the_flag(flag, value, capsys):
     refused_with = {("--selection", "random"): ["--policy", "greedy"],
-                    ("--t0", "3"): ["--schedule", "const:0.5"]}
+                    ("--t0", "3"): ["--schedule", "const:0.5"],
+                    ("--t0", "2"): ["--policy", "greedy"],
+                    ("--schedule", "invlog"): ["--policy", "greedy"],
+                    ("--t0", "5"): ["--policy", "minint-wifi"],
+                    ("--schedule", "const:0"): ["--policy", "minint-wifi"]}
     if (flag, value) in refused_with:
         assert main(["run", "--scenario", "micro", *refused_with[flag, value],
                      flag, value]) == 2
