@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Configuration, Network, ScenarioError
+from .model import Configuration, Network, ScenarioError, _check_integer
 from .fairness import SCHEME_SERVER, SystemState, _check_scheme
 
 POLICY_KINDS = ("dp-exact", "dp-approx", "greedy")
@@ -101,14 +101,6 @@ class OptimizerPolicy:
         _check_integer("iterations", self.iterations, 0)
 
 
-def _check_integer(name: str, value, minimum: int):
-    """Raise ValueError naming the field unless value is an integer (not a
-    bool) no smaller than minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < minimum:
-        raise ValueError(f"{name}: expected an integer >= {minimum}, got {value!r}")
-
-
 class Move(NamedTuple):
     """What one optimizer step did. kind is "association" (index is a client)
     or "channel" (index is a radio); chosen is the target index the step
@@ -138,7 +130,10 @@ def softmax_probabilities(
     top = masked.max(initial=-np.inf)
     if top == -np.inf:
         return np.zeros_like(values)
-    ex = np.exp((masked - top) / temperature)
+    # exp is exactly 0 below about -745, so raising every gap to -1000 T
+    # changes no probability; it keeps a tiny T from overflowing the quotient
+    # (float() keeps the product a Python float, which cannot warn)
+    ex = np.exp(np.maximum(masked - top, float(temperature) * -1000.0) / temperature)
     return ex / ex.sum()
 
 

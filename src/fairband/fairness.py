@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .model import Configuration, Network
+from .model import Configuration, Network, _check_integer
 
 SCHEME_SERVER = "server"
 SCHEME_CLIENT = "client"
@@ -216,17 +216,22 @@ class SystemState:
     one in ascending index order. No V x V float matrix and no channel x radio
     array is built on a step, so a step costs O(neighbourhood), not O(V^2).
 
+    Link rates have one owner, the network's link lists: every rate and log
+    rate is read there, at a link's position and its radio's current channel.
+    The state keeps each client's position ``_link`` in those lists (-1 for a
+    pair that is not a link) and, since every applied move reads it, the log
+    rate ``_log_b_clients`` of that link (-inf for none). An association move
+    rewrites the mover's entries, a channel move those of the radio's own
+    clients.
+
     Cached per state and refreshed after each applied move: the loads
     ``w_ap`` (a bincount over the clients) and ``z`` (z_n sums w_ap over n's
-    neighbour list); the link table ``_lb`` (I x V: every client's log rate to
-    every radio on that radio's current channel, -inf off the network's
-    links, scattered from the link lists; a channel move rewrites the radio's
-    column from the links into it); the energy terms, per radio psi(w_n) and
-    f(w_n, z_n) under the server scheme or per client f(w_i, z_n(i)) under the
-    client scheme; the link term ``b_term``; and the energy ``_u``, summed
-    from them in the order ``energy`` has always used, so ``energy()`` is a
-    lookup. Kept until a channel move changes the neighbour lists: each
-    evaluated client's reachable radios and their lists (``_reach``), each
+    neighbour list); the energy terms, per radio psi(w_n) and f(w_n, z_n)
+    under the server scheme or per client f(w_i, z_n(i)) under the client
+    scheme; the link term ``b_term``; and the energy ``_u``, summed from them
+    in the order ``energy`` has always used, so ``energy()`` is a lookup. Kept
+    until a channel move changes the neighbour lists: each evaluated client's
+    reachable radios, its log rates to them and their lists (``_reach``), each
     evaluated radio's old and new neighbourhoods (``_channel_frame``) and the
     server scheme's contention lists (``_edges``, read through
     ``_contention``).
@@ -251,18 +256,10 @@ class SystemState:
             raise ValueError("association array has the wrong shape")
         if self.chan.shape != (network.n_vaps,):
             raise ValueError("channel array has the wrong shape")
-        self._clients = np.arange(network.n_clients)
         self.same_ch_adj = _same_channel_adjacency(network, self.chan)
-        # every link's log rate on its radio's channel, scattered into a table
-        # that is -inf off the links
-        self._lb = np.full((network.n_clients, network.n_vaps), -np.inf)
-        links = network.link_vap
-        self._lb[network.link_client, links] = network.log_rates[
-            np.arange(len(links)), self.chan[links]
-        ]
-        self._log_b_clients = self._lb[self._clients, self.assoc]
-        # each client's link to its radio (-1 for none)
-        self._link = network.link_index(self._clients, self.assoc)
+        # each client's link to its radio (-1 for none) and its log rate
+        self._link = network.link_index(np.arange(network.n_clients), self.assoc)
+        self._log_b_clients = self._on_links(log=True)
         self._edges = None  # the server contention lists, until a channel move
         # client i -> _reach(i) and radio v (as ~v) -> _channel_frame(v); they
         # depend only on the channels and are dropped on a channel move
@@ -335,8 +332,8 @@ class SystemState:
         adj = self.same_ch_adj
         touched = adj[self.assoc[client]] | adj[target_vap]
         self.assoc[client] = target_vap
-        self._log_b_clients[client] = self._lb[client, target_vap]
         self._link[client] = self.net.link_index(client, target_vap)
+        self._log_b_clients[client] = self._on_links(log=True, clients=client)
         self._update(touched)
 
     def apply_channel(self, vap: int, target_channel: int):
@@ -353,16 +350,12 @@ class SystemState:
         touched = adj[vap] | row
         adj[vap, :] = row
         adj[:, vap] = row
-        # the radio's column of _lb: its links take their rate on the target
-        # channel; every other entry is -inf on any channel
-        links = net.radio_links[net.radio_link_ptr[vap]:net.radio_link_ptr[vap + 1]]
-        self._lb.put(net.link_client[links] * net.n_vaps + vap,
-                     net.log_rates[links, target_channel])
         self._edges = None
         self._frames.clear()
         links = self.w_ap[vap] > 0  # the radio has clients, whose links changed
         if links:
-            self._log_b_clients = self._lb[self._clients, self.assoc]
+            members = (self.assoc == vap).nonzero()[0]
+            self._log_b_clients[members] = self._on_links(log=True, clients=members)
         self._update(touched, loads=False, links=links)
 
     # -- energy -----------------------------------------------------------
@@ -375,26 +368,37 @@ class SystemState:
     # -- candidate evaluation ----------------------------------------------
 
     def _without(self, client: int):
-        """The client's weight, the loads with it taken out of the system, and
-        its row of the link table (a read-only view)."""
+        """The client's weight and the loads with it taken out of the
+        system."""
         a = int(self.assoc[client])
         wi = self.net.weights[client]
         w_minus = self.w_ap.copy()
         w_minus[a] = max(w_minus[a] - wi, 0.0)
         z_minus = self.z.copy()
         np.subtract(z_minus, wi, out=z_minus, where=self.same_ch_adj[a])
-        return wi, w_minus, z_minus, self._lb[client]
+        return wi, w_minus, z_minus
 
     def _reach(self, client: int):
-        """The radios the client reaches on the current channels, their
+        """The radios the client reaches on the current channels (ascending),
+        its log rate to each, the read-only V-long mask of them, their
         neighbour lists (_neighbours) and the mask of each radio's own entry
-        in them. They depend only on the channels, so they are kept until a
-        channel move."""
+        in them. Read from the client's links; they depend only on the
+        channels, so they are kept until a channel move."""
         frame = self._frames.get(client)
         if frame is None:
-            reach = np.isfinite(self._lb[client]).nonzero()[0]
+            net = self.net
+            lo, hi = net.link_ptr[client:client + 2].tolist()
+            radios = net.link_vap[lo:hi]
+            lb = net.log_rates[np.arange(lo, hi), self.chan[radios]]
+            usable = np.isfinite(lb)
+            reach, lb = radios[usable], lb[usable]
+            feasible = np.zeros(self.chan.shape, dtype=bool)
+            feasible[reach] = True
+            feasible.setflags(write=False)
             rows, nbrs = self._neighbours(reach)
-            frame = self._frames[client] = (reach, rows, nbrs, nbrs == reach[rows])
+            frame = self._frames[client] = (
+                reach, lb, feasible, rows, nbrs, nbrs == reach[rows]
+            )
         return frame
 
     def _clients_at(self, radios: np.ndarray, but: int) -> np.ndarray:
@@ -442,12 +446,11 @@ class SystemState:
         the cost grows with the neighbourhood of F, not with V.
         """
         net = self.net
-        wi, w_minus, z_minus, lb = self._without(client)
-        feasible = np.isfinite(lb)
+        reach, lb, feasible, rows, nbrs, own = self._reach(client)
         values = np.full(net.n_vaps, -np.inf)
         if not self.feasible:
             return values, feasible
-        reach, rows, nbrs, own = self._reach(client)
+        wi, w_minus, z_minus = self._without(client)
         if self.scheme == SCHEME_SERVER:
             w = w_minus[nbrs]
             w[own] = np.inf  # a candidate's own entry is g_b alone
@@ -465,7 +468,7 @@ class SystemState:
         e = np.bincount(rows, weights=terms, minlength=len(reach))
         if self.scheme == SCHEME_CLIENT:
             e += xlogy(zm, zm) - xlogy(zp, zp)
-        values[reach] = lb[reach] * wi + e
+        values[reach] = lb * wi + e
         values += self._u - values[self.assoc[client]]
         return values, feasible
 
@@ -488,11 +491,10 @@ class SystemState:
         neighbour lists are evaluated.
         """
         net = self.net
-        wi, w_minus, z_minus, lb = self._without(client)
-        feasible = np.isfinite(lb)
-        reach, rows, nbrs, own = self._reach(client)
+        wi, w_minus, z_minus = self._without(client)
+        reach, lb, feasible, rows, nbrs, own = self._reach(client)
         scores = np.full(net.n_vaps, -np.inf)
-        link = lb[reach] + math.log(wi)
+        link = lb + math.log(wi)
         if self.scheme == SCHEME_SERVER:
             zp = z_minus[nbrs] + wi
             log_zp = np.log(zp)
@@ -635,13 +637,20 @@ class SystemState:
             self.scheme, dict(zip(net.client_ids, phi)), dict(zip(net.vap_ids, p))
         )
 
+    def _on_links(self, log: bool, clients=slice(None)):
+        """Each given client's log rate (log) or rate on its link at its
+        radio's current channel, read from the network's link lists: -inf or
+        0 where the client has no link."""
+        links = self._link[clients]
+        table, none = (self.net.log_rates, -np.inf) if log else (self.net.rates, 0.0)
+        if not table.size:  # no links, nothing to index
+            return np.full(np.shape(links), none)
+        return np.where(links >= 0, table[links, self.chan[self.assoc[clients]]], none)
+
     def _link_rates(self) -> np.ndarray:
         """Each client's rate on its link at its radio's channel, 0 where it
         has no link."""
-        if not len(self.net.link_vap):  # nothing to index
-            return np.zeros(self.net.n_clients)
-        rates = self.net.rates[self._link, self.chan[self.assoc]]
-        return np.where(self._link >= 0, rates, 0.0)
+        return self._on_links(log=False)
 
     def _contention(self):
         """The contention lists of this state (_contention_entries); under the
@@ -681,8 +690,11 @@ def slot_monte_carlo(
     Each slot draws independent transmit decisions; a transmission succeeds
     only when nothing else in the same-channel interference set transmits.
     Under the server scheme a successful radio serves one client drawn from
-    its schedule. Returns Mbps averaged over slots.
+    its schedule. Returns Mbps averaged over slots; slots is an integer
+    >= 1 and seed an integer >= 0.
     """
+    _check_integer("slots", slots, 1)
+    _check_integer("seed", seed, 0)
     p, phi = _allocation_vectors(network, config, allocation)
     state = SystemState.from_configuration(network, config, allocation.scheme)
     assoc, rates_now = state.assoc, state._link_rates()

@@ -103,9 +103,7 @@ class Network:
     * ``link_vap`` (L): the radio of each link, ``link_client`` (L) its client;
     * ``distances`` (L): its length;
     * ``rates`` and ``log_rates`` (L, C): its rate and log rate on each
-      channel, 0 and -inf on a channel whose outermost tier it exceeds;
-    * ``radio_links`` (L): the same links by radio, clients ascending, radio
-      n's at positions radio_link_ptr[n]:radio_link_ptr[n + 1].
+      channel, 0 and -inf on a channel whose outermost tier it exceeds.
 
     Pairs (P of them) are the (radio, radio) pairs at most the largest
     interference range apart, each radio paired with itself and with its
@@ -178,8 +176,6 @@ class Network:
 
         self.link_client, self.link_vap, self.distances = _pairs(cpos, vpos, ranges.max())
         self.link_ptr = self.link_client.searchsorted(np.arange(I + 1))
-        self.radio_links = self.link_vap.argsort(kind="stable")
-        self.radio_link_ptr = self.link_vap[self.radio_links].searchsorted(np.arange(V + 1))
         # a link's tier on a channel counts the tiers it lies beyond, which
         # picks the first tier whose (inclusive) range holds it
         tier = (self.distances[:, None, None] > ranges).sum(axis=2)  # (L, C)
@@ -343,6 +339,14 @@ def _pairs(a: np.ndarray, b: np.ndarray, r: float):
     rows, cols, dist = np.concatenate(rows), np.concatenate(cols), np.concatenate(dist)
     order = np.lexsort((cols, rows))
     return rows[order], cols[order], dist[order]
+
+
+def _check_integer(name: str, value, minimum: int):
+    """Raise ValueError naming the field unless value is an integer (not a
+    bool) no smaller than minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < minimum:
+        raise ValueError(f"{name}: expected an integer >= {minimum}, got {value!r}")
 
 
 def _check_unique(kind: str, ids: list[str]):

@@ -42,6 +42,8 @@ class ClientRegion:
         xmin, ymin, xmax, ymax = self.rect
         if xmax < xmin or ymax < ymin:
             raise ScenarioError(f"rect: {self.rect} is inverted")
+        if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+            raise ScenarioError(f"rect: {self.rect} must have a finite width and height")
         if self.weight <= 0:
             raise ScenarioError("weight: must be positive")
 

@@ -99,6 +99,8 @@ def test_softmax_temperature_sharpens():
     cold = softmax_probabilities(values, 0.1, ok)
     assert cold[1] > hot[1]
     assert cold[1] == pytest.approx(1 / (1 + math.exp(-10)))
+    # the smallest positive float, at which the gap over T overflows
+    assert softmax_probabilities(values, 5e-324, ok).tolist() == [0.0, 1.0]
 
 
 def test_inverse_cdf_draw_matches_generator_choice():

@@ -341,7 +341,8 @@ def _assert_state_equals_fresh(state, rates=True):
     fresh = SystemState(state.net, state.scheme, state.assoc, state.chan)
     assert np.array_equal(state.same_ch_adj, fresh.same_ch_adj)
     assert np.array_equal(state.same_ch_adj, _same_channel_adjacency(state.net, state.chan))
-    assert np.array_equal(state._lb, fresh._lb)
+    assert np.array_equal(state._link, fresh._link)
+    assert np.array_equal(state._log_b_clients, fresh._log_b_clients)
     assert np.array_equal(state.w_ap, fresh.w_ap)
     assert np.array_equal(state.z, fresh.z)
     assert state.energy() == fresh.energy()
@@ -586,6 +587,21 @@ def test_monte_carlo_equals_a_loop_over_the_slots(rng, scheme):
             want = rates_now * wins / slots
         got = slot_monte_carlo(net, cfg, alloc, slots, seed=trial)
         assert [got[c] for c in net.client_ids] == want.tolist()
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("slots", {"slots": 0}),
+    ("slots", {"slots": -5}),
+    ("slots", {"slots": 2.5}),
+    ("slots", {"slots": True}),
+    ("seed", {"slots": 10, "seed": -1}),
+], ids=["slots=0", "slots=-5", "slots=2.5", "slots=True", "seed=-1"])
+def test_monte_carlo_rejects_bad_slots_and_seed(field, kwargs):
+    net = _single_ap_two_clients()
+    cfg = Configuration({"c1": "a/r0", "c2": "a/r0"}, {"a/r0": "b"})
+    alloc = SystemState.from_configuration(net, cfg).allocation()
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        slot_monte_carlo(net, cfg, alloc, **kwargs)
 
 
 def test_allocation_validation():

@@ -16,7 +16,7 @@ from fairband import (
     ScenarioError,
     SystemState,
 )
-from fairband import builtin, channel_profile, model
+from fairband import builtin, channel_profile, initial_configuration, model
 from conftest import CHANNEL_PALETTE, dense_reference, random_network, random_state
 
 
@@ -133,10 +133,6 @@ def test_link_and_pair_lists_equal_a_brute_force_loop(data):
     expected[within] = np.arange(within.sum())
     everyone, every_radio = np.indices(within.shape)
     assert (net.link_index(everyone, every_radio) == expected).all()
-    by_radio = sorted(range(len(net.link_vap)),
-                      key=lambda l: (net.link_vap[l], net.link_client[l]))
-    assert net.radio_links.tolist() == by_radio
-    assert net.radio_link_ptr.tolist() == [0] + np.cumsum(within.sum(axis=0)).tolist()
     # pairs: every radio pair within the largest interference range, itself included
     near = ref.adjacency.any(axis=2)  # within the largest interference range
     assert np.diag(near).all()
@@ -149,18 +145,27 @@ def test_link_and_pair_lists_equal_a_brute_force_loop(data):
 
 
 def test_compiled_grid_holds_no_client_by_radio_table():
-    # 16 x 16 dual-radio APs 300 m apart and 512 clients: I * V = 262 144
+    # 16 x 16 dual-radio APs 300 m apart (V = 512) and 512 or 1024 clients
     rng = np.random.default_rng(16)
     aps = [AccessPoint(f"ap{k}", (300.0 * (k // 16), 300.0 * (k % 16)), radio_count=2)
            for k in range(256)]
-    clients = [Client(f"c{i}", tuple(rng.uniform(0.0, 4500.0, 2).tolist()))
-               for i in range(512)]
-    net = Network(list(builtin("grid16-weighted").channels), aps, clients)
-    assert net.n_clients * net.n_vaps == 512 * 512
-    arrays = {k: v for k, v in vars(net).items() if isinstance(v, np.ndarray)}
-    assert {"rates", "log_rates", "adjacency", "distances"} <= arrays.keys()
-    for name, arr in arrays.items():
-        assert arr.size < net.n_clients * net.n_vaps, name
+    channels = list(builtin("grid16-weighted").channels)
+    for n_clients in (512, 1024):
+        clients = [Client(f"c{i}", tuple(rng.uniform(0.0, 4500.0, 2).tolist()))
+                   for i in range(n_clients)]
+        net = Network(channels, aps, clients)
+        table = net.n_clients * net.n_vaps  # 262 144 or 524 288 entries
+        arrays = {k: v for k, v in vars(net).items() if isinstance(v, np.ndarray)}
+        assert {"rates", "log_rates", "adjacency", "distances"} <= arrays.keys()
+        for name, arr in arrays.items():
+            assert arr.size < table, name
+        if n_clients > net.n_vaps:
+            # the state's V x V same_ch_adj is then smaller than a client x
+            # radio table, so every state array must be too
+            state = SystemState(net, "server", *initial_configuration(net, rng))
+            for name, arr in vars(state).items():
+                if isinstance(arr, np.ndarray):
+                    assert arr.size < table, name
 
 
 def test_network_rejects_duplicates_and_empties():
@@ -262,7 +267,7 @@ def test_leave_out_queries(rng):
     net = random_network(rng, n_aps=2, n_clients=4, n_channels=1, dyadic=True)
     state = random_state(net, rng)
     home = int(state.assoc[0])
-    wi, w_minus, z_minus, _ = state._without(0)
+    wi, w_minus, z_minus = state._without(0)
     assert wi == net.clients[0].weight
     assert w_minus[home] == state.w_ap[home] - wi
     # the client leaves every neighborhood its radio belongs to, its own included

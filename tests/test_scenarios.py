@@ -181,6 +181,8 @@ _MINIMAL = {
      r"^clients\[0\]\.weight: "),
     ({"channels": [{"id": "a", "center_frequency_mhz": 600, "bandwidth_mhz": 0}]},
      r"^channels\[0\]\.bandwidth_mhz: "),
+    ({"regions": [{"count": 2, "rect": [-1e308, 0, 1e308, 10]}], "clients": None,
+      "seed": 1}, r"^regions\[0\]\.rect: "),
 ])
 def test_yaml_wrong_shapes_name_the_field(tmp_path, patch, field):
     p = tmp_path / "bad.yaml"
