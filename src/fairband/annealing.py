@@ -1,14 +1,15 @@
 """Slow-timescale search over configurations by Gibbs sampling.
 
 Each step selects one mover, either a client (association move) or a radio
-(channel move), evaluates the energy of every feasible single move and
-samples a target from the softmax of those energies at the current
-temperature. With a temperature schedule that cools slowly enough (the
-inverse-sqrt-log kind: T -> 0 while T log t -> infinity) the sampled chain
-concentrates on globally optimal configurations. At T = 0 the step takes
-the argmax instead, which is greedy ascent (iterated conditional modes): a
-greedy policy is the Gibbs step at T = 0, and every T = 0 step uses
-greedy's tie rule.
+(channel move), evaluates the energy of every feasible single move, and
+only those (the radios the client reaches, the channels that keep every
+client of the radio linked), and samples a target from the softmax of those
+energies at the current temperature. With a temperature schedule that
+cools slowly enough (the inverse-sqrt-log kind: T -> 0 while T log t ->
+infinity) the sampled chain concentrates on globally optimal
+configurations. At T = 0 the step takes the argmax instead, which is greedy
+ascent (iterated conditional modes): a greedy policy is the Gibbs step at
+T = 0, and every T = 0 step uses greedy's tie rule.
 """
 from __future__ import annotations
 
@@ -114,26 +115,25 @@ class Move(NamedTuple):
     temperature: float | None
 
 
-def softmax_probabilities(
-    values: np.ndarray, temperature: float, feasible: np.ndarray
-) -> np.ndarray:
-    """Move probabilities proportional to exp(value / T) over feasible
-    entries, for a temperature T > 0 (gibbs_step takes the argmax at T = 0).
+def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
+    """Move probabilities proportional to exp(value / T) over a step's
+    candidate values, for a temperature T > 0 (gibbs_step takes the argmax
+    at T = 0).
 
-    The max feasible value is subtracted before exponentiating, so adding
-    any constant to all values changes nothing. Infeasible entries are set
-    to -inf before exp, so their probability is exactly 0.
+    The candidate methods return only the feasible targets, so the values
+    are finite on a feasible state. The max value is subtracted before
+    exponentiating, so adding any constant to all values changes nothing;
+    a -inf entry gets probability exactly 0, and so does every entry when
+    there is no finite one.
     """
     values = np.asarray(values, dtype=float)
-    usable = np.asarray(feasible, dtype=bool) & np.isfinite(values)
-    masked = np.where(usable, values, -np.inf)
-    top = masked.max(initial=-np.inf)
+    top = values.max(initial=-np.inf)
     if top == -np.inf:
         return np.zeros_like(values)
     # exp is exactly 0 below about -745, so raising every gap to -1000 T
     # changes no probability; it keeps a tiny T from overflowing the quotient
     # (float() keeps the product a Python float, which cannot warn)
-    ex = np.exp(np.maximum(masked - top, float(temperature) * -1000.0) / temperature)
+    ex = np.exp(np.maximum(values - top, float(temperature) * -1000.0) / temperature)
     return ex / ex.sum()
 
 
@@ -176,31 +176,31 @@ def gibbs_step(
     state.energy() after it, under every policy.
 
     The mover is chosen per the policy's selection order and every step makes
-    one uniform draw. At T(t) > 0 that draw samples the mover's feasible
-    candidates from the softmax. At T = 0, and under a greedy policy, the
-    step takes their argmax instead: candidates within 1e-12 max(1, |u|) of
-    the best, u the current target's value, count as tied and the lowest
-    index wins, and the mover stays unless the best beats u by more than that
+    one uniform draw. The candidate methods give the mover's feasible targets
+    (ascending) and their values. At T(t) > 0 the draw samples an index into
+    them from the softmax. At T = 0, and under a greedy policy, the step
+    takes their argmax instead: candidates within 1e-12 max(1, |u|) of the
+    best, u the current target's value, count as tied and the lowest target
+    wins, and the mover stays unless the best beats u by more than that
     margin, so float noise between equal energies never makes a move.
     """
     kind, idx, current = _mover(state, t, rng if policy.selection == "random" else None)
     if kind == "channel":
-        values, feasible = state.channel_candidates(idx)
+        targets, values = state.channel_candidates(idx)
     elif policy.kind == "dp-approx":
-        values, feasible = state.association_scores_approx(idx)
+        targets, values = state.association_scores_approx(idx)
     else:
-        values, feasible = state.association_candidates(idx)
+        targets, values = state.association_candidates(idx)
     temperature = None if policy.kind == "greedy" else policy.schedule.temperature(t)
     uniform = rng.random()
     if temperature:
-        probs = softmax_probabilities(values, temperature, feasible)
-        choice = _sample_index(probs, uniform)
+        probs = softmax_probabilities(values, temperature)
+        choice = int(targets[_sample_index(probs, uniform)])
     else:
-        masked = np.where(feasible, values, -np.inf)
-        best, u_cur = masked.max(), masked[current]
+        best, u_cur = values.max(), values[targets.searchsorted(current)]
         margin = 1e-12 * max(1.0, abs(u_cur))
         choice = current if best - u_cur <= margin \
-            else int(np.argmax(masked >= best - margin))
+            else int(targets[np.argmax(values >= best - margin)])
     changed = choice != current
     if changed and kind == "association":
         state.apply_association(idx, choice)

@@ -215,6 +215,8 @@ class SystemState:
     sums over them with ``np.bincount``, which adds each row's entries one by
     one in ascending index order. No V x V float matrix and no channel x radio
     array is built on a step, so a step costs O(neighbourhood), not O(V^2).
+    The candidate methods return only the feasible targets and their values
+    and read the loads only at the entries they use.
 
     Link rates have one owner, the network's link lists: every rate and log
     rate is read there, at a link's position and its radio's current channel.
@@ -367,23 +369,26 @@ class SystemState:
 
     # -- candidate evaluation ----------------------------------------------
 
-    def _without(self, client: int):
-        """The client's weight and the loads with it taken out of the
-        system."""
-        a = int(self.assoc[client])
+    def _without(self, client: int, radios: np.ndarray):
+        """The loads w- and z- at the given radios with the client taken out
+        of the system: its radio's load loses its weight (floored at 0) and
+        so does the z of every neighbour of that radio."""
+        a = self.assoc[client]
         wi = self.net.weights[client]
-        w_minus = self.w_ap.copy()
-        w_minus[a] = max(w_minus[a] - wi, 0.0)
-        z_minus = self.z.copy()
-        np.subtract(z_minus, wi, out=z_minus, where=self.same_ch_adj[a])
-        return wi, w_minus, z_minus
+        w_minus = self.w_ap[radios]
+        w_minus[radios == a] = max(self.w_ap[a] - wi, 0.0)
+        z_minus = self.z[radios]
+        z_minus[self.same_ch_adj[a].take(radios)] -= wi
+        return w_minus, z_minus
 
     def _reach(self, client: int):
         """The radios the client reaches on the current channels (ascending),
-        its log rate to each, the read-only V-long mask of them, their
-        neighbour lists (_neighbours) and the mask of each radio's own entry
-        in them. Read from the client's links; they depend only on the
-        channels, so they are kept until a channel move."""
+        its log rate to each, their neighbour lists (_neighbours) and the mask
+        of each radio's own entry in them. Under the client scheme also the
+        list entries sorted (_clients_at searches them), the position in
+        that sorted list of every entry's first copy and that of each
+        reachable radio. Read from the client's links; they depend only on
+        the channels, so they are kept until a channel move."""
         frame = self._frames.get(client)
         if frame is None:
             net = self.net
@@ -392,33 +397,39 @@ class SystemState:
             lb = net.log_rates[np.arange(lo, hi), self.chan[radios]]
             usable = np.isfinite(lb)
             reach, lb = radios[usable], lb[usable]
-            feasible = np.zeros(self.chan.shape, dtype=bool)
-            feasible[reach] = True
-            feasible.setflags(write=False)
             rows, nbrs = self._neighbours(reach)
-            frame = self._frames[client] = (
-                reach, lb, feasible, rows, nbrs, nbrs == reach[rows]
-            )
+            own = nbrs == reach[rows]
+            frame = (reach, lb, rows, nbrs, own)
+            if self.scheme == SCHEME_CLIENT:
+                hood = np.sort(nbrs)
+                slot = hood.searchsorted(nbrs)
+                frame += (hood, slot, slot[own])
+            self._frames[client] = frame
         return frame
 
-    def _clients_at(self, radios: np.ndarray, but: int) -> np.ndarray:
-        """The clients, other than `but`, whose radio is in radios."""
-        at = np.zeros(self.net.n_vaps, dtype=bool)
-        at[radios] = True
-        at = at[self.assoc]
-        at[but] = False
-        return at.nonzero()[0]
+    def _clients_at(self, radios: np.ndarray, but: int | None = None):
+        """The clients, other than `but`, whose radio is in radios (sorted),
+        and the position of that radio's first copy in radios."""
+        if not radios.size:
+            return radios, radios
+        pos = radios.searchsorted(self.assoc)
+        at = radios.take(pos, mode="clip") == self.assoc
+        if but is not None:
+            at[but] = False
+        clients = at.nonzero()[0]
+        return clients, pos[clients]
 
     def association_candidates(self, client: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact energies of moving one client to each radio.
+        """Exact energies of moving one client to each radio it reaches.
 
-        Returns (values, feasible): values[b] is the full system energy with
-        the client on radio b (-inf when that link has zero rate), so
-        differences of entries are exact energy deltas. On an infeasible
-        state every value is -inf; that is for evaluation, since the steps
-        refuse such a state.
+        Returns (targets, values): targets are the radios with a positive-rate
+        link to the client on the current channels, ascending, and values[k]
+        is the full system energy with the client on targets[k], so
+        differences of entries are exact energy deltas. On a feasible state
+        every value is finite; on an infeasible one every value is -inf, which
+        is for evaluation, since the steps refuse such a state.
 
-        Closed form, evaluated only on the radios F the client reaches. With
+        Closed form, evaluated only on the reachable radios F. With
         psi(x) = x log x, N(b) the same-channel neighbours of b (b included),
         w-, z- the loads with the client taken out and z+ = z- + w_i: on
         candidate b the client adds w_i to w-_b and to z-_n for every n in
@@ -427,7 +438,7 @@ class SystemState:
         access cancel, so U = sum_i w_i log(B_i w_i) + sum_n t_n with
         t_n = psi(z_n - w_n) - psi(z_n), B_i the rate of client i's link, and
 
-            values[b] = c + w_i lb_b + E_b,  E_b = g_b + sum_{n in N(b), n != b} d_n,
+            value(b) = c + w_i lb_b + E_b,  E_b = g_b + sum_{n in N(b), n != b} d_n,
             d_n = psi(z+_n - w-_n) - psi(z-_n - w-_n) + g_n,
 
         where d_n is the change of neighbour n's term and c does not depend on
@@ -437,49 +448,51 @@ class SystemState:
             E_b = g_b + sum_{n in N(b)} D_n.
 
         The client on its own radio a leaves the state as it is, so
-        values[a] = U, c = U - w_i lb_a - E_a and
+        value(a) = U, c = U - w_i lb_a - E_a and
 
-            values[b] = U + w_i (lb_b - lb_a) + E_b - E_a.
+            value(b) = U + w_i (lb_b - lb_a) + E_b - E_a.
 
         E is one bincount over the neighbour lists of F, and d, g and delta
         are evaluated only on those lists and on the clients of their radios:
         the cost grows with the neighbourhood of F, not with V.
         """
         net = self.net
-        reach, lb, feasible, rows, nbrs, own = self._reach(client)
-        values = np.full(net.n_vaps, -np.inf)
+        frame = self._reach(client)
+        reach, lb, rows, nbrs, own = frame[:5]
         if not self.feasible:
-            return values, feasible
-        wi, w_minus, z_minus = self._without(client)
+            return reach, np.full(len(reach), -np.inf)
+        wi = net.weights[client]
         if self.scheme == SCHEME_SERVER:
-            w = w_minus[nbrs]
+            w, z = self._without(client, nbrs)
             w[own] = np.inf  # a candidate's own entry is g_b alone
-            terms = _load_change(w, z_minus[nbrs], wi)
+            terms = _load_change(w, z, wi)
         else:
-            others = self._clients_at(nbrs, but=client)
-            at = self.assoc[others]
+            hood, slot, home = frame[5:]
+            others, key = self._clients_at(hood, but=client)
+            z = self._without(client, hood)[1]
             d = np.bincount(
-                at, weights=_load_change(net.weights[others], z_minus[at], wi),
-                minlength=net.n_vaps,
+                key, weights=_load_change(net.weights[others], z[key], wi),
+                minlength=len(hood),
             )
-            zm = z_minus[reach]
+            zm = z[home]
             zp = zm + wi
-            terms = d[nbrs]
+            terms = d[slot]
         e = np.bincount(rows, weights=terms, minlength=len(reach))
         if self.scheme == SCHEME_CLIENT:
             e += xlogy(zm, zm) - xlogy(zp, zp)
-        values[reach] = lb * wi + e
-        values += self._u - values[self.assoc[client]]
-        return values, feasible
+        values = lb * wi + e
+        values += self._u - values[reach.searchsorted(self.assoc[client])]
+        return reach, values
 
     def association_scores_approx(self, client: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbourhood-local association scores.
 
-        Server scheme: w_i log(B w_i / z^n) plus w_i times the log success
-        probability of the candidate's same-channel neighbours, all under the
-        post-move aggregates. Client scheme: the analogous local form for
-        direct contention. Shared constants are dropped; only differences
-        between candidates matter.
+        Returns (targets, scores) over the same targets as
+        association_candidates. Server scheme: w_i log(B w_i / z^n) plus w_i
+        times the log success probability of the candidate's same-channel
+        neighbours, all under the post-move aggregates. Client scheme: the
+        analogous local form for direct contention. Shared constants are
+        dropped; only differences between candidates matter.
 
         With the notation of association_candidates, a neighbour n != b of
         candidate b sees z+_n and w-_n, so its log idle probability
@@ -491,52 +504,55 @@ class SystemState:
         neighbour lists are evaluated.
         """
         net = self.net
-        wi, w_minus, z_minus = self._without(client)
-        reach, lb, feasible, rows, nbrs, own = self._reach(client)
-        scores = np.full(net.n_vaps, -np.inf)
+        wi = net.weights[client]
+        frame = self._reach(client)
+        reach, lb, rows, nbrs, own = frame[:5]
         link = lb + math.log(wi)
         if self.scheme == SCHEME_SERVER:
-            zp = z_minus[nbrs] + wi
+            w, z = self._without(client, nbrs)
+            zp = z + wi
             log_zp = np.log(zp)
             with np.errstate(divide="ignore"):
-                idle = np.log(np.maximum(zp - w_minus[nbrs], 0.0)) - log_zp
+                idle = np.log(np.maximum(zp - w, 0.0)) - log_zp
             # a candidate's own entry carries its -log z+_b
             terms = np.where(own, -log_zp, idle)
             near = np.bincount(rows, weights=terms, minlength=len(reach))
-            scores[reach] = wi * (link + near)
-        else:
-            others = self._clients_at(nbrs, but=client)
-            at = self.assoc[others]
-            zs_plus = z_minus[at] + wi
-            with np.errstate(divide="ignore"):
-                rest = np.maximum(zs_plus - net.weights[others], 0.0)
-                idle = np.log(rest) - np.log(zs_plus)
-            q = np.bincount(at, weights=idle, minlength=net.n_vaps)
-            neighbour_term = np.bincount(rows, weights=q[nbrs], minlength=len(reach))
-            zp = z_minus[reach] + wi
-            log_zp = np.log(zp)
-            zb = np.maximum(zp - wi, 0.0)  # candidate neighbourhood without i
-            crowd = zb * log_zp - xlogy(zb, zb)
-            scores[reach] = wi * (link - log_zp) + wi * neighbour_term - crowd
-        return scores, feasible
+            return reach, wi * (link + near)
+        hood, slot, home = frame[5:]
+        others, key = self._clients_at(hood, but=client)
+        z = self._without(client, hood)[1]
+        zs_plus = z[key] + wi
+        with np.errstate(divide="ignore"):
+            rest = np.maximum(zs_plus - net.weights[others], 0.0)
+            idle = np.log(rest) - np.log(zs_plus)
+        q = np.bincount(key, weights=idle, minlength=len(hood))
+        neighbour_term = np.bincount(rows, weights=q[slot], minlength=len(reach))
+        zp = z[home] + wi
+        log_zp = np.log(zp)
+        zb = np.maximum(zp - wi, 0.0)  # candidate neighbourhood without i
+        crowd = zb * log_zp - xlogy(zb, zb)
+        return reach, wi * (link - log_zp) + wi * neighbour_term - crowd
 
     def channel_candidates(self, vap: int) -> tuple[np.ndarray, np.ndarray]:
-        """Exact energies of switching one radio to each channel.
+        """Exact energies of switching one radio to each feasible channel.
 
-        A channel is infeasible when any client of the radio would lose its
-        link. A clientless radio can take any channel without changing the
-        energy of anyone, so every value is the current energy. On an
-        infeasible state every value of a radio with clients is -inf; that is
-        for evaluation, since the steps refuse such a state.
+        Returns (targets, values): targets are the channels, ascending, on
+        which every client of the radio keeps its link, and values[k] is the
+        full system energy with the radio on targets[k]. A clientless radio
+        can take any channel without changing the energy of anyone, so its
+        targets are all channels and every value is the current energy. On a
+        feasible state every value is finite; on an infeasible one every value
+        of a radio with clients is -inf, which is for evaluation, since the
+        steps refuse such a state.
 
         U = b_term + sum_w_log_w + the sum of t(w, z) = psi(z - w) - psi(z)
         over radios (server scheme) or clients (client scheme). On another
         channel c the radio, of load L, leaves its old neighbours, whose z
         loses L, and joins N_c, the radios on c within c's interference
         range, whose z gains L; its own z becomes L + the sum of w_ap over
-        N_c. So values[c] = U + the change of its clients' link terms + the
+        N_c. So value(c) = U + the change of its clients' link terms + the
         change of t over the old neighbours + the change over N_c + the change
-        of the radio's own terms, and values[here] = U. The terms that change
+        of the radio's own terms, and value(here) = U. The terms that change
         sit on the entries of _channel_frame, one bincount keyed by channel
         adds them up, and the cost is O(degree + C): no channel x radio array.
         """
@@ -544,16 +560,16 @@ class SystemState:
         C = net.n_channels
         members = (self.assoc == vap).nonzero()[0]
         if not members.size:
-            return np.full(C, self._u), np.ones(C, dtype=bool)
+            return np.arange(C), np.full(C, self._u)
         wm = net.weights[members]
         pos = self._link[members]
         if self.feasible or pos.min() >= 0:  # in a feasible state every client has a link
             links = wm @ net.log_rates[pos]  # -inf where a client loses its link
         else:
             links = np.full(C, -np.inf)
-        feasible = np.isfinite(links)
+        targets = np.isfinite(links).nonzero()[0]
         if not self.feasible:
-            return np.full(C, -np.inf), feasible
+            return targets, np.full(len(targets), -np.inf)
 
         here = self.chan[vap]
         load = self.w_ap[vap]
@@ -566,48 +582,44 @@ class SystemState:
             t_own = _t_term(load, z_own)
             own = t_own[:C] - t_own[C]
         else:
-            # the clients of those radios, keyed like their radio
-            key_of = np.full(net.n_vaps, -1)
-            key_of[radios] = key
-            sign_of = np.zeros(net.n_vaps)
-            sign_of[radios] = sign
-            clients = (key_of[self.assoc] >= 0).nonzero()[0]
-            at = self.assoc[clients]
-            key, sign = key_of[at], sign_of[at]
-            w, z = net.weights[clients], self.z[at]
+            # the clients of those radios (ascending), keyed like their radio
+            clients, at = self._clients_at(radios)
+            key, sign = key[at], sign[at]
+            w, z = net.weights[clients], self.z[radios[at]]
             t_own = _t_term(wm[:, None], z_own)
             own = (t_own[:, :C] - t_own[:, C:]).sum(axis=0)
         # key C: the old neighbourhood, whose change applies to every channel
         totals = np.bincount(key, weights=_load_change(w, z, sign * load), minlength=C + 1)
         values = self._u + (links - links[here]) + (totals[:C] + totals[C] + own)
         values[here] = self._u
-        return values, feasible
+        return targets, values[targets]
 
     def _channel_frame(self, vap: int):
-        """The radios whose z changes when the radio leaves its channel: its
-        old neighbours (key C, sign -1) and then, for every other channel c,
-        the new neighbours N_c (key c, sign +1); and the new neighbours again
-        as (radios, channels). N_c comes from one nonzero on the rows of
-        net.adjacency that hold the radio's pairs. Kept until a channel
+        """The radios whose z changes when the radio leaves its channel, in
+        ascending order (_clients_at searches them): its old neighbours (key
+        C, sign -1) and, for every other channel c, the new neighbours N_c
+        (key c, sign +1); and the new neighbours again as (radios, channels).
+        All come from one nonzero on the rows of net.adjacency that hold the
+        radio's pairs: a partner on channel c within c's range is an old
+        neighbour when c is the radio's channel and in N_c otherwise. A
+        partner is on one channel, so it appears once. Kept until a channel
         move."""
         frame = self._frames.get(~vap)
         if frame is None:
             net = self.net
-            C = net.n_channels
             here = self.chan[vap]
-            old = self.same_ch_adj[vap].nonzero()[0]
-            old = old[old != vap]
             lo, hi = net.pair_ptr[vap], net.pair_ptr[vap + 1]
             pairs, ch = net.adjacency[lo:hi].nonzero()
-            new = net.pair_vap[lo:hi][pairs]
-            keep = (self.chan[new] == ch) & (ch != here)
-            new, ch = new[keep], ch[keep]
+            radios = net.pair_vap[lo:hi][pairs]
+            on = (self.chan[radios] == ch) & (radios != vap)
+            radios, ch = radios[on], ch[on]
+            joins = ch != here
             frame = self._frames[~vap] = (
-                np.concatenate((old, new)),
-                np.concatenate((np.full(len(old), C), ch)),
-                np.concatenate((np.full(len(old), -1.0), np.ones(len(new)))),
-                new,
-                ch,
+                radios,
+                np.where(joins, ch, net.n_channels),
+                np.where(joins, 1.0, -1.0),
+                radios[joins],
+                ch[joins],
             )
         return frame
 

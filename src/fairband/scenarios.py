@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -267,12 +268,25 @@ def _load_radio_model(raw) -> RadioModel:
         raise ScenarioError(f"radio_model: {exc}") from exc
 
 
+class _Loader(yaml.SafeLoader):
+    """yaml.SafeLoader that also reads the floats of YAML 1.2 that YAML 1.1
+    reads as strings: an exponent without a decimal point or without a
+    sign, such as 1e3 or 2.5e8."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario file, raising ScenarioError with the offending field
     path on malformed input."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

@@ -21,6 +21,17 @@ def rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
+def dense_candidates(candidates, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A candidate method's (targets, values) over all n radios or channels:
+    the values, -inf off the targets, and the mask of the targets."""
+    targets, values = candidates
+    dense = np.full(n, -np.inf)
+    dense[targets] = values
+    feasible = np.zeros(n, dtype=bool)
+    feasible[targets] = True
+    return dense, feasible
+
+
 # weights from this palette keep aggregate sums exact in binary floating
 # point, which lets incremental-vs-fresh comparisons demand bit equality
 DYADIC_WEIGHTS = (0.5, 1.0, 1.5, 2.0, 2.5)

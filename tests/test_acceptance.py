@@ -36,7 +36,7 @@ from fairband import (
 )
 from fairband.annealing import gibbs_step
 from fairband.cli import main
-from conftest import dense_reference, random_network, random_state, rel
+from conftest import dense_candidates, dense_reference, random_network, random_state, rel
 from test_fairness import _heavy_load_network
 
 
@@ -166,7 +166,7 @@ def test_04_delta_u_correctness(capsys):
         if k % 2 == 0:
             i = int(rng.integers(net.n_clients))
             b = int(rng.integers(net.n_vaps))
-            values, feas = state.association_candidates(i)
+            values, feas = dense_candidates(state.association_candidates(i), net.n_vaps)
             fresh_assoc = state.assoc.copy()
             fresh_assoc[i] = b
             u1 = SystemState(net, scheme, fresh_assoc, state.chan).energy()
@@ -175,7 +175,7 @@ def test_04_delta_u_correctness(capsys):
         else:
             n = int(rng.integers(net.n_vaps))
             c = int(rng.integers(net.n_channels))
-            values, feas = state.channel_candidates(n)
+            values, feas = dense_candidates(state.channel_candidates(n), net.n_channels)
             fresh_chan = state.chan.copy()
             fresh_chan[n] = c
             u1 = SystemState(net, scheme, state.assoc, fresh_chan).energy()
@@ -192,10 +192,11 @@ def test_04_delta_u_correctness(capsys):
         for chans in [(0, 0, 0), (0, 1, 0), (1, 0, 1)]:
             state = SystemState(net, scheme, assoc, np.array(chans, dtype=np.int64))
             assert (state.z - wi >= 100 * wi).all()  # regime precondition
-            exact, feas = state.association_candidates(i)
-            approx, _ = state.association_scores_approx(i)
-            p_exact = softmax_probabilities(exact, 1.0, feas)
-            p_approx = softmax_probabilities(approx, 1.0, feas)
+            targets, exact = state.association_candidates(i)
+            targets_approx, approx = state.association_scores_approx(i)
+            assert np.array_equal(targets, targets_approx)
+            p_exact = softmax_probabilities(exact, 1.0)
+            p_approx = softmax_probabilities(approx, 1.0)
             worst_prob = max(worst_prob, float(np.abs(p_exact - p_approx).max()))
 
     ok = worst < 1e-9 and worst_prob < 0.02
@@ -263,12 +264,12 @@ def test_06_sampler_and_greedy_convergence(capsys):
         u = state.energy()
         local_opt = True
         for i in range(net.n_clients):
-            values, feas = state.association_candidates(i)
-            if values[feas].max() > u + 1e-9:
+            _, values = state.association_candidates(i)
+            if values.max() > u + 1e-9:
                 local_opt = False
         for n in range(net.n_vaps):
-            values, feas = state.channel_candidates(n)
-            if values[feas].max() > u + 1e-9:
+            _, values = state.channel_candidates(n)
+            if values.max() > u + 1e-9:
                 local_opt = False
         if local_opt:
             greedy_verified += 1

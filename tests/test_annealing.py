@@ -21,7 +21,7 @@ from fairband import (
     softmax_probabilities,
 )
 from fairband.annealing import MAX_REDRAWS, _sample_index, gibbs_step
-from conftest import dense_reference, random_network, random_state, rel
+from conftest import dense_candidates, dense_reference, random_network, random_state, rel
 
 
 # -- temperature schedules ----------------------------------------------------
@@ -71,36 +71,33 @@ def test_convergence_conditions_symbolically():
 
 def test_softmax_shift_invariance_and_stability():
     values = np.array([1.0, 2.0, 3.0])
-    ok = np.ones(3, dtype=bool)
-    base = softmax_probabilities(values, 1.0, ok)
-    shifted = softmax_probabilities(values + 1e6, 1.0, ok)
+    base = softmax_probabilities(values, 1.0)
+    shifted = softmax_probabilities(values + 1e6, 1.0)
     assert np.allclose(base, shifted, atol=1e-12)
     assert base.sum() == pytest.approx(1.0)
     assert base[2] > base[1] > base[0]
 
 
 def test_softmax_infeasible_is_exactly_zero():
-    probs = softmax_probabilities(
-        np.array([5.0, -np.inf, 4.0]), 0.5, np.array([True, False, True])
-    )
+    probs = softmax_probabilities(np.array([5.0, -np.inf, 4.0]), 0.5)
     assert probs[1] == 0.0
     assert probs.sum() == pytest.approx(1.0)
 
 
 def test_softmax_all_infeasible():
-    probs = softmax_probabilities(np.array([1.0, 2.0]), 1.0, np.zeros(2, dtype=bool))
+    probs = softmax_probabilities(np.array([-np.inf, -np.inf]), 1.0)
     assert (probs == 0).all()
+    assert softmax_probabilities(np.array([]), 1.0).size == 0
 
 
 def test_softmax_temperature_sharpens():
     values = np.array([0.0, 1.0])
-    ok = np.ones(2, dtype=bool)
-    hot = softmax_probabilities(values, 10.0, ok)
-    cold = softmax_probabilities(values, 0.1, ok)
+    hot = softmax_probabilities(values, 10.0)
+    cold = softmax_probabilities(values, 0.1)
     assert cold[1] > hot[1]
     assert cold[1] == pytest.approx(1 / (1 + math.exp(-10)))
     # the smallest positive float, at which the gap over T overflows
-    assert softmax_probabilities(values, 5e-324, ok).tolist() == [0.0, 1.0]
+    assert softmax_probabilities(values, 5e-324).tolist() == [0.0, 1.0]
 
 
 def test_inverse_cdf_draw_matches_generator_choice():
@@ -114,12 +111,42 @@ def test_inverse_cdf_draw_matches_generator_choice():
         values[meta.random(n) < 0.3] = -np.inf
         values[int(meta.integers(n))] = 0.0  # at least one feasible entry
         temperature = float(meta.uniform(0.2, 5))
-        probs = softmax_probabilities(values, temperature, np.isfinite(values))
+        probs = softmax_probabilities(values, temperature)
         seed = int(meta.integers(2**32))
         ours, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
         assert _sample_index(probs, ours.random()) == \
             int(numpy_.choice(n, p=probs / probs.sum()))
         assert ours.random() == numpy_.random()
+
+
+def _masked_softmax(values, temperature, feasible):
+    """The softmax over a whole length-V (or C) candidate vector, 0 off the
+    feasible entries, that steps drew from before candidates were compact."""
+    masked = np.where(feasible, values, -np.inf)
+    ex = np.exp(np.maximum(masked - masked.max(), temperature * -1000.0) / temperature)
+    return ex / ex.sum()
+
+
+def test_compact_draw_matches_choice_over_the_masked_vector():
+    # a step draws an index into its targets from the softmax of their values
+    # alone; with the same uniform it must pick the target Generator.choice
+    # picks over the whole masked vector, although the two normalising sums
+    # group their terms differently
+    meta = np.random.default_rng(11)
+    for _ in range(2000):
+        n = int(meta.integers(8, 601))
+        k = int(meta.integers(1, min(n, 19) + 1))
+        targets = np.sort(meta.choice(n, size=k, replace=False))
+        values = np.full(n, -np.inf)
+        values[targets] = -40.0 + meta.normal(size=len(targets)) * 10.0 ** meta.uniform(-3, 3)
+        temperature = float(10.0 ** meta.uniform(-2, 2))
+        feasible = np.zeros(n, dtype=bool)
+        feasible[targets] = True
+        seed = int(meta.integers(2**32))
+        ours, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
+        probs = softmax_probabilities(values[targets], temperature)
+        assert targets[_sample_index(probs, ours.random())] == \
+            numpy_.choice(n, p=_masked_softmax(values, temperature, feasible))
 
 
 # -- single-move deltas ---------------------------------------------------------
@@ -135,7 +162,7 @@ def test_exact_deltas_match_oracle_differences(rng, scheme):
 
         i = int(rng.integers(net.n_clients))
         b = int(rng.integers(net.n_vaps))
-        values, _ = state.association_candidates(i)
+        values, _ = dense_candidates(state.association_candidates(i), net.n_vaps)
         d = values[b] - values[state.assoc[i]]
         moved = {**cfg.association, net.client_ids[i]: net.vap_ids[b]}
         u1 = oracle_energy(net, moved, cfg.channel, scheme)
@@ -146,7 +173,7 @@ def test_exact_deltas_match_oracle_differences(rng, scheme):
 
         n = int(rng.integers(net.n_vaps))
         c = int(rng.integers(net.n_channels))
-        values, _ = state.channel_candidates(n)
+        values, _ = dense_candidates(state.channel_candidates(n), net.n_channels)
         d = values[c] - values[state.chan[n]]
         moved_ch = {**cfg.channel, net.vap_ids[n]: net.channel_ids[c]}
         u2 = oracle_energy(net, cfg.association, moved_ch, scheme)
@@ -173,8 +200,8 @@ def test_delta_is_local_to_the_neighborhood(rng):
     for scheme in ("server", "client"):
         s_small = SystemState(small, scheme, assoc_small, np.zeros(2, dtype=np.int64))
         s_big = SystemState(big, scheme, assoc_big, np.zeros(3, dtype=np.int64))
-        v_small, _ = s_small.association_candidates(1)
-        v_big, _ = s_big.association_candidates(1)
+        v_small, _ = dense_candidates(s_small.association_candidates(1), small.n_vaps)
+        v_big, _ = dense_candidates(s_big.association_candidates(1), big.n_vaps)
         d_small = v_small[1] - v_small[0]  # c2 from a/r0 to b/r0
         d_big = v_big[1] - v_big[0]
         assert rel(d_small, d_big) < 1e-12
@@ -222,9 +249,7 @@ def test_greedy_treats_near_equal_candidates_as_tied(rng, pol):
     for values, current, expected, moved in cases:
         state = random_state(net, rng, "server")
         state.apply_association(0, current)
-        state.association_candidates = lambda i, v=values: (
-            np.array(v), np.ones(3, dtype=bool)
-        )
+        state.association_candidates = lambda i, v=values: (np.arange(3), np.array(v))
         prop, _ = gibbs_step(state, 1, pol, np.random.default_rng(0))
         assert prop.changed == moved
         assert int(state.assoc[0]) == expected
@@ -432,11 +457,11 @@ def test_greedy_stops_at_verified_local_optimum(rng):
     state = SystemState.from_configuration(net, res.final_configuration, "server")
     u = state.energy()
     for i in range(net.n_clients):
-        values, feas = state.association_candidates(i)
-        assert values[feas].max() <= u + 1e-9
+        _, values = state.association_candidates(i)
+        assert values.max() <= u + 1e-9
     for n in range(net.n_vaps):
-        values, feas = state.channel_candidates(n)
-        assert values[feas].max() <= u + 1e-9
+        _, values = state.channel_candidates(n)
+        assert values.max() <= u + 1e-9
 
 
 def test_greedy_energy_is_monotone(rng):

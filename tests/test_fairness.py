@@ -24,7 +24,7 @@ from fairband.fairness import (
     _same_channel_adjacency,
     _slot_rates,
 )
-from conftest import dense_reference, random_network, random_state, rel
+from conftest import dense_candidates, dense_reference, random_network, random_state, rel
 
 
 def _single_ap_two_clients():
@@ -205,7 +205,7 @@ def test_association_candidates_match_from_scratch(rng, scheme):
                              dyadic=False, max_radios=2)
         state = random_state(net, rng, scheme)
         i = int(rng.integers(net.n_clients))
-        values, feasible = state.association_candidates(i)
+        values, feasible = dense_candidates(state.association_candidates(i), net.n_vaps)
         for b in range(net.n_vaps):
             fresh_assoc = state.assoc.copy()
             fresh_assoc[i] = b
@@ -223,7 +223,7 @@ def test_channel_candidates_match_from_scratch(rng, scheme):
                              dyadic=False, max_radios=2)
         state = random_state(net, rng, scheme)
         n = int(rng.integers(net.n_vaps))
-        values, feasible = state.channel_candidates(n)
+        values, feasible = dense_candidates(state.channel_candidates(n), net.n_channels)
         for c in range(net.n_channels):
             fresh_chan = state.chan.copy()
             fresh_chan[n] = c
@@ -232,6 +232,52 @@ def test_channel_candidates_match_from_scratch(rng, scheme):
                 assert rel(values[c], fresh.energy()) < 1e-11
             else:
                 assert values[c] == -math.inf and fresh.energy() == -math.inf
+
+
+def _network_with_far_clients(rng):
+    """A random multi-radio network with non-dyadic weights whose clients sit
+    up to 140 m from an AP: within reach on ch-2400, but often beyond the
+    reach of ch-4000 (112 m) or ch-16000 (51 m), so some links and some
+    channels of a radio are infeasible."""
+    base = random_network(rng, n_aps=4, n_clients=8, n_channels=3,
+                          dyadic=False, max_radios=3)
+    clients = []
+    for c in base.clients:
+        home = base.aps[int(rng.integers(len(base.aps)))].position
+        angle, d = rng.uniform(0, 2 * np.pi), rng.uniform(0, 140.0)
+        clients.append(Client(c.id, (home[0] + d * math.cos(angle),
+                                     home[1] + d * math.sin(angle)), c.weight))
+    return Network(list(base.channels), list(base.aps), clients)
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_candidate_targets_are_the_feasible_moves(rng, scheme):
+    # association targets are the radios with a positive-rate link on the
+    # current channels, channel targets the channels on which every client
+    # of the radio keeps its link; each value is the energy of a fresh
+    # state after that move
+    for _ in range(12):
+        net = _network_with_far_clients(rng)
+        rates = dense_reference(net).rates
+        state = random_state(net, rng, scheme)
+        linked = rates[:, np.arange(net.n_vaps), state.chan] > 0  # (I, V)
+        for i in range(net.n_clients):
+            targets, values = state.association_candidates(i)
+            assert targets.tolist() == np.flatnonzero(linked[i]).tolist()
+            assert np.array_equal(state.association_scores_approx(i)[0], targets)
+            for b, value in zip(targets.tolist(), values.tolist()):
+                assoc = state.assoc.copy()
+                assoc[i] = b
+                assert rel(value, SystemState(net, scheme, assoc, state.chan).energy()) < 1e-11
+        for n in range(net.n_vaps):
+            members = np.flatnonzero(state.assoc == n)
+            keeps = (rates[members, n, :] > 0).all(axis=0)
+            targets, values = state.channel_candidates(n)
+            assert targets.tolist() == np.flatnonzero(keeps).tolist()
+            for c, value in zip(targets.tolist(), values.tolist()):
+                chan = state.chan.copy()
+                chan[n] = c
+                assert rel(value, SystemState(net, scheme, state.assoc, chan).energy()) < 1e-11
 
 
 def _network_with_isolated_cell(rng, n_aps=14, n_clients=16):
@@ -320,9 +366,11 @@ def test_candidates_match_from_scratch_with_empty_and_isolated_radios(rng, schem
         assert state.w_ap[[v for v in far if v != served][0]] == 0.0
         assert state.z[served] == state.w_ap[served]
         for i in range(net.n_clients):
-            values, feasible = state.association_candidates(i)
-            approx, feasible2 = state.association_scores_approx(i)
-            assert (feasible == feasible2).all()
+            targets, values = state.association_candidates(i)
+            targets2, approx = state.association_scores_approx(i)
+            assert np.array_equal(targets, targets2)
+            values, feasible = dense_candidates((targets, values), net.n_vaps)
+            approx, _ = dense_candidates((targets2, approx), net.n_vaps)
             ref_approx = _approx_scores_from_scratch(net, state, i, scheme)
             for b in range(net.n_vaps):
                 assoc = state.assoc.copy()
@@ -396,15 +444,17 @@ def test_moves_keep_the_state_equal_to_a_fresh_one_and_the_oracle(
         moves_client = rng.random() < 0.6
         if moves_client:
             mover = int(rng.integers(net.n_clients))
-            values, feasible = state.association_candidates(mover)
-            approx, feasible_approx = state.association_scores_approx(mover)
-            assert np.array_equal(feasible, feasible_approx)
+            targets, values = state.association_candidates(mover)
+            targets_approx, approx = state.association_scores_approx(mover)
+            assert np.array_equal(targets, targets_approx)
+            values, feasible = dense_candidates((targets, values), net.n_vaps)
+            approx, _ = dense_candidates((targets_approx, approx), net.n_vaps)
             want = _approx_scores_from_scratch(net, state, mover, scheme)
             assert np.array_equal(np.isfinite(want), feasible)
             assert all(_close(a, b, net) for a, b in zip(approx[feasible], want[feasible]))
         else:
             mover = int(rng.integers(net.n_vaps))
-            values, feasible = state.channel_candidates(mover)
+            values, feasible = dense_candidates(state.channel_candidates(mover), net.n_channels)
 
         def moved(k):
             assoc, chan = state.assoc.copy(), state.chan.copy()
@@ -500,11 +550,11 @@ def test_approx_scores_track_exact_softmax_under_heavy_load(rng, scheme):
     for chan_tuple in [(0, 0, 0), (0, 1, 0), (0, 0, 1)]:
         state = SystemState(net, scheme, assoc, np.array(chan_tuple, dtype=np.int64))
         i = net.client_index["mover"]
-        exact, feas = state.association_candidates(i)
-        approx, feas2 = state.association_scores_approx(i)
-        assert (feas == feas2).all()
-        p_exact = softmax_probabilities(exact, 1.0, feas)
-        p_approx = softmax_probabilities(approx, 1.0, feas2)
+        targets, exact = state.association_candidates(i)
+        targets2, approx = state.association_scores_approx(i)
+        assert np.array_equal(targets, targets2)
+        p_exact = softmax_probabilities(exact, 1.0)
+        p_approx = softmax_probabilities(approx, 1.0)
         assert np.abs(p_exact - p_approx).max() < 0.02
 
 

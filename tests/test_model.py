@@ -192,9 +192,9 @@ def test_association_candidates_mark_reachable_radios():
     )
     # c1 at 40 m: reaches a on 2.4 GHz; b is 110 m away, beyond 16 GHz range
     state = SystemState(net, "server", np.array([0, 1]), np.array([0, 1]))
-    assert state.association_candidates(0)[1].tolist() == [True, False]
+    assert state.association_candidates(0)[0].tolist() == [0]
     state = SystemState(net, "server", np.array([0, 1]), np.array([0, 0]))
-    assert state.association_candidates(1)[1].tolist() == [True, True]
+    assert state.association_candidates(1)[0].tolist() == [0, 1]
 
 
 def test_state_flags_dead_links():
@@ -217,8 +217,8 @@ def test_network_without_links_evaluates_as_infeasible():
     assert len(net.link_vap) == 0 and net.link_index(0, 0) == -1
     state = SystemState(net, "server", np.array([0]), np.array([0]))
     assert not state.feasible and state.rates().tolist() == [0.0]
-    values, feasible = state.channel_candidates(0)
-    assert values.tolist() == [-np.inf] and feasible.tolist() == [False]
+    targets, values = state.channel_candidates(0)
+    assert targets.tolist() == [] and values.tolist() == []
 
 
 def _brute_force_aggregates(net, config):
@@ -267,12 +267,16 @@ def test_leave_out_queries(rng):
     net = random_network(rng, n_aps=2, n_clients=4, n_channels=1, dyadic=True)
     state = random_state(net, rng)
     home = int(state.assoc[0])
-    wi, w_minus, z_minus = state._without(0)
-    assert wi == net.clients[0].weight
+    wi = net.clients[0].weight
+    w_minus, z_minus = state._without(0, np.arange(net.n_vaps))
     assert w_minus[home] == state.w_ap[home] - wi
     # the client leaves every neighborhood its radio belongs to, its own included
     assert (z_minus == state.z - wi * state.same_ch_adj[home]).all()
     assert z_minus[home] == state.z[home] - wi
+    # any list of radios, repeats included, reads the same loads
+    radios = rng.integers(0, net.n_vaps, size=7)
+    w_some, z_some = state._without(0, radios)
+    assert (w_some == w_minus[radios]).all() and (z_some == z_minus[radios]).all()
 
 
 def test_configuration_digest_distinguishes():

@@ -191,6 +191,32 @@ def test_yaml_wrong_shapes_name_the_field(tmp_path, patch, field):
         load_scenario(p)
 
 
+
+_HEADER = (
+    f"format: {SCENARIO_FORMAT}\nname: x\n"
+    "channels:\n  - {id: a, center_frequency_mhz: 600, bandwidth_mhz: 6}\n"
+)
+
+
+def test_yaml_reads_exponent_floats(tmp_path):
+    # YAML 1.1 reads 1e3 (no decimal point) as a string; scenarios read the
+    # YAML 1.2 floats
+    p = tmp_path / "exp.yaml"
+    p.write_text(_HEADER + "aps:\n  - {id: ap0, position: [0, 0]}\nseed: 1\n"
+                 "regions:\n  - {count: 2, rect: [0, 0, 1e3, 10]}\n"
+                 "  - {count: 1, rect: [-1e308, 0, 0, 1E+1]}\n")
+    scn = load_scenario(p)
+    assert scn.regions[0].rect == (0.0, 0.0, 1000.0, 10.0)
+    assert scn.regions[1].rect == (-1e308, 0.0, 0.0, 10.0)
+
+
+def test_yaml_exponent_beyond_the_float_range_is_not_finite(tmp_path):
+    p = tmp_path / "exp.yaml"
+    p.write_text(_HEADER + "aps:\n  - {id: ap0, position: [1e999, 0]}\n"
+                 "clients:\n  - {id: c1, position: [10, 0]}\n")
+    with pytest.raises(ScenarioError, match=r"^aps\[0\]\.position\[0\]: must be finite"):
+        load_scenario(p)
+
 # field names of every level, so fuzzed mappings also reach nested checks
 _KEYS = st.sampled_from([
     "id", "position", "weight", "radios", "count", "rect", "center_frequency_mhz",
