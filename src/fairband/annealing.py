@@ -127,14 +127,15 @@ def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
     there is no finite one.
     """
     values = np.asarray(values, dtype=float)
-    top = values.max(initial=-np.inf)
+    # the ufunc reductions ndarray.max and sum run, without their Python wrappers
+    top = np.maximum.reduce(values, initial=-np.inf)
     if top == -np.inf:
         return np.zeros_like(values)
     # exp is exactly 0 below about -745, so raising every gap to -1000 T
     # changes no probability; it keeps a tiny T from overflowing the quotient
     # (float() keeps the product a Python float, which cannot warn)
     ex = np.exp(np.maximum(values - top, float(temperature) * -1000.0) / temperature)
-    return ex / ex.sum()
+    return ex / np.add.reduce(ex)
 
 
 # -- steps ------------------------------------------------------------------
@@ -152,21 +153,42 @@ def _mover(state: SystemState, t: int, rng=None) -> tuple[str, int, int]:
     if not state.feasible:
         raise ValueError("state: infeasible (a client sits on a zero-rate link); "
                          "steps need a feasible state")
-    n = state.net.n_clients
-    m = n + state.net.n_vaps
+    n = state.assoc.size  # the network's clients, then its radios
+    m = n + state.chan.size
     index = (t - 1) % m if rng is None else int(rng.integers(m))
     if index < n:
         return "association", index, int(state.assoc[index])
     return "channel", index - n, int(state.chan[index - n])
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The cdf rng.choice(len(probs), p=probs / probs.sum()) searches: the
+    normalised cumulative sum, scaled to end at exactly 1 (np.add.reduce
+    and np.add.accumulate are the ufunc loops of ndarray.sum and cumsum)."""
+    cdf = np.add.accumulate(probs / np.add.reduce(probs))
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _sample_index(probs: np.ndarray, uniform: float) -> int:
     """rng.choice(len(probs), p=probs / probs.sum()) without its argument
     checks, given the one uniform draw rng.choice would make: the same
     inverse-CDF arithmetic, so the same index."""
-    cdf = (probs / probs.sum()).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(uniform, side="right"))
+    return int(_cdf(probs).searchsorted(uniform, side="right"))
+
+
+# n -> the cdf _sample_index builds over n equal finite values
+_EQUAL_CDFS: dict[int, np.ndarray] = {}
+
+
+def _equal_cdf(n: int) -> np.ndarray:
+    """The cdf of the softmax of n equal finite values. Every gap to the max
+    is 0.0, so every exp is 1.0 at any T > 0: the cdf depends on neither the
+    value nor T, and is computed once per n."""
+    cdf = _EQUAL_CDFS.get(n)
+    if cdf is None:
+        cdf = _EQUAL_CDFS[n] = _cdf(softmax_probabilities(np.zeros(n), 1.0))
+    return cdf
 
 
 def gibbs_step(
@@ -183,21 +205,39 @@ def gibbs_step(
     best, u the current target's value, count as tied and the lowest target
     wins, and the mover stays unless the best beats u by more than that
     margin, so float noise between equal energies never makes a move.
+
+    Two kinds of step are decided without that work, with the same outcome:
+
+    * A mover with one target stays. In a feasible state the current target
+      is usable, so it is the one; the softmax of one value is [1.0], whose
+      cdf puts every uniform in [0, 1) on index 0, and at T = 0 the best is
+      the current value, which the margin keeps.
+    * A clientless radio changes no one's energy on any channel, so its
+      values are C copies of U. At T > 0 it draws its channel from
+      _equal_cdf(C), the cdf the draw would build from them; at T = 0 the
+      margin keeps the current channel. channel_candidates is not called.
     """
     kind, idx, current = _mover(state, t, rng if policy.selection == "random" else None)
-    if kind == "channel":
-        targets, values = state.channel_candidates(idx)
-    elif policy.kind == "dp-approx":
+    if kind == "association" and policy.kind == "dp-approx":
         targets, values = state.association_scores_approx(idx)
-    else:
+    elif kind == "association":
         targets, values = state.association_candidates(idx)
+    elif state.w_ap[idx]:
+        targets, values = state.channel_candidates(idx)
+    else:  # a clientless radio: C equal values, none evaluated
+        targets = None
     temperature = None if policy.kind == "greedy" else policy.schedule.temperature(t)
     uniform = rng.random()
-    if temperature:
+    if targets is None:
+        choice = current if not temperature \
+            else int(_equal_cdf(state.net.n_channels).searchsorted(uniform, side="right"))
+    elif targets.size == 1:
+        choice = current
+    elif temperature:
         probs = softmax_probabilities(values, temperature)
         choice = int(targets[_sample_index(probs, uniform)])
     else:
-        best, u_cur = values.max(), values[targets.searchsorted(current)]
+        best, u_cur = np.maximum.reduce(values), values[targets.searchsorted(current)]
         margin = 1e-12 * max(1.0, abs(u_cur))
         choice = current if best - u_cur <= margin \
             else int(targets[np.argmax(values >= best - margin)])

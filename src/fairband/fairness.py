@@ -86,12 +86,16 @@ def _t_term(w, z):
 def _load_change(w, z, shift):
     """_t_term(w, z + shift) - _t_term(w, z): the change of a term when its
     neighbourhood load grows by shift. An entry with w = inf has no rest
-    part and gives psi(z) - psi(z + shift)."""
-    moved = z + shift
-    rest = np.maximum(z - w, 0.0)
-    rest_moved = np.maximum(moved - w, 0.0)
-    return (xlogy(rest_moved, rest_moved) - xlogy(rest, rest)
-            + xlogy(z, z) - xlogy(moved, moved))
+    part and gives psi(z) - psi(z + shift).
+
+    The loads after and before the change, z + shift and z, are the two rows
+    of one (2, n) stack, so the rests and the psi of both take one xlogy
+    each; every entry is the same arithmetic as on the rows apart, so the
+    result is the same bit for bit."""
+    loads = np.array((z + shift, z))
+    rests = np.maximum(loads - w, 0.0)
+    psi_rest, psi_load = xlogy(rests, rests), xlogy(loads, loads)
+    return psi_rest[0] - psi_rest[1] + psi_load[1] - psi_load[0]
 
 
 def _allocation_vectors(network: Network, config: Configuration, alloc: Allocation):
@@ -233,19 +237,23 @@ class SystemState:
     scheme; the link term ``b_term``; and the energy ``_u``, summed from them
     in the order ``energy`` has always used, so ``energy()`` is a lookup. Kept
     until a channel move changes the neighbour lists: each evaluated client's
-    reachable radios, its log rates to them and their lists (``_reach``), each
-    evaluated radio's old and new neighbourhoods (``_channel_frame``) and the
-    server scheme's contention lists (``_edges``, read through
-    ``_contention``).
+    reachable radios, its log rates to them and their lists (``_reach``) and
+    what association_candidates reads there of the client's own radio
+    (``_homes``, also rebuilt when that radio changes), each evaluated
+    radio's old and new neighbourhoods (``_channel_frame``) and the server
+    scheme's contention lists (``_edges``, read through ``_contention``).
 
     A move changes z only on the neighbourhoods of the radios it touches:
     N(a) and N(b) when a client moves from radio a to b, the old and the new
     neighbourhood of a radio that changes channel. ``_update`` recomputes z
     and the energy terms there, with the same bincount over the same
     neighbour lists in the same order as a fresh state, and leaves every
-    other entry alone. So the maintained arrays equal those of a fresh state
-    bit for bit, and no error can build up over a chain. All arrays are
-    indexed in network order.
+    other entry alone. A clientless radio that changes channel changes only
+    its own z: its load is 0.0, and adding or removing 0.0 leaves every
+    other z as it is, bit for bit, while its own energy term is 0 on any
+    channel (see apply_channel). So the maintained arrays equal those of a
+    fresh state bit for bit, and no error can build up over a chain. All
+    arrays are indexed in network order.
     """
 
     def __init__(self, network: Network, scheme: str, assoc: np.ndarray, chan: np.ndarray):
@@ -266,6 +274,9 @@ class SystemState:
         # client i -> _reach(i) and radio v (as ~v) -> _channel_frame(v); they
         # depend only on the channels and are dropped on a channel move
         self._frames = {}
+        # client i -> what association_candidates reads of its radio a (see
+        # there); dropped on a channel move, rebuilt when a changes
+        self._homes = {}
         self.z = np.zeros(network.n_vaps)
         if scheme == SCHEME_SERVER:
             self._psi_w = np.zeros(network.n_vaps)
@@ -295,12 +306,12 @@ class SystemState:
         the given radios, themselves included, ascending within each radio."""
         return _entries(self.same_ch_adj.take(radios, axis=0))
 
-    def _update(self, touched: np.ndarray, loads: bool = True, links: bool = True):
+    def _update(self, touched: np.ndarray, loads: bool = True):
         """Bring the state up to date after a move that changed z only on the
-        radios marked in touched (a bool mask): z and the energy terms there,
-        and the totals. loads: the move changed w_ap (an association move);
-        links: it changed some client's link (_log_b_clients is already up to
-        date)."""
+        radios marked in touched (a bool mask), and some client's link
+        (_log_b_clients is already up to date): z and the energy terms
+        there, and the totals. loads: the move changed w_ap (an association
+        move). The sums call np.add.reduce, the ufunc loop of ndarray.sum."""
         net = self.net
         radios = touched.nonzero()[0]
         if loads:
@@ -312,23 +323,22 @@ class SystemState:
             w = self.w_ap[radios]
             if loads:
                 self._psi_w[radios] = xlogy(w, w)
-                self._sched = net.sum_w_log_w - float(self._psi_w.sum())
+                self._sched = net.sum_w_log_w - float(np.add.reduce(self._psi_w))
             rest = np.maximum(z - w, 0.0)
             # _f_term(w, z), with the psi(w) already at hand
             self._f[radios] = self._psi_w[radios] + xlogy(rest, rest) - xlogy(z, z)
         else:
             clients = touched[self.assoc].nonzero()[0]
             self._f[clients] = _f_term(net.weights[clients], self.z[self.assoc[clients]])
-        if links:
-            # a zero-rate link makes the sum -inf (weights are positive)
-            self.b_term = float((net.weights * self._log_b_clients).sum())
-            self.feasible = self.b_term > -math.inf
+        # a zero-rate link makes the sum -inf (weights are positive)
+        self.b_term = float(np.add.reduce(net.weights * self._log_b_clients))
+        self.feasible = self.b_term > -math.inf
         if not self.feasible:
             self._u = -math.inf
         elif self.scheme == SCHEME_SERVER:
-            self._u = self.b_term + self._sched + float(self._f.sum())
+            self._u = self.b_term + self._sched + float(np.add.reduce(self._f))
         else:
-            self._u = self.b_term + float(self._f.sum())
+            self._u = self.b_term + float(np.add.reduce(self._f))
 
     def apply_association(self, client: int, target_vap: int):
         adj = self.same_ch_adj
@@ -339,6 +349,11 @@ class SystemState:
         self._update(touched)
 
     def apply_channel(self, vap: int, target_channel: int):
+        """Move the radio to the target channel. A clientless radio changes
+        only its own z: its load is 0.0, so every neighbour's z, the link
+        terms and every energy term stay as they are bit for bit (its own
+        server term is psi(0) + psi(z) - psi(z) = 0 on any channel, and no
+        client term reads its z), and so does the energy."""
         net = self.net
         adj = self.same_ch_adj
         self.chan[vap] = target_channel
@@ -354,11 +369,15 @@ class SystemState:
         adj[:, vap] = row
         self._edges = None
         self._frames.clear()
-        links = self.w_ap[vap] > 0  # the radio has clients, whose links changed
-        if links:
+        self._homes.clear()
+        if self.w_ap[vap]:  # the radio has clients, whose links changed
             members = (self.assoc == vap).nonzero()[0]
             self._log_b_clients[members] = self._on_links(log=True, clients=members)
-        self._update(touched, loads=False, links=links)
+            self._update(touched, loads=False)
+        else:
+            # z over the new neighbour list: a bincount keyed by the bool row
+            # adds its set entries in ascending order, as _update's does
+            self.z[vap] = np.bincount(row, weights=self.w_ap, minlength=2)[1]
 
     # -- energy -----------------------------------------------------------
 
@@ -427,7 +446,9 @@ class SystemState:
         is the full system energy with the client on targets[k], so
         differences of entries are exact energy deltas. On a feasible state
         every value is finite; on an infeasible one every value is -inf, which
-        is for evaluation, since the steps refuse such a state.
+        is for evaluation, since the steps refuse such a state. A client of a
+        feasible state that reaches one radio can only stay on its own: the
+        values are [U], read without evaluating anything.
 
         Closed form, evaluated only on the reachable radios F. With
         psi(x) = x log x, N(b) the same-channel neighbours of b (b included),
@@ -454,34 +475,56 @@ class SystemState:
 
         E is one bincount over the neighbour lists of F, and d, g and delta
         are evaluated only on those lists and on the clients of their radios:
-        the cost grows with the neighbourhood of F, not with V.
+        the cost grows with the neighbourhood of F, not with V. Kept in
+        ``_homes`` until a channel move or a change of the client's radio a:
+        the list entries that hold a and those that hold N(a), where the
+        leave-out loads of _without differ from w and z (client scheme: only
+        the latter, in the sorted list), the position of a in F and w_i lb.
         """
         net = self.net
         frame = self._reach(client)
         reach, lb, rows, nbrs, own = frame[:5]
         if not self.feasible:
             return reach, np.full(len(reach), -np.inf)
+        if reach.size == 1:
+            return reach, np.array([self._u])
         wi = net.weights[client]
+        a = self.assoc[client]
+        home = self._homes.get(client)
+        if home is None or home[0] != a:
+            server = self.scheme == SCHEME_SERVER
+            home = self._homes[client] = (
+                a,
+                nbrs == a if server else None,
+                self.same_ch_adj[a].take(nbrs if server else frame[5]),
+                reach.searchsorted(a),
+                lb * wi,
+            )
+        _, at_a, near_a, pos_a, link = home
         if self.scheme == SCHEME_SERVER:
-            w, z = self._without(client, nbrs)
+            w = self.w_ap[nbrs]  # w- and z-, as _without gathers them
+            w[at_a] = max(self.w_ap[a] - wi, 0.0)
             w[own] = np.inf  # a candidate's own entry is g_b alone
+            z = self.z[nbrs]
+            z[near_a] -= wi
             terms = _load_change(w, z, wi)
         else:
-            hood, slot, home = frame[5:]
+            hood, slot, own_slot = frame[5:]
             others, key = self._clients_at(hood, but=client)
-            z = self._without(client, hood)[1]
+            z = self.z[hood]
+            z[near_a] -= wi
             d = np.bincount(
                 key, weights=_load_change(net.weights[others], z[key], wi),
                 minlength=len(hood),
             )
-            zm = z[home]
+            zm = z[own_slot]
             zp = zm + wi
             terms = d[slot]
         e = np.bincount(rows, weights=terms, minlength=len(reach))
         if self.scheme == SCHEME_CLIENT:
             e += xlogy(zm, zm) - xlogy(zp, zp)
-        values = lb * wi + e
-        values += self._u - values[reach.searchsorted(self.assoc[client])]
+        values = link + e
+        values += self._u - values[pos_a]
         return reach, values
 
     def association_scores_approx(self, client: int) -> tuple[np.ndarray, np.ndarray]:
@@ -543,7 +586,9 @@ class SystemState:
         targets are all channels and every value is the current energy. On a
         feasible state every value is finite; on an infeasible one every value
         of a radio with clients is -inf, which is for evaluation, since the
-        steps refuse such a state.
+        steps refuse such a state. A radio of a feasible state with one
+        feasible channel can only stay on its own: the values are [U], read
+        without evaluating anything.
 
         U = b_term + sum_w_log_w + the sum of t(w, z) = psi(z - w) - psi(z)
         over radios (server scheme) or clients (client scheme). On another
@@ -570,6 +615,8 @@ class SystemState:
         targets = np.isfinite(links).nonzero()[0]
         if not self.feasible:
             return targets, np.full(len(targets), -np.inf)
+        if targets.size == 1:
+            return targets, np.array([self._u])
 
         here = self.chan[vap]
         load = self.w_ap[vap]

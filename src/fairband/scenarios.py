@@ -268,17 +268,34 @@ def _load_radio_model(raw) -> RadioModel:
         raise ScenarioError(f"radio_model: {exc}") from exc
 
 
+# the floats of YAML 1.2 that YAML 1.1 reads as strings: an exponent without
+# a decimal point or without a sign, such as 1e3 or 2.5e8
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
+
+
 class _Loader(yaml.SafeLoader):
-    """yaml.SafeLoader that also reads the floats of YAML 1.2 that YAML 1.1
-    reads as strings: an exponent without a decimal point or without a
-    sign, such as 1e3 or 2.5e8."""
+    """yaml.SafeLoader that also reads _EXPONENT_FLOAT as floats."""
 
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
+class _Dumper(yaml.SafeDumper):
+    """yaml.SafeDumper that knows _Loader's floats, so it quotes a string
+    such as "1e3" that _Loader would read back as a number."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
+                              list("-+0123456789."))
+_Dumper.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
+                              list("-+0123456789."))
+
+
+def _id(entry, where) -> str:
+    """The entry's id, which must be a string: an unquoted 007, 0x10 or 1e3
+    reads as a number whose text is lost, so it is refused, not converted."""
+    value = _require(entry, "id", where)
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where}.id: expected a string, got {value!r} "
+                            "(quote ids that YAML reads as other types)")
+    return value
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -308,7 +325,7 @@ def load_scenario(path: str | Path) -> Scenario:
             _at(
                 where,
                 Channel,
-                str(_require(ch, "id", where)),
+                _id(ch, where),
                 _number(_require(ch, "center_frequency_mhz", where),
                         where + ".center_frequency_mhz"),
                 _number(_require(ch, "bandwidth_mhz", where), where + ".bandwidth_mhz"),
@@ -323,7 +340,7 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"{where}.radios: expected a positive integer")
         aps.append(
             AccessPoint(
-                str(_require(ap, "id", where)),
+                _id(ap, where),
                 _point(_require(ap, "position", where), where + ".position"),
                 radio_count=radios,
             )
@@ -339,7 +356,7 @@ def load_scenario(path: str | Path) -> Scenario:
                 _at(
                     where,
                     Client,
-                    str(_require(cl, "id", where)),
+                    _id(cl, where),
                     _point(_require(cl, "position", where), where + ".position"),
                     weight=weight,
                 )
@@ -420,7 +437,8 @@ def _scenario_dict(s: Scenario) -> dict:
 
 
 def save_scenario(path: str | Path, scenario: Scenario):
-    Path(path).write_text(yaml.safe_dump(_scenario_dict(scenario), sort_keys=False))
+    Path(path).write_text(yaml.dump(_scenario_dict(scenario), Dumper=_Dumper,
+                                    sort_keys=False))
 
 
 # -- result files -------------------------------------------------------------

@@ -20,7 +20,7 @@ from fairband import (
     run,
     softmax_probabilities,
 )
-from fairband.annealing import MAX_REDRAWS, _sample_index, gibbs_step
+from fairband.annealing import MAX_REDRAWS, _equal_cdf, _sample_index, gibbs_step
 from conftest import dense_candidates, dense_reference, random_network, random_state, rel
 
 
@@ -117,6 +117,19 @@ def test_inverse_cdf_draw_matches_generator_choice():
         assert _sample_index(probs, ours.random()) == \
             int(numpy_.choice(n, p=probs / probs.sum()))
         assert ours.random() == numpy_.random()
+
+
+def test_equal_cdf_is_the_draw_arithmetic_on_equal_values():
+    # a clientless radio draws its channel from the cached cdf; it must be
+    # the cdf Generator.choice builds from the softmax of any n equal finite
+    # values at any T > 0, bit for bit
+    for n in range(1, 13):
+        for temperature in (5e-324, 1e-3, 0.37, 1.0, 50.0):
+            for u in (-1e6, 0.0, 7.48):
+                probs = softmax_probabilities(np.full(n, u), temperature)
+                cdf = (probs / probs.sum()).cumsum()
+                cdf /= cdf[-1]
+                assert _equal_cdf(n).tobytes() == cdf.tobytes()
 
 
 def _masked_softmax(values, temperature, feasible):

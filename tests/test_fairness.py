@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from fairband import (
     AccessPoint,
@@ -13,14 +14,17 @@ from fairband import (
     Client,
     Configuration,
     Network,
+    OptimizerPolicy,
+    Schedule,
     SystemState,
     oracle_energy,
     slot_monte_carlo,
     throughput,
 )
-from fairband.annealing import softmax_probabilities
+from fairband.annealing import _sample_index, gibbs_step, softmax_probabilities
 from fairband.fairness import (
     _contention_entries,
+    _load_change,
     _same_channel_adjacency,
     _slot_rates,
 )
@@ -393,6 +397,8 @@ def _assert_state_equals_fresh(state, rates=True):
     assert np.array_equal(state._log_b_clients, fresh._log_b_clients)
     assert np.array_equal(state.w_ap, fresh.w_ap)
     assert np.array_equal(state.z, fresh.z)
+    assert np.array_equal(state._f, fresh._f)
+    assert state.b_term == fresh.b_term
     assert state.energy() == fresh.energy()
     if not rates:
         return
@@ -478,6 +484,128 @@ def test_moves_keep_the_state_equal_to_a_fresh_one_and_the_oracle(
         # rates now and then, so the neighbour lists rates() keeps outlive
         # some moves
         _assert_state_equals_fresh(state, rates=rng.random() < 0.4)
+
+
+class _Uniform:
+    """A stand-in Generator whose one draw is the given uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _full_path_choice(state, kind, mover, policy, temperature):
+    """The target the whole step arithmetic picks from a fresh copy of the
+    state (no caches): every candidate evaluated, then the softmax draw at
+    T > 0, or greedy's margin rule at T = 0."""
+    fresh = SystemState(state.net, state.scheme, state.assoc, state.chan)
+    if kind == "channel":
+        targets, values = fresh.channel_candidates(mover)
+        current = int(state.chan[mover])
+    elif policy.kind == "dp-approx":
+        targets, values = fresh.association_scores_approx(mover)
+        current = int(state.assoc[mover])
+    else:
+        targets, values = fresh.association_candidates(mover)
+        current = int(state.assoc[mover])
+
+    def choose(u):
+        if temperature:
+            return int(targets[_sample_index(softmax_probabilities(values, temperature), u)])
+        best, u_cur = values.max(), values[targets.tolist().index(current)]
+        margin = 1e-12 * max(1.0, abs(u_cur))
+        return current if best - u_cur <= margin \
+            else int(targets[np.argmax(values >= best - margin)])
+
+    return choose, len(targets)
+
+
+_STEP_POLICIES = [("greedy", None)] + [
+    (kind, temperature) for kind in ("dp-exact", "dp-approx")
+    for temperature in (0.0, 1e-3, 0.4, 3.0)
+]
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_determined_steps_pick_the_full_path_target(rng, scheme):
+    # movers with one target and clientless radios skip the evaluation or the
+    # draw; at every temperature and uniform the step must still pick the
+    # target the full arithmetic picks, and leave a state equal to a fresh
+    # one. The chains run on one live state, so the association candidates'
+    # cached entries of the client's radio outlive some moves and are
+    # dropped by others.
+    uniforms = (0.0, 0.2, 0.5, 0.73, 1.0 - 2.0 ** -53)
+    seen = {"one target": 0, "clientless": 0, "moved clientless": 0}
+    for trial in range(4):
+        if trial % 2:
+            net = _network_with_far_clients(rng)
+        else:
+            net = random_network(rng, n_aps=6, n_clients=5, n_channels=3,
+                                 dyadic=False, max_radios=3)
+        state = random_state(net, rng, scheme)
+        m = net.n_clients + net.n_vaps
+        for t in range(1, 3 * m + 1):
+            kind = "association" if (t - 1) % m < net.n_clients else "channel"
+            mover = (t - 1) % m - (0 if kind == "association" else net.n_clients)
+            clientless = kind == "channel" and not (state.assoc == mover).any()
+            seen["clientless"] += clientless
+            for kind_of_policy, temperature in _STEP_POLICIES:
+                schedule = Schedule("const", temperature or 0.0)
+                policy = OptimizerPolicy(kind=kind_of_policy, scheme=scheme,
+                                         schedule=schedule)
+                choose, n_targets = _full_path_choice(state, kind, mover, policy,
+                                                      temperature)
+                seen["one target"] += n_targets == 1
+                for u in uniforms:
+                    trial_state = SystemState(net, scheme, state.assoc, state.chan)
+                    move, energy = gibbs_step(trial_state, t, policy, _Uniform(u))
+                    assert move.chosen == choose(u)
+                    assert energy == trial_state.energy()
+                    _assert_state_equals_fresh(trial_state, rates=False)
+            # advance the live state by one dp-exact step; its candidates,
+            # read through caches kept since earlier steps, equal a fresh
+            # state's bit for bit
+            if kind == "association":
+                fresh = SystemState(net, scheme, state.assoc, state.chan)
+                for got, want in zip(state.association_candidates(mover),
+                                     fresh.association_candidates(mover)):
+                    assert np.array_equal(got, want)
+            policy = OptimizerPolicy(scheme=scheme, schedule=Schedule("const", 0.4))
+            choose, _ = _full_path_choice(state, kind, mover, policy, 0.4)
+            u = float(rng.random())
+            move, energy = gibbs_step(state, t, policy, _Uniform(u))
+            assert move.chosen == choose(u)
+            seen["moved clientless"] += clientless and move.changed
+            _assert_state_equals_fresh(state, rates=t % 5 == 0)
+    assert min(seen.values()) > 0, seen
+
+
+def _load_change_unstacked(w, z, shift):
+    """_load_change with its four xlogy calls on the rows apart."""
+    moved = z + shift
+    rest = np.maximum(z - w, 0.0)
+    rest_moved = np.maximum(moved - w, 0.0)
+    return (xlogy(rest_moved, rest_moved) - xlogy(rest, rest)
+            + xlogy(z, z) - xlogy(moved, moved))
+
+
+def test_stacked_load_change_equals_the_unstacked_form(rng):
+    for _ in range(2000):
+        n = int(rng.integers(0, 40))
+        z = rng.uniform(0.0, 10.0, n) * 10.0 ** rng.uniform(-3, 3, n)
+        w = z * rng.uniform(0.0, 1.2, n)
+        w[rng.random(n) < 0.2] = np.inf
+        w[rng.random(n) < 0.2] = 0.0
+        if rng.random() < 0.5:
+            shift = float(rng.uniform(0.0, 5.0))
+        else:
+            shift = rng.uniform(-1.0, 1.0, n) * z
+        got = _load_change(w, z, shift)
+        want = _load_change_unstacked(w, z, shift)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("scheme", ["server", "client"])

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from fairband import (
     BUILTIN_NAMES,
+    AccessPoint,
+    Channel,
+    Client,
     OptimizerPolicy,
     ScenarioError,
     builtin,
@@ -216,6 +219,47 @@ def test_yaml_exponent_beyond_the_float_range_is_not_finite(tmp_path):
                  "clients:\n  - {id: c1, position: [10, 0]}\n")
     with pytest.raises(ScenarioError, match=r"^aps\[0\]\.position\[0\]: must be finite"):
         load_scenario(p)
+
+
+_TRICKY_IDS = ("1e3", "2.5e1", "007", "0x10", "true", "null", "1_000")
+
+
+def test_yaml_round_trip_keeps_ids_that_read_as_other_types(tmp_path):
+    # strings that YAML (or the loader's YAML 1.2 floats) reads as numbers,
+    # booleans or null are quoted on save and read back as the same strings
+    path = tmp_path / "ids.yaml"
+    micro = builtin("micro")
+    original = Scenario(
+        name="ids",
+        channels=tuple(Channel(k, c.center_frequency_mhz, c.bandwidth_mhz)
+                       for k, c in zip(_TRICKY_IDS, micro.channels)),
+        aps=tuple(AccessPoint(k, (40.0 * j, 0.0)) for j, k in enumerate(_TRICKY_IDS)),
+        clients=tuple(Client(k, (40.0 * j + 5.0, 0.0)) for j, k in enumerate(_TRICKY_IDS)),
+    )
+    save_scenario(path, original)
+    loaded = load_scenario(path)
+    assert [c.id for c in loaded.channels] == list(_TRICKY_IDS[:len(micro.channels)])
+    assert [a.id for a in loaded.aps] == list(_TRICKY_IDS)
+    assert [c.id for c in loaded.clients] == list(_TRICKY_IDS)
+    assert loaded.digest() == original.digest()
+
+
+@pytest.mark.parametrize("raw", _TRICKY_IDS)
+@pytest.mark.parametrize("field", ["channels", "aps", "clients"])
+def test_yaml_unquoted_non_string_id_names_the_field(tmp_path, raw, field):
+    ids = {"channels": "a", "aps": "ap0", "clients": "c1"}
+    ids[field] = raw
+    p = tmp_path / "ids.yaml"
+    p.write_text(
+        f"format: {SCENARIO_FORMAT}\nname: x\n"
+        f"channels:\n  - {{id: {ids['channels']}, center_frequency_mhz: 600, "
+        "bandwidth_mhz: 6}\n"
+        f"aps:\n  - {{id: {ids['aps']}, position: [0, 0]}}\n"
+        f"clients:\n  - {{id: {ids['clients']}, position: [10, 0]}}\n"
+    )
+    with pytest.raises(ScenarioError, match=rf"^{field}\[0\]\.id: expected a string"):
+        load_scenario(p)
+
 
 # field names of every level, so fuzzed mappings also reach nested checks
 _KEYS = st.sampled_from([
