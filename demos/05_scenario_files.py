@@ -4,9 +4,11 @@ Scenario files and reproducible results
 
 Scenarios round-trip through YAML, so an experiment can be pinned to a
 file and rerun byte-identically later. Region-based scenarios store the
-sampling rectangles plus a seed rather than materialized positions.
+sampling rectangles plus a seed rather than materialized positions. The
+demo exits with status 1 if a round trip changes a scenario's digest.
 """
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -34,8 +36,10 @@ with tempfile.TemporaryDirectory(prefix="fairband-demo-") as tmp:
     grid = builtin("grid16-unweighted", seed=99)
     grid_path = workdir / "grid16.yaml"
     save_scenario(grid_path, grid)
-    print(f"\nregion scenario reloads equal: "
-          f"{load_scenario(grid_path).digest() == grid.digest()}")
+    grid_equal = load_scenario(grid_path).digest() == grid.digest()
+    print(f"\nregion scenario reloads equal: {grid_equal}")
+    if reloaded.digest() != scenario.digest() or not grid_equal:
+        sys.exit("error: a scenario file round trip changed the digest")
 
     # run against the reloaded file and persist the result as JSON
     result = run(reloaded, OptimizerPolicy(kind="dp-exact", iterations=4000, seed=0))

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Configuration, Network, ScenarioError, _check_integer
+from .checks import check_integer
+from .model import Configuration, Network, ScenarioError
 from .fairness import SCHEME_SERVER, SystemState, _check_scheme
 
 POLICY_KINDS = ("dp-exact", "dp-approx", "greedy")
@@ -98,8 +99,8 @@ class OptimizerPolicy:
             # optimum by a whole unchanged sweep in that order
             raise ValueError("selection: greedy moves round-robin only")
         _check_scheme(self.scheme)
-        _check_integer("seed", self.seed, 0)
-        _check_integer("iterations", self.iterations, 0)
+        check_integer("seed", self.seed, 0)
+        check_integer("iterations", self.iterations, 0)
 
 
 class Move(NamedTuple):
@@ -349,7 +350,7 @@ def run(
     net = _coerce_network(scenario_or_network)
     iters = policy.iterations
     if record_every is not None:
-        _check_integer("record_every", record_every, 1)
+        check_integer("record_every", record_every, 1)
     cadence = record_every if record_every else max(1, iters // 100)
     rng = np.random.default_rng(policy.seed)
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .model import Configuration, Network, _check_integer
+from .checks import check_integer
+from .model import Configuration, Network
 
 SCHEME_SERVER = "server"
 SCHEME_CLIENT = "client"
@@ -238,7 +239,7 @@ class SystemState:
     in the order ``energy`` has always used, so ``energy()`` is a lookup. Kept
     until a channel move changes the neighbour lists: each evaluated client's
     reachable radios, its log rates to them and their lists (``_reach``) and
-    what association_candidates reads there of the client's own radio
+    what the association methods read there of the client's own radio
     (``_homes``, also rebuilt when that radio changes), each evaluated
     radio's old and new neighbourhoods (``_channel_frame``) and the server
     scheme's contention lists (``_edges``, read through ``_contention``).
@@ -274,8 +275,8 @@ class SystemState:
         # client i -> _reach(i) and radio v (as ~v) -> _channel_frame(v); they
         # depend only on the channels and are dropped on a channel move
         self._frames = {}
-        # client i -> what association_candidates reads of its radio a (see
-        # there); dropped on a channel move, rebuilt when a changes
+        # client i -> what the association methods read of its radio a (see
+        # _left_out); dropped on a channel move, rebuilt when a changes
         self._homes = {}
         self.z = np.zeros(network.n_vaps)
         if scheme == SCHEME_SERVER:
@@ -388,17 +389,31 @@ class SystemState:
 
     # -- candidate evaluation ----------------------------------------------
 
-    def _without(self, client: int, radios: np.ndarray):
-        """The loads w- and z- at the given radios with the client taken out
-        of the system: its radio's load loses its weight (floored at 0) and
-        so does the z of every neighbour of that radio."""
-        a = self.assoc[client]
+    def _left_out(self, client: int, frame: tuple):
+        """The loads w- and z- with the client taken out of the system, at
+        the entries of its frame's neighbour lists (client scheme: of their
+        sorted list, and no w-): its radio a's load loses its weight (floored
+        at 0) and so does the z of every neighbour of a. Also the client's
+        ``_homes`` entry, kept until a channel move or a change of a: a and
+        the entries that hold a and those that hold a neighbour of a, where
+        w- and z- differ from w and z (association_candidates appends what it
+        reads there)."""
         wi = self.net.weights[client]
-        w_minus = self.w_ap[radios]
-        w_minus[radios == a] = max(self.w_ap[a] - wi, 0.0)
-        z_minus = self.z[radios]
-        z_minus[self.same_ch_adj[a].take(radios)] -= wi
-        return w_minus, z_minus
+        a = self.assoc[client]
+        server = self.scheme == SCHEME_SERVER
+        entries = frame[3] if server else frame[5]
+        home = self._homes.get(client)
+        if home is None or home[0] != a:
+            home = self._homes[client] = (
+                a, entries == a if server else None, self.same_ch_adj[a].take(entries)
+            )
+        w = None
+        if server:
+            w = self.w_ap[entries]
+            w[home[1]] = max(self.w_ap[a] - wi, 0.0)
+        z = self.z[entries]
+        z[home[2]] -= wi
+        return w, z, home
 
     def _reach(self, client: int):
         """The radios the client reaches on the current channels (ascending),
@@ -475,11 +490,8 @@ class SystemState:
 
         E is one bincount over the neighbour lists of F, and d, g and delta
         are evaluated only on those lists and on the clients of their radios:
-        the cost grows with the neighbourhood of F, not with V. Kept in
-        ``_homes`` until a channel move or a change of the client's radio a:
-        the list entries that hold a and those that hold N(a), where the
-        leave-out loads of _without differ from w and z (client scheme: only
-        the latter, in the sorted list), the position of a in F and w_i lb.
+        the cost grows with the neighbourhood of F, not with V. w- and z-,
+        the position of a in F and w_i lb come from _left_out.
         """
         net = self.net
         frame = self._reach(client)
@@ -489,30 +501,16 @@ class SystemState:
         if reach.size == 1:
             return reach, np.array([self._u])
         wi = net.weights[client]
-        a = self.assoc[client]
-        home = self._homes.get(client)
-        if home is None or home[0] != a:
-            server = self.scheme == SCHEME_SERVER
-            home = self._homes[client] = (
-                a,
-                nbrs == a if server else None,
-                self.same_ch_adj[a].take(nbrs if server else frame[5]),
-                reach.searchsorted(a),
-                lb * wi,
-            )
-        _, at_a, near_a, pos_a, link = home
+        w, z, home = self._left_out(client, frame)
+        if len(home) == 3:  # the position of a in F and w_i lb, kept with it
+            home = self._homes[client] = home + (reach.searchsorted(home[0]), lb * wi)
+        pos_a, link = home[3:]
         if self.scheme == SCHEME_SERVER:
-            w = self.w_ap[nbrs]  # w- and z-, as _without gathers them
-            w[at_a] = max(self.w_ap[a] - wi, 0.0)
             w[own] = np.inf  # a candidate's own entry is g_b alone
-            z = self.z[nbrs]
-            z[near_a] -= wi
             terms = _load_change(w, z, wi)
         else:
             hood, slot, own_slot = frame[5:]
             others, key = self._clients_at(hood, but=client)
-            z = self.z[hood]
-            z[near_a] -= wi
             d = np.bincount(
                 key, weights=_load_change(net.weights[others], z[key], wi),
                 minlength=len(hood),
@@ -551,8 +549,8 @@ class SystemState:
         frame = self._reach(client)
         reach, lb, rows, nbrs, own = frame[:5]
         link = lb + math.log(wi)
+        w, z, _ = self._left_out(client, frame)
         if self.scheme == SCHEME_SERVER:
-            w, z = self._without(client, nbrs)
             zp = z + wi
             log_zp = np.log(zp)
             with np.errstate(divide="ignore"):
@@ -563,7 +561,6 @@ class SystemState:
             return reach, wi * (link + near)
         hood, slot, home = frame[5:]
         others, key = self._clients_at(hood, but=client)
-        z = self._without(client, hood)[1]
         zs_plus = z[key] + wi
         with np.errstate(divide="ignore"):
             rest = np.maximum(zs_plus - net.weights[others], 0.0)
@@ -752,8 +749,8 @@ def slot_monte_carlo(
     its schedule. Returns Mbps averaged over slots; slots is an integer
     >= 1 and seed an integer >= 0.
     """
-    _check_integer("slots", slots, 1)
-    _check_integer("seed", seed, 0)
+    check_integer("slots", slots, 1)
+    check_integer("seed", seed, 0)
     p, phi = _allocation_vectors(network, config, allocation)
     state = SystemState.from_configuration(network, config, allocation.scheme)
     assoc, rates_now = state.assoc, state._link_rates()

@@ -21,11 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .checks import ScenarioError, check_id, check_integer, check_numbers, check_positive
 from .radio import ChannelProfile, RadioModel, channel_profile
-
-
-class ScenarioError(ValueError):
-    """A scenario is malformed or cannot support any feasible configuration."""
 
 
 @dataclass(frozen=True)
@@ -35,9 +32,9 @@ class Channel:
     bandwidth_mhz: float
 
     def __post_init__(self):
-        for name in ("center_frequency_mhz", "bandwidth_mhz"):
-            if getattr(self, name) <= 0:
-                raise ScenarioError(f"{name}: must be positive (channel {self.id!r})")
+        check_id("id", self.id)
+        check_positive("center_frequency_mhz", self.center_frequency_mhz)
+        check_positive("bandwidth_mhz", self.bandwidth_mhz)
 
 
 @dataclass(frozen=True)
@@ -47,8 +44,9 @@ class AccessPoint:
     radio_count: int = 1
 
     def __post_init__(self):
-        if self.radio_count < 1:
-            raise ScenarioError(f"ap {self.id!r}: radio_count must be at least 1")
+        check_id("id", self.id)
+        check_numbers("position", self.position, 2, "[x, y]")
+        check_integer("radio_count", self.radio_count, 1, ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,9 @@ class Client:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not self.weight > 0:
-            raise ScenarioError(f"weight: must be positive (client {self.id!r})")
+        check_id("id", self.id)
+        check_numbers("position", self.position, 2, "[x, y]")
+        check_positive("weight", self.weight)
 
 
 @dataclass
@@ -339,14 +338,6 @@ def _pairs(a: np.ndarray, b: np.ndarray, r: float):
     rows, cols, dist = np.concatenate(rows), np.concatenate(cols), np.concatenate(dist)
     order = np.lexsort((cols, rows))
     return rows[order], cols[order], dist[order]
-
-
-def _check_integer(name: str, value, minimum: int):
-    """Raise ValueError naming the field unless value is an integer (not a
-    bool) no smaller than minimum."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < minimum:
-        raise ValueError(f"{name}: expected an integer >= {minimum}, got {value!r}")
 
 
 def _check_unique(kind: str, ids: list[str]):

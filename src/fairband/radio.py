@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .checks import ScenarioError, check_positive
+
 if TYPE_CHECKING:
     from .model import Channel
 
@@ -49,22 +51,31 @@ class RadioModel:
     carrier_sense_factor: float = 23.42
 
     def __post_init__(self):
+        for name in ("path_loss_alpha", "base_frequency_mhz", "base_bandwidth_mhz",
+                     "carrier_sense_factor"):
+            check_positive(name, getattr(self, name))
         if self.path_loss_alpha <= 2.0:
-            raise ValueError("path_loss_alpha must exceed 2")
-        if self.base_frequency_mhz <= 0 or self.base_bandwidth_mhz <= 0:
-            raise ValueError("base frequency and bandwidth must be positive")
-        if self.carrier_sense_factor <= 0:
-            raise ValueError("carrier_sense_factor must be positive")
-        if not self.base_tiers:
-            raise ValueError("at least one rate tier is required")
-        rates = [t.rate_mbps for t in self.base_tiers]
-        ranges = [t.range_m for t in self.base_tiers]
-        if any(r <= 0 for r in rates) or any(d <= 0 for d in ranges):
-            raise ValueError("tier rates and ranges must be positive")
-        if any(a <= b for a, b in zip(rates, rates[1:])):
-            raise ValueError("tier rates must be strictly decreasing")
-        if any(a >= b for a, b in zip(ranges, ranges[1:])):
-            raise ValueError("tier ranges must be strictly increasing")
+            raise ScenarioError("path_loss_alpha: must exceed 2")
+        tiers = self.base_tiers
+        if not isinstance(tiers, (tuple, list)) or not tiers:
+            raise ScenarioError(f"base_tiers: expected a non-empty list of rate tiers, "
+                                f"got {tiers!r}")
+        # a tier may be given as a pair (rate_mbps, range_m)
+        checked = []
+        for k, tier in enumerate(tiers):
+            where = f"base_tiers[{k}]"
+            if not isinstance(tier, RateTier):
+                if not isinstance(tier, (tuple, list)) or len(tier) != 2:
+                    raise ScenarioError(f"{where}: expected [rate_mbps, range_m], got {tier!r}")
+                tier = RateTier(*tier)
+            check_positive(where + ".rate_mbps", tier.rate_mbps)
+            check_positive(where + ".range_m", tier.range_m)
+            if checked and tier.rate_mbps >= checked[-1].rate_mbps:
+                raise ScenarioError(f"{where}.rate_mbps: tier rates must be strictly decreasing")
+            if checked and tier.range_m <= checked[-1].range_m:
+                raise ScenarioError(f"{where}.range_m: tier ranges must be strictly increasing")
+            checked.append(tier)
+        object.__setattr__(self, "base_tiers", tuple(checked))
 
     def base_interference_range(self) -> float:
         """Carrier-sense distance on the reference channel, in whole meters.

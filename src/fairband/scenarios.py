@@ -15,12 +15,13 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 import yaml
 
-from .model import AccessPoint, Channel, Client, Network, ScenarioError
+from .checks import ScenarioError, check_integer, check_numbers, check_positive
+from .model import AccessPoint, Channel, Client, Network
 from .radio import RadioModel
 
 if TYPE_CHECKING:
@@ -38,15 +39,14 @@ class ClientRegion:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ScenarioError("count: must be positive")
+        check_integer("count", self.count, 1, ScenarioError)
+        check_numbers("rect", self.rect, 4, "[xmin, ymin, xmax, ymax]")
         xmin, ymin, xmax, ymax = self.rect
         if xmax < xmin or ymax < ymin:
             raise ScenarioError(f"rect: {self.rect} is inverted")
         if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
             raise ScenarioError(f"rect: {self.rect} must have a finite width and height")
-        if self.weight <= 0:
-            raise ScenarioError("weight: must be positive")
+        check_positive("weight", self.weight)
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,10 @@ class Scenario:
     radio_model: RadioModel = field(default_factory=RadioModel)
 
     def __post_init__(self):
-        seed = self.seed
-        if seed is not None and (
-            isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0
-        ):
-            raise ScenarioError(f"seed: expected a non-negative integer, got {seed!r}")
+        if not isinstance(self.name, str) or not self.name:
+            raise ScenarioError(f"name: expected a non-empty string, got {self.name!r}")
+        if self.seed is not None:
+            check_integer("seed", self.seed, 0, ScenarioError)
         if (self.clients is None) == (self.regions is None):
             raise ScenarioError("clients: give exactly one of clients or regions")
         if self.regions is not None and self.seed is None:
@@ -75,14 +74,12 @@ class Scenario:
             return self.clients
         rng = np.random.default_rng(self.seed)
         out: list[Client] = []
-        k = 0
         for region in self.regions:
             xmin, ymin, xmax, ymax = region.rect
-            for _ in range(region.count):
-                k += 1
-                x = rng.uniform(xmin, xmax)
-                y = rng.uniform(ymin, ymax)
-                out.append(Client(f"c{k:02d}", (x, y), region.weight))
+            # one draw per region, x then y for each client in turn
+            points = rng.uniform((xmin, ymin), (xmax, ymax), size=(region.count, 2))
+            for x, y in points.tolist():
+                out.append(Client(f"c{len(out) + 1:02d}", (x, y), region.weight))
         return tuple(out)
 
     def to_network(self) -> Network:
@@ -208,64 +205,165 @@ def builtin(name: str, seed: int | None = None) -> Scenario:
 # -- YAML files ---------------------------------------------------------------
 
 
-def _require(mapping, key, where):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ScenarioError(f"{where}: missing required field {key!r}")
-    return mapping[key]
+# The file format is a table: a section lists, for each of its keys, the
+# constructor argument it fills, how the file's value is read into that
+# argument and how the attribute is written back. The objects check every
+# value; the reader checks only the shape of the file (lists of mappings,
+# known keys, required keys present) and builds each object under _at, so its
+# error names the path. A key that is left out or null takes the default of
+# its argument; an argument without a default is required.
 
 
-def _mappings(value, field) -> list[dict]:
-    """A list of mappings, each entry checked so errors name it."""
-    if not isinstance(value, list):
-        raise ScenarioError(f"{field}: expected a list")
-    for k, entry in enumerate(value):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{field}[{k}]: expected a mapping")
+class _Field(NamedTuple):
+    key: str
+    read: Callable  # (file value, its path) -> constructor argument
+    write: Callable  # attribute -> file value
+    arg: str  # the constructor argument and attribute
+    sparse: bool  # written only when it differs from the default
+
+
+def _same(value, where=None):
     return value
 
 
-def _number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where}: expected a number, got {value!r}")
+def _float(value, where=None):
+    """A YAML int as a float, as files' numbers are read; anything else as
+    it is, for the object to check (an int beyond the float range too)."""
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    return value
+
+
+def _floats(value, where=None):
+    return tuple(map(_float, value)) if isinstance(value, list) else value
+
+
+def _tiers(value, where=None):
+    return [_floats(t) for t in value] if isinstance(value, list) else value
+
+
+_AS_IS = (_same, _same)
+_NUMBER = (_float, _same)
+_NUMBER_LIST = (_floats, list)
+_TIERS = (_tiers, lambda tiers: [[t.rate_mbps, t.range_m] for t in tiers])
+
+
+def _f(key, shape, arg=None, sparse=False) -> _Field:
+    return _Field(key, *shape, arg or key, sparse)
+
+
+def _defaults(cls) -> dict:
+    """The constructor arguments of the dataclass cls that have a default,
+    with that default."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        if f.default is not dataclasses.MISSING:
+            out[f.name] = f.default
+        elif f.default_factory is not dataclasses.MISSING:
+            out[f.name] = f.default_factory()
+    return out
+
+
+def _at(where: str, make, renames: dict, kwargs: dict):
+    """make(**kwargs), with where prefixed to the field named by the
+    ScenarioError it raises, and that field's file key in place of its
+    argument's name."""
     try:
-        x = float(value)
-    except OverflowError:  # an int beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ScenarioError(f"{where}: must be finite")
-    return x
-
-
-def _point(value, where) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ScenarioError(f"{where}: expected [x, y]")
-    return (_number(value[0], where + "[0]"), _number(value[1], where + "[1]"))
-
-
-def _at(where: str, make, *args, **kwargs):
-    """make(*args, **kwargs), with where prefixed to the field named by the
-    ScenarioError it raises."""
-    try:
-        return make(*args, **kwargs)
+        return make(**kwargs)
     except ScenarioError as exc:
-        raise ScenarioError(f"{where}.{exc}") from None
+        msg = str(exc)
+        head = re.match(r"\w*", msg).group()
+        msg = renames.get(head, head) + msg[len(head):]
+        raise ScenarioError(f"{where}.{msg}" if where else msg) from None
 
 
-def _load_radio_model(raw) -> RadioModel:
-    if raw is None:
-        return RadioModel()
+def _read(cls, fields, raw, where: str, label: str | None = None):
+    """cls built from the file's mapping raw at path where (label names it
+    in errors; default where)."""
+    label = label or where
     if not isinstance(raw, dict):
-        raise ScenarioError("radio_model: expected a mapping")
-    known = {"path_loss_alpha", "base_frequency_mhz", "base_bandwidth_mhz",
-             "carrier_sense_factor"}
-    unknown = set(raw) - known
+        raise ScenarioError(f"{label}: expected a mapping")
+    unknown = set(raw) - {f.key for f in fields}
     if unknown:
-        raise ScenarioError(f"radio_model: unknown fields {sorted(map(str, unknown))}")
-    kwargs = {k: _number(v, f"radio_model.{k}") for k, v in raw.items()}
-    try:
-        return RadioModel(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"radio_model: {exc}") from exc
+        raise ScenarioError(f"{label}: unknown fields {sorted(map(str, unknown))}")
+    defaults = _defaults(cls)
+    kwargs = {}
+    for f in fields:
+        value = raw.get(f.key)
+        if value is None and f.arg in defaults:
+            continue
+        if f.key not in raw:
+            raise ScenarioError(f"{label}: missing required field {f.key!r}")
+        kwargs[f.arg] = f.read(value, f"{where}.{f.key}" if where else f.key)
+    return _at(where, cls, {f.arg: f.key for f in fields}, kwargs)
+
+
+def _write(obj, fields) -> dict:
+    defaults = _defaults(type(obj))
+    out = {}
+    for f in fields:
+        value = getattr(obj, f.arg)
+        if not (f.sparse and value == defaults[f.arg]):
+            out[f.key] = f.write(value)
+    return out
+
+
+def _section(cls, fields, many: bool):
+    """The shape of a section of cls objects read by fields: a list of
+    mappings (many) or one mapping."""
+    if not many:
+        return (lambda raw, where: _read(cls, fields, raw, where),
+                lambda obj: _write(obj, fields))
+
+    def read(raw, where):
+        if not isinstance(raw, list):
+            raise ScenarioError(f"{where}: expected a list")
+        return tuple(_read(cls, fields, entry, f"{where}[{k}]")
+                     for k, entry in enumerate(raw))
+
+    return read, lambda objs: [_write(obj, fields) for obj in objs]
+
+
+_CHANNELS = _section(Channel, (
+    _f("id", _AS_IS),
+    _f("center_frequency_mhz", _NUMBER),
+    _f("bandwidth_mhz", _NUMBER),
+), many=True)
+_APS = _section(AccessPoint, (
+    _f("id", _AS_IS),
+    _f("position", _NUMBER_LIST),
+    _f("radios", _AS_IS, arg="radio_count"),
+), many=True)
+_CLIENTS = _section(Client, (
+    _f("id", _AS_IS),
+    _f("position", _NUMBER_LIST),
+    _f("weight", _NUMBER),
+), many=True)
+_REGIONS = _section(ClientRegion, (
+    _f("count", _AS_IS),
+    _f("rect", _NUMBER_LIST),
+    _f("weight", _NUMBER),
+), many=True)
+_RADIO_MODEL = _section(RadioModel, (
+    _f("path_loss_alpha", _NUMBER),
+    _f("base_frequency_mhz", _NUMBER),
+    _f("base_bandwidth_mhz", _NUMBER),
+    _f("carrier_sense_factor", _NUMBER),
+    _f("base_tiers", _TIERS, sparse=True),
+), many=False)
+# the top level, after its format key
+_SCENARIO = (
+    _f("name", _AS_IS),
+    _f("channels", _CHANNELS),
+    _f("aps", _APS),
+    _f("clients", _CLIENTS, sparse=True),
+    _f("regions", _REGIONS, sparse=True),
+    _f("seed", _AS_IS, sparse=True),
+    _f("radio_model", _RADIO_MODEL, sparse=True),
+)
 
 
 # the floats of YAML 1.2 that YAML 1.1 reads as strings: an exponent without
@@ -288,16 +386,6 @@ _Dumper.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT,
                               list("-+0123456789."))
 
 
-def _id(entry, where) -> str:
-    """The entry's id, which must be a string: an unquoted 007, 0x10 or 1e3
-    reads as a number whose text is lost, so it is refused, not converted."""
-    value = _require(entry, "id", where)
-    if not isinstance(value, str):
-        raise ScenarioError(f"{where}.id: expected a string, got {value!r} "
-                            "(quote ids that YAML reads as other types)")
-    return value
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Read a scenario file, raising ScenarioError with the offending field
     path on malformed input."""
@@ -308,132 +396,16 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: expected a mapping at top level")
-    fmt = raw.get("format")
+    fmt = raw.pop("format", None)
     if fmt != SCENARIO_FORMAT:
         raise ScenarioError(
             f"{path}: format is {fmt!r}, this reader understands {SCENARIO_FORMAT!r}"
         )
-
-    name = _require(raw, "name", str(path))
-    if not isinstance(name, str) or not name:
-        raise ScenarioError("name: expected a non-empty string")
-
-    channels = []
-    for k, ch in enumerate(_mappings(_require(raw, "channels", str(path)), "channels")):
-        where = f"channels[{k}]"
-        channels.append(
-            _at(
-                where,
-                Channel,
-                _id(ch, where),
-                _number(_require(ch, "center_frequency_mhz", where),
-                        where + ".center_frequency_mhz"),
-                _number(_require(ch, "bandwidth_mhz", where), where + ".bandwidth_mhz"),
-            )
-        )
-
-    aps = []
-    for k, ap in enumerate(_mappings(_require(raw, "aps", str(path)), "aps")):
-        where = f"aps[{k}]"
-        radios = ap.get("radios", 1)
-        if type(radios) is not int or radios < 1:  # bool is not a count
-            raise ScenarioError(f"{where}.radios: expected a positive integer")
-        aps.append(
-            AccessPoint(
-                _id(ap, where),
-                _point(_require(ap, "position", where), where + ".position"),
-                radio_count=radios,
-            )
-        )
-
-    clients = None
-    if "clients" in raw and raw["clients"] is not None:
-        clients = []
-        for k, cl in enumerate(_mappings(raw["clients"], "clients")):
-            where = f"clients[{k}]"
-            weight = _number(cl.get("weight", 1.0), where + ".weight")
-            clients.append(
-                _at(
-                    where,
-                    Client,
-                    _id(cl, where),
-                    _point(_require(cl, "position", where), where + ".position"),
-                    weight=weight,
-                )
-            )
-        clients = tuple(clients)
-
-    regions = None
-    if "regions" in raw and raw["regions"] is not None:
-        regions = []
-        for k, rg in enumerate(_mappings(raw["regions"], "regions")):
-            where = f"regions[{k}]"
-            count = _require(rg, "count", where)
-            if type(count) is not int or count < 1:
-                raise ScenarioError(f"{where}.count: expected a positive integer")
-            rect = _require(rg, "rect", where)
-            if not isinstance(rect, (list, tuple)) or len(rect) != 4:
-                raise ScenarioError(f"{where}.rect: expected [xmin, ymin, xmax, ymax]")
-            regions.append(
-                _at(
-                    where,
-                    ClientRegion,
-                    count,
-                    tuple(_number(v, f"{where}.rect[{j}]") for j, v in enumerate(rect)),
-                    weight=_number(rg.get("weight", 1.0), where + ".weight"),
-                )
-            )
-        regions = tuple(regions)
-
-    return Scenario(
-        name=name,
-        channels=tuple(channels),
-        aps=tuple(aps),
-        clients=clients,
-        regions=regions,
-        seed=raw.get("seed"),
-        radio_model=_load_radio_model(raw.get("radio_model")),
-    )
+    return _read(Scenario, _SCENARIO, raw, "", str(path))
 
 
 def _scenario_dict(s: Scenario) -> dict:
-    out: dict = {
-        "format": SCENARIO_FORMAT,
-        "name": s.name,
-        "channels": [
-            {
-                "id": c.id,
-                "center_frequency_mhz": c.center_frequency_mhz,
-                "bandwidth_mhz": c.bandwidth_mhz,
-            }
-            for c in s.channels
-        ],
-        "aps": [
-            {"id": a.id, "position": list(a.position), "radios": a.radio_count}
-            for a in s.aps
-        ],
-    }
-    if s.clients is not None:
-        out["clients"] = [
-            {"id": c.id, "position": list(c.position), "weight": c.weight}
-            for c in s.clients
-        ]
-    if s.regions is not None:
-        out["regions"] = [
-            {"count": r.count, "rect": list(r.rect), "weight": r.weight}
-            for r in s.regions
-        ]
-    if s.seed is not None:
-        out["seed"] = s.seed
-    default_model = RadioModel()
-    if s.radio_model != default_model:
-        out["radio_model"] = {
-            "path_loss_alpha": s.radio_model.path_loss_alpha,
-            "base_frequency_mhz": s.radio_model.base_frequency_mhz,
-            "base_bandwidth_mhz": s.radio_model.base_bandwidth_mhz,
-            "carrier_sense_factor": s.radio_model.carrier_sense_factor,
-        }
-    return out
+    return {"format": SCENARIO_FORMAT, **_write(s, _SCENARIO)}
 
 
 def save_scenario(path: str | Path, scenario: Scenario):

@@ -265,18 +265,28 @@ def test_weight_aggregates_incremental_updates(rng):
 
 def test_leave_out_queries(rng):
     net = random_network(rng, n_aps=2, n_clients=4, n_channels=1, dyadic=True)
-    state = random_state(net, rng)
-    home = int(state.assoc[0])
-    wi = net.clients[0].weight
-    w_minus, z_minus = state._without(0, np.arange(net.n_vaps))
-    assert w_minus[home] == state.w_ap[home] - wi
-    # the client leaves every neighborhood its radio belongs to, its own included
-    assert (z_minus == state.z - wi * state.same_ch_adj[home]).all()
-    assert z_minus[home] == state.z[home] - wi
-    # any list of radios, repeats included, reads the same loads
-    radios = rng.integers(0, net.n_vaps, size=7)
-    w_some, z_some = state._without(0, radios)
-    assert (w_some == w_minus[radios]).all() and (z_some == z_minus[radios]).all()
+    for scheme in ("server", "client"):
+        state = random_state(net, rng, scheme)
+        home = int(state.assoc[0])
+        wi = net.clients[0].weight
+        w_minus = state.w_ap.copy()
+        w_minus[home] = state.w_ap[home] - wi
+        # the client leaves every neighborhood its radio belongs to, its own
+        # included
+        z_minus = state.z - wi * state.same_ch_adj[home]
+        assert z_minus[home] == state.z[home] - wi
+        # the frame's list entries (client scheme: sorted), repeats included,
+        # read the same loads, also from the kept _homes entry
+        frame = state._reach(0)
+        entries = frame[3] if scheme == "server" else frame[5]
+        assert home in entries
+        for _ in range(2):
+            w_some, z_some, _ = state._left_out(0, frame)
+            assert (z_some == z_minus[entries]).all()
+            if scheme == "server":
+                assert (w_some == w_minus[entries]).all()
+            else:
+                assert w_some is None
 
 
 def test_configuration_digest_distinguishes():

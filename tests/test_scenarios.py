@@ -1,6 +1,9 @@
 """Built-in scenarios, YAML round-trips, result files."""
+import copy
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from fairband import (
     Channel,
     Client,
     OptimizerPolicy,
+    RadioModel,
+    RateTier,
     ScenarioError,
     builtin,
     load_scenario,
@@ -21,7 +26,7 @@ from fairband import (
     save_result,
     save_scenario,
 )
-from fairband.scenarios import SCENARIO_FORMAT, Scenario
+from fairband.scenarios import SCENARIO_FORMAT, Scenario, _scenario_dict
 from conftest import dense_reference
 
 
@@ -68,6 +73,20 @@ def test_grid16_draws_depend_on_seed():
     a = builtin("grid16-unweighted", seed=1).to_network()
     b = builtin("grid16-unweighted", seed=2).to_network()
     assert [c.position for c in a.clients] != [c.position for c in b.clients]
+
+
+def test_region_draws_match_one_scalar_draw_per_coordinate():
+    # the documented order, region by region and x before y, as a loop of
+    # scalar draws
+    for seed in range(5):
+        scenario = builtin("grid16-weighted", seed=seed)
+        rng = np.random.default_rng(seed)
+        expected = [
+            (rng.uniform(xmin, xmax), rng.uniform(ymin, ymax))
+            for r in scenario.regions
+            for xmin, ymin, xmax, ymax in [r.rect] * r.count
+        ]
+        assert [c.position for c in scenario.materialize_clients()] == expected
 
 
 def test_grid16_clients_always_reachable():
@@ -193,6 +212,155 @@ def test_yaml_wrong_shapes_name_the_field(tmp_path, patch, field):
     with pytest.raises(ScenarioError, match=field):
         load_scenario(p)
 
+
+
+# (section, constructor argument, file key, value, the field a Python-built
+# object names); from a file the error names section[0].<key> instead
+_MALFORMED = [
+    ("clients", "weight", "weight", math.inf, "weight"),
+    ("aps", "position", "position", [math.nan, 0.0], "position[0]"),
+    ("channels", "bandwidth_mhz", "bandwidth_mhz", math.inf, "bandwidth_mhz"),
+    ("regions", "count", "count", 2.0, "count"),
+    ("aps", "radio_count", "radios", 1.5, "radio_count"),
+    ("aps", "radio_count", "radios", True, "radio_count"),
+    ("radio_model", "path_loss_alpha", "path_loss_alpha", math.nan, "path_loss_alpha"),
+    ("channels", "center_frequency_mhz", "center_frequency_mhz", "2400",
+     "center_frequency_mhz"),
+    ("clients", "id", "id", 7, "id"),
+    ("aps", "position", "position", [0.0, 0.0, 0.0], "position"),
+]
+
+
+@pytest.mark.parametrize("section, arg, key, value, field", _MALFORMED)
+def test_malformed_values_name_the_field_built_in_python_and_read_from_files(
+        tmp_path, section, arg, key, value, field):
+    base = builtin("grid16-weighted" if section == "regions" else "micro")
+
+    def build_and_run():
+        if section == "radio_model":
+            changed = dataclasses.replace(base, radio_model=RadioModel(**{arg: value}))
+        else:
+            entries = list(getattr(base, section))
+            entries[0] = dataclasses.replace(entries[0], **{arg: value})
+            changed = dataclasses.replace(base, **{section: tuple(entries)})
+        run(changed, OptimizerPolicy(iterations=50))
+
+    with pytest.raises(ScenarioError, match="^" + re.escape(field) + ": "):
+        build_and_run()
+
+    raw = _scenario_dict(base)
+    if section == "radio_model":
+        raw[section] = {key: value}
+        where = f"{section}.{key}"
+    else:
+        raw[section][0][key] = value
+        where = f"{section}[0].{key}"
+    p = tmp_path / "bad.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ScenarioError, match="^" + re.escape(where + field[len(arg):]) + ": "):
+        load_scenario(p)
+
+
+def test_yaml_unknown_fields_are_named(tmp_path):
+    p = tmp_path / "bad.yaml"
+    for section, key in (("aps", "radois"), ("clients", "wieght")):
+        raw = copy.deepcopy(_MINIMAL)
+        raw[section][0][key] = 2
+        p.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ScenarioError,
+                           match=rf"^{section}\[0\]: unknown fields \['{key}'\]"):
+            load_scenario(p)
+    p.write_text(yaml.safe_dump({**_MINIMAL, "sede": 4}))
+    with pytest.raises(ScenarioError, match=re.escape(f"{p}: unknown fields ['sede']")):
+        load_scenario(p)
+
+
+def test_yaml_null_reads_as_the_default(tmp_path):
+    p = tmp_path / "s.yaml"
+    raw = copy.deepcopy(_MINIMAL)
+    raw["aps"][0]["radios"] = None
+    raw["clients"][0]["weight"] = None
+    p.write_text(yaml.safe_dump({**raw, "regions": None, "seed": None,
+                                 "radio_model": None}))
+    scn = load_scenario(p)
+    assert scn.aps[0].radio_count == 1 and scn.clients[0].weight == 1.0
+    assert scn.regions is None and scn.seed is None and scn.radio_model == RadioModel()
+
+
+_MICRO_YAML = """\
+format: fairband-scenario/1
+name: micro
+channels:
+- id: ch-2400
+  center_frequency_mhz: 2400.0
+  bandwidth_mhz: 22.0
+- id: ch-4000
+  center_frequency_mhz: 4000.0
+  bandwidth_mhz: 44.0
+aps:
+- id: ap0
+  position:
+  - 0.0
+  - 0.0
+  radios: 1
+- id: ap1
+  position:
+  - 150.0
+  - 0.0
+  radios: 1
+clients:
+- id: c01
+  position:
+  - 40.0
+  - 0.0
+  weight: 1.0
+- id: c02
+  position:
+  - 75.0
+  - 0.0
+  weight: 1.0
+- id: c03
+  position:
+  - 110.0
+  - 0.0
+  weight: 1.0
+"""
+
+
+def test_save_scenario_writes_the_file_format(tmp_path):
+    p = tmp_path / "micro.yaml"
+    save_scenario(p, builtin("micro"))
+    assert p.read_text() == _MICRO_YAML
+
+
+def test_yaml_round_trip_keeps_custom_tiers(tmp_path):
+    model = RadioModel(base_tiers=((54.0, 30.0), (6.0, 100.0)))
+    assert model.base_tiers == (RateTier(54.0, 30.0), RateTier(6.0, 100.0))
+    original = dataclasses.replace(builtin("micro"), radio_model=model)
+    path = tmp_path / "tiers.yaml"
+    save_scenario(path, original)
+    assert "base_tiers" in path.read_text()
+    loaded = load_scenario(path)
+    assert loaded == original
+    assert loaded.digest() == original.digest() != builtin("micro").digest()
+    a, b = original.to_network(), loaded.to_network()
+    assert (a.link_vap == b.link_vap).all() and (a.rates == b.rates).all()
+    assert not np.array_equal(a.rates, builtin("micro").to_network().rates)
+
+
+@pytest.mark.parametrize("tiers, field", [
+    ([[54, 30], [60, 100]], r"radio_model\.base_tiers\[1\]\.rate_mbps: "),
+    ([[54, 30], [6, 20]], r"radio_model\.base_tiers\[1\]\.range_m: "),
+    ([[54]], r"radio_model\.base_tiers\[0\]: "),
+    ([[54, "far"]], r"radio_model\.base_tiers\[0\]\.range_m: "),
+    ([], r"radio_model\.base_tiers: "),
+    (7, r"radio_model\.base_tiers: "),
+])
+def test_yaml_bad_tiers_name_the_tier(tmp_path, tiers, field):
+    p = tmp_path / "bad.yaml"
+    p.write_text(yaml.safe_dump({**_MINIMAL, "radio_model": {"base_tiers": tiers}}))
+    with pytest.raises(ScenarioError, match="^" + field):
+        load_scenario(p)
 
 
 _HEADER = (
