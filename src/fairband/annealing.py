@@ -151,9 +151,7 @@ def _mover(state: SystemState, t: int, rng=None) -> tuple[str, int, int]:
     state the current target is a usable candidate and every usable
     candidate keeps the state feasible, so a step always has a target.
     """
-    if not state.feasible:
-        raise ValueError("state: infeasible (a client sits on a zero-rate link); "
-                         "steps need a feasible state")
+    state._check_feasible()
     n = state.assoc.size  # the network's clients, then its radios
     m = n + state.chan.size
     index = (t - 1) % m if rng is None else int(rng.integers(m))

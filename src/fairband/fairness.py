@@ -66,20 +66,9 @@ class ThroughputReport:
     weighted_throughput: float  # sum_i w_i r_i
 
 
-def _f_term(w, z):
-    """w log(w/z) + (z - w) log((z - w)/z) with 0 log 0 = 0.
-
-    This is the access-probability part of the energy for one contention
-    neighborhood: load w transmitting against total neighborhood load z.
-    Zero-load entries contribute exactly nothing.
-    """
-    rest = np.maximum(np.asarray(z, dtype=float) - w, 0.0)
-    return xlogy(w, w) + xlogy(rest, rest) - xlogy(z, z)
-
-
 def _t_term(w, z):
-    """psi(z - w) - psi(z), psi(x) = x log x: _f_term without its psi(w), the
-    part of a term that depends on the neighbourhood load z."""
+    """psi(z - w) - psi(z), psi(x) = x log x: the part of a transmitter's
+    energy term (SystemState._f) that depends on its neighbourhood load z."""
     rest = np.maximum(np.asarray(z, dtype=float) - w, 0.0)
     return xlogy(rest, rest) - xlogy(z, z)
 
@@ -233,16 +222,18 @@ class SystemState:
 
     Cached per state and refreshed after each applied move: the loads
     ``w_ap`` (a bincount over the clients) and ``z`` (z_n sums w_ap over n's
-    neighbour list); the energy terms, per radio psi(w_n) and f(w_n, z_n)
-    under the server scheme or per client f(w_i, z_n(i)) under the client
-    scheme; the link term ``b_term``; and the energy ``_u``, summed from them
-    in the order ``energy`` has always used, so ``energy()`` is a lookup. Kept
-    until a channel move changes the neighbour lists: each evaluated client's
-    reachable radios, its log rates to them and their lists (``_reach``) and
-    what the association methods read there of the client's own radio
-    (``_homes``, also rebuilt when that radio changes), each evaluated
-    radio's old and new neighbourhoods (``_channel_frame``) and the server
-    scheme's contention lists (``_edges``, read through ``_contention``).
+    neighbour list); per transmitter (a radio under the server scheme, a
+    client under the client scheme) psi(w) in ``_psi_w`` and the energy term
+    ``_f`` = psi(w) + psi(z - w) - psi(z) of its load w and its radio's z;
+    the scheduling term ``_sched`` (0 under the client scheme), the link term
+    ``b_term`` and the energy ``_u``, summed from them in the order
+    ``energy`` has always used, so ``energy()`` is a lookup. Kept until a
+    channel move changes the neighbour lists: in ``_frames``, each evaluated
+    client's reachable radios, log rates and lists (``_reach``) and each
+    evaluated radio's old and new neighbourhoods (``_channel_frame``), which
+    72% and 82% of the calls find there on the benchmark's line3-2ch chains,
+    which run about 1.25x as fast with them; the server scheme's contention
+    lists (``_edges``, read through ``_contention``).
 
     A move changes z only on the neighbourhoods of the radios it touches:
     N(a) and N(b) when a client moves from radio a to b, the old and the new
@@ -275,15 +266,13 @@ class SystemState:
         # client i -> _reach(i) and radio v (as ~v) -> _channel_frame(v); they
         # depend only on the channels and are dropped on a channel move
         self._frames = {}
-        # client i -> what the association methods read of its radio a (see
-        # _left_out); dropped on a channel move, rebuilt when a changes
-        self._homes = {}
         self.z = np.zeros(network.n_vaps)
         if scheme == SCHEME_SERVER:
             self._psi_w = np.zeros(network.n_vaps)
-            self._f = np.zeros(network.n_vaps)
         else:
-            self._f = np.zeros(network.n_clients)
+            self._psi_w = xlogy(network.weights, network.weights)
+            self._sched = 0.0
+        self._f = np.zeros(len(self._psi_w))
         self._update(np.ones(network.n_vaps, dtype=bool))
 
     @classmethod
@@ -321,25 +310,20 @@ class SystemState:
         z = np.bincount(rows, weights=self.w_ap[nbrs], minlength=len(radios))
         self.z[radios] = z
         if self.scheme == SCHEME_SERVER:
+            senders = radios
             w = self.w_ap[radios]
             if loads:
                 self._psi_w[radios] = xlogy(w, w)
                 self._sched = net.sum_w_log_w - float(np.add.reduce(self._psi_w))
-            rest = np.maximum(z - w, 0.0)
-            # _f_term(w, z), with the psi(w) already at hand
-            self._f[radios] = self._psi_w[radios] + xlogy(rest, rest) - xlogy(z, z)
         else:
-            clients = touched[self.assoc].nonzero()[0]
-            self._f[clients] = _f_term(net.weights[clients], self.z[self.assoc[clients]])
-        # a zero-rate link makes the sum -inf (weights are positive)
+            senders = touched[self.assoc].nonzero()[0]
+            w, z = net.weights[senders], self.z[self.assoc[senders]]
+        rest = np.maximum(z - w, 0.0)
+        self._f[senders] = self._psi_w[senders] + xlogy(rest, rest) - xlogy(z, z)
+        # a zero-rate link makes the sum and the energy -inf (weights are positive)
         self.b_term = float(np.add.reduce(net.weights * self._log_b_clients))
         self.feasible = self.b_term > -math.inf
-        if not self.feasible:
-            self._u = -math.inf
-        elif self.scheme == SCHEME_SERVER:
-            self._u = self.b_term + self._sched + float(np.add.reduce(self._f))
-        else:
-            self._u = self.b_term + float(np.add.reduce(self._f))
+        self._u = self.b_term + self._sched + float(np.add.reduce(self._f))
 
     def apply_association(self, client: int, target_vap: int):
         adj = self.same_ch_adj
@@ -370,7 +354,6 @@ class SystemState:
         adj[:, vap] = row
         self._edges = None
         self._frames.clear()
-        self._homes.clear()
         if self.w_ap[vap]:  # the radio has clients, whose links changed
             members = (self.assoc == vap).nonzero()[0]
             self._log_b_clients[members] = self._on_links(log=True, clients=members)
@@ -387,33 +370,30 @@ class SystemState:
         client sits on a zero-rate link. Cached: O(1)."""
         return self._u
 
+    def _check_feasible(self):
+        """Raise ValueError unless the state is feasible; every move needs one."""
+        if not self.feasible:
+            raise ValueError("state: infeasible (a client sits on a zero-rate link); "
+                             "moves need a feasible state")
+
     # -- candidate evaluation ----------------------------------------------
 
     def _left_out(self, client: int, frame: tuple):
         """The loads w- and z- with the client taken out of the system, at
         the entries of its frame's neighbour lists (client scheme: of their
         sorted list, and no w-): its radio a's load loses its weight (floored
-        at 0) and so does the z of every neighbour of a. Also the client's
-        ``_homes`` entry, kept until a channel move or a change of a: a and
-        the entries that hold a and those that hold a neighbour of a, where
-        w- and z- differ from w and z (association_candidates appends what it
-        reads there)."""
+        at 0) and so does the z of every neighbour of a."""
         wi = self.net.weights[client]
         a = self.assoc[client]
         server = self.scheme == SCHEME_SERVER
         entries = frame[3] if server else frame[5]
-        home = self._homes.get(client)
-        if home is None or home[0] != a:
-            home = self._homes[client] = (
-                a, entries == a if server else None, self.same_ch_adj[a].take(entries)
-            )
         w = None
         if server:
             w = self.w_ap[entries]
-            w[home[1]] = max(self.w_ap[a] - wi, 0.0)
+            w[entries == a] = max(self.w_ap[a] - wi, 0.0)
         z = self.z[entries]
-        z[home[2]] -= wi
-        return w, z, home
+        z[self.same_ch_adj[a].take(entries)] -= wi
+        return w, z
 
     def _reach(self, client: int):
         """The radios the client reaches on the current channels (ascending),
@@ -459,11 +439,10 @@ class SystemState:
         Returns (targets, values): targets are the radios with a positive-rate
         link to the client on the current channels, ascending, and values[k]
         is the full system energy with the client on targets[k], so
-        differences of entries are exact energy deltas. On a feasible state
-        every value is finite; on an infeasible one every value is -inf, which
-        is for evaluation, since the steps refuse such a state. A client of a
-        feasible state that reaches one radio can only stay on its own: the
-        values are [U], read without evaluating anything.
+        differences of entries are exact energy deltas. Needs a feasible
+        state (ValueError otherwise), where every value is finite. A client
+        that reaches one radio can only stay on its own: the values are [U],
+        read without evaluating anything.
 
         Closed form, evaluated only on the reachable radios F. With
         psi(x) = x log x, N(b) the same-channel neighbours of b (b included),
@@ -490,21 +469,17 @@ class SystemState:
 
         E is one bincount over the neighbour lists of F, and d, g and delta
         are evaluated only on those lists and on the clients of their radios:
-        the cost grows with the neighbourhood of F, not with V. w- and z-,
-        the position of a in F and w_i lb come from _left_out.
+        the cost grows with the neighbourhood of F, not with V. w- and z-
+        come from _left_out.
         """
+        self._check_feasible()
         net = self.net
         frame = self._reach(client)
         reach, lb, rows, nbrs, own = frame[:5]
-        if not self.feasible:
-            return reach, np.full(len(reach), -np.inf)
         if reach.size == 1:
             return reach, np.array([self._u])
         wi = net.weights[client]
-        w, z, home = self._left_out(client, frame)
-        if len(home) == 3:  # the position of a in F and w_i lb, kept with it
-            home = self._homes[client] = home + (reach.searchsorted(home[0]), lb * wi)
-        pos_a, link = home[3:]
+        w, z = self._left_out(client, frame)
         if self.scheme == SCHEME_SERVER:
             w[own] = np.inf  # a candidate's own entry is g_b alone
             terms = _load_change(w, z, wi)
@@ -521,8 +496,8 @@ class SystemState:
         e = np.bincount(rows, weights=terms, minlength=len(reach))
         if self.scheme == SCHEME_CLIENT:
             e += xlogy(zm, zm) - xlogy(zp, zp)
-        values = link + e
-        values += self._u - values[pos_a]
+        values = lb * wi + e
+        values += self._u - values[reach.searchsorted(self.assoc[client])]
         return reach, values
 
     def association_scores_approx(self, client: int) -> tuple[np.ndarray, np.ndarray]:
@@ -533,7 +508,8 @@ class SystemState:
         times the log success probability of the candidate's same-channel
         neighbours, all under the post-move aggregates. Client scheme: the
         analogous local form for direct contention. Shared constants are
-        dropped; only differences between candidates matter.
+        dropped; only differences between candidates matter. Needs a
+        feasible state (ValueError otherwise).
 
         With the notation of association_candidates, a neighbour n != b of
         candidate b sees z+_n and w-_n, so its log idle probability
@@ -544,12 +520,13 @@ class SystemState:
         neighbour term sums Q over N(b). Only the reachable radios and their
         neighbour lists are evaluated.
         """
+        self._check_feasible()
         net = self.net
         wi = net.weights[client]
         frame = self._reach(client)
         reach, lb, rows, nbrs, own = frame[:5]
         link = lb + math.log(wi)
-        w, z, _ = self._left_out(client, frame)
+        w, z = self._left_out(client, frame)
         if self.scheme == SCHEME_SERVER:
             zp = z + wi
             log_zp = np.log(zp)
@@ -580,12 +557,10 @@ class SystemState:
         which every client of the radio keeps its link, and values[k] is the
         full system energy with the radio on targets[k]. A clientless radio
         can take any channel without changing the energy of anyone, so its
-        targets are all channels and every value is the current energy. On a
-        feasible state every value is finite; on an infeasible one every value
-        of a radio with clients is -inf, which is for evaluation, since the
-        steps refuse such a state. A radio of a feasible state with one
-        feasible channel can only stay on its own: the values are [U], read
-        without evaluating anything.
+        targets are all channels and every value is the current energy.
+        Needs a feasible state (ValueError otherwise), where every value is
+        finite. A radio with one feasible channel can only stay on its own:
+        the values are [U], read without evaluating anything.
 
         U = b_term + sum_w_log_w + the sum of t(w, z) = psi(z - w) - psi(z)
         over radios (server scheme) or clients (client scheme). On another
@@ -598,20 +573,15 @@ class SystemState:
         sit on the entries of _channel_frame, one bincount keyed by channel
         adds them up, and the cost is O(degree + C): no channel x radio array.
         """
+        self._check_feasible()
         net = self.net
         C = net.n_channels
         members = (self.assoc == vap).nonzero()[0]
         if not members.size:
             return np.arange(C), np.full(C, self._u)
         wm = net.weights[members]
-        pos = self._link[members]
-        if self.feasible or pos.min() >= 0:  # in a feasible state every client has a link
-            links = wm @ net.log_rates[pos]  # -inf where a client loses its link
-        else:
-            links = np.full(C, -np.inf)
+        links = wm @ net.log_rates[self._link[members]]  # -inf where a client loses its link
         targets = np.isfinite(links).nonzero()[0]
-        if not self.feasible:
-            return targets, np.full(len(targets), -np.inf)
         if targets.size == 1:
             return targets, np.array([self._u])
 

@@ -68,6 +68,20 @@ class Scenario:
             raise ScenarioError("clients: give exactly one of clients or regions")
         if self.regions is not None and self.seed is None:
             raise ScenarioError("seed: region-based scenarios need a seed")
+        for name, cls in (("channels", Channel), ("aps", AccessPoint),
+                          ("clients", Client), ("regions", ClientRegion)):
+            members = getattr(self, name)
+            if members is None and name in ("clients", "regions"):
+                continue
+            if not isinstance(members, (tuple, list)):
+                raise ScenarioError(f"{name}: expected a tuple of {cls.__name__}, "
+                                    f"got {members!r}")
+            for k, member in enumerate(members):
+                if not isinstance(member, cls):
+                    raise ScenarioError(f"{name}[{k}]: expected {cls.__name__}, "
+                                        f"got {member!r}")
+        if not isinstance(self.radio_model, RadioModel):
+            raise ScenarioError(f"radio_model: expected RadioModel, got {self.radio_model!r}")
 
     def materialize_clients(self) -> tuple[Client, ...]:
         if self.clients is not None:
@@ -391,7 +405,12 @@ def load_scenario(path: str | Path) -> Scenario:
     path on malformed input."""
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(), Loader=_Loader)
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ScenarioError(f"{path}: cannot read: {reason}") from exc
+    try:
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

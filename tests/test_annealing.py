@@ -282,9 +282,11 @@ def test_round_robin_covers_all_movers(rng):
     }
 
 
-def test_steps_refuse_an_infeasible_state():
+def _infeasible_cases():
+    """Networks with an infeasible association on channels [1, 1]: (network,
+    association, a client to move)."""
     channels = [Channel("b", 2400.0, 22.0), Channel("h", 16000.0, 50.0)]
-    cases = [
+    return [
         # the client reaches its radios only on 2.4 GHz and both sit on
         # 16 GHz: it has a zero-rate link and no feasible target
         (Network(channels,
@@ -298,7 +300,10 @@ def test_steps_refuse_an_infeasible_state():
                  [Client("c0", (-80, 0)), Client("c1", (30, 0))]),
          [1, 0], 1),
     ]
-    for net, assoc, mover in cases:
+
+
+def test_steps_refuse_an_infeasible_state():
+    for net, assoc, mover in _infeasible_cases():
         state = SystemState(net, "server", np.array(assoc), np.array([1, 1]))
         u = state.energy()
         t = mover + 1  # round-robin: step t moves client t - 1
@@ -311,6 +316,20 @@ def test_steps_refuse_an_infeasible_state():
             assert rng.random() == np.random.default_rng(0).random()  # no draw made
         assert state.assoc.tolist() == assoc and state.chan.tolist() == [1, 1]
         assert state.energy() == u == -math.inf
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_candidates_refuse_an_infeasible_state(scheme):
+    # every candidate method refuses an infeasible state, as the steps do,
+    # also for a clientless radio (a1 of the first network)
+    for net, assoc, mover in _infeasible_cases():
+        state = SystemState(net, scheme, np.array(assoc), np.array([1, 1]))
+        for evaluate, idx in ((state.association_candidates, mover),
+                              (state.association_scores_approx, mover),
+                              (state.channel_candidates, 0),
+                              (state.channel_candidates, 1)):
+            with pytest.raises(ValueError, match="^state:"):
+                evaluate(idx)
 
 
 @pytest.mark.parametrize("scheme", ["server", "client"])

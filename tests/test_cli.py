@@ -82,6 +82,18 @@ def test_unknown_scenario_is_an_error(capsys):
     assert "neither a built-in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "non-utf-8"])
+def test_unreadable_scenario_file_is_an_error(tmp_path, kind, capsys):
+    path = tmp_path / "s.yaml"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00name: x\n")
+    assert main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 def test_yaml_scenario_path(tmp_path, capsys):
     path = tmp_path / "my.yaml"
     save_scenario(path, builtin("micro"))

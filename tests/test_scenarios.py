@@ -117,6 +117,40 @@ def test_scenario_rejects_a_bad_seed(seed):
         s.reseeded(seed)
 
 
+@pytest.mark.parametrize("base, change, field", [
+    ("micro", {"channels": ("a",)}, "channels[0]"),
+    ("micro", {"aps": (builtin("micro").aps[0], 1)}, "aps[1]"),
+    ("micro", {"clients": ("x",)}, "clients[0]"),
+    ("micro", {"radio_model": 3}, "radio_model"),
+    ("grid16-weighted", {"regions": (1,)}, "regions[0]"),
+    ("micro", {"channels": None}, "channels"),
+])
+def test_scenario_checks_its_members(base, change, field):
+    with pytest.raises(ScenarioError, match="^" + re.escape(field) + ": expected"):
+        dataclasses.replace(builtin(base), **change)
+
+
+# values for any field of Scenario: the members of every section, a radio
+# model, and values of no section
+_MEMBERS = tuple(m for b in ("micro", "grid16-weighted")
+                 for section in ("channels", "aps", "clients", "regions")
+                 for m in getattr(builtin(b), section) or ())
+_ANY = (st.sampled_from(_MEMBERS) | st.just(RadioModel()) | st.none() | st.booleans()
+        | st.integers() | st.floats() | st.text(max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["micro", "grid16-weighted"]),
+       st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(Scenario)]),
+                       _ANY | st.lists(_ANY, max_size=3).map(tuple), max_size=2))
+def test_scenario_from_any_values_is_a_network_or_scenario_error(base, fields):
+    try:
+        net = dataclasses.replace(builtin(base), **fields).to_network()
+    except ScenarioError:
+        return
+    assert net.n_clients and net.n_vaps and net.n_channels
+
+
 def test_reseeded_changes_only_region_draws():
     s = builtin("grid16-unweighted", seed=1)
     assert s.reseeded(2).seed == 2
