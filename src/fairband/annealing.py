@@ -286,8 +286,9 @@ def initial_configuration(
     assoc = net.link_vap[hits[first]]  # the lowest-index nearest radio
     tied = np.flatnonzero(counts > 1)
     if tied.size:
-        # one draw per tied client, in client order, picks among its nearest radios
-        picks = [rng.integers(n) for n in counts[tied].tolist()]
+        # one draw per tied client, in client order, picks among its nearest
+        # radios; the vector draw makes the values of a scalar draw per client
+        picks = rng.integers(counts[tied])
         assoc[tied] = net.link_vap[hits[first[tied] + picks]]
     return assoc, chan
 

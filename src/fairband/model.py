@@ -134,14 +134,14 @@ class Network:
         name: str = "network",
     ):
         if not channels:
-            raise ScenarioError("at least one channel is required")
+            raise ScenarioError("channels: at least one channel is required")
         if not aps:
-            raise ScenarioError("at least one access point is required")
+            raise ScenarioError("aps: at least one access point is required")
         if not clients:
-            raise ScenarioError("at least one client is required")
-        _check_unique("channel", [c.id for c in channels])
-        _check_unique("ap", [a.id for a in aps])
-        _check_unique("client", [c.id for c in clients])
+            raise ScenarioError("clients: at least one client is required")
+        _check_unique("channels", [c.id for c in channels])
+        _check_unique("aps", [a.id for a in aps])
+        _check_unique("clients", [c.id for c in clients])
 
         self.name = name
         self.radio_model = radio_model or RadioModel()
@@ -340,9 +340,9 @@ def _pairs(a: np.ndarray, b: np.ndarray, r: float):
     return rows[order], cols[order], dist[order]
 
 
-def _check_unique(kind: str, ids: list[str]):
+def _check_unique(field: str, ids: list[str]):
     seen = set()
-    for i in ids:
+    for k, i in enumerate(ids):
         if i in seen:
-            raise ScenarioError(f"duplicate {kind} id {i!r}")
+            raise ScenarioError(f"{field}[{k}].id: duplicate id {i!r}")
         seen.add(i)

@@ -13,6 +13,7 @@ from fairband import (
     Client,
     Network,
     SystemState,
+    builtin,
 )
 
 
@@ -109,6 +110,16 @@ def random_network(
         weight = float(rng.choice(DYADIC_WEIGHTS)) if dyadic else float(rng.uniform(0.4, 2.5))
         clients.append(Client(f"c{i}", (float(pos[0]), float(pos[1])), weight))
     return Network(channels, aps, clients)
+
+
+def dual_radio_grid(rng: np.random.Generator, n_clients: int) -> Network:
+    """16 x 16 dual-radio APs 300 m apart (V = 512) on grid16-weighted's
+    channels, with n_clients uniform clients over the grid."""
+    aps = [AccessPoint(f"ap{k}", (300.0 * (k // 16), 300.0 * (k % 16)), radio_count=2)
+           for k in range(256)]
+    clients = [Client(f"c{i}", tuple(rng.uniform(0.0, 4500.0, 2).tolist()))
+               for i in range(n_clients)]
+    return Network(list(builtin("grid16-weighted").channels), aps, clients)
 
 
 def random_state(

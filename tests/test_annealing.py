@@ -21,7 +21,9 @@ from fairband import (
     softmax_probabilities,
 )
 from fairband.annealing import MAX_REDRAWS, _equal_cdf, _sample_index, gibbs_step
-from conftest import dense_candidates, dense_reference, random_network, random_state, rel
+from conftest import (
+    dense_candidates, dense_reference, dual_radio_grid, random_network, random_state, rel,
+)
 
 
 # -- temperature schedules ----------------------------------------------------
@@ -421,6 +423,40 @@ def test_initial_configuration_equals_a_loop_over_the_clients():
             assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
             assert got[0].dtype == want[0].dtype
             assert rng_a.random() == rng_b.random()  # the same draws were made
+
+
+class _ScalarTieDraws:
+    """A generator that answers integers(counts) with one scalar draw per
+    entry, in order, and passes every other draw through."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.tied = 0
+
+    def integers(self, *args, **kwargs):
+        if len(args) == 1 and not kwargs and np.ndim(args[0]) == 1:
+            self.tied += len(args[0])
+            return np.array([self.rng.integers(n) for n in args[0].tolist()])
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin("micro").to_network(),
+    lambda: builtin("grid16-weighted").to_network(),
+    lambda: dual_radio_grid(np.random.default_rng(16), 512),
+], ids=["micro", "grid16-weighted", "dual-radio-grid"])
+def test_initial_configuration_tie_draw_equals_scalar_draws(make):
+    # one vector draw over the tied clients makes the same picks as a scalar
+    # draw per tied client and leaves the generator in the same state
+    net = make()
+    tied = 0
+    for seed in range(5):
+        rng, scalar = np.random.default_rng(seed), _ScalarTieDraws(np.random.default_rng(seed))
+        got, want = initial_configuration(net, rng), initial_configuration(net, scalar)
+        assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+        assert rng.random() == scalar.rng.random()
+        tied += scalar.tied
+    assert tied > 0
 
 
 def test_initial_configuration_unreachable_client_raises():

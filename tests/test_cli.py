@@ -3,6 +3,7 @@ import csv
 import json
 
 import pytest
+import yaml
 
 from fairband import builtin, save_scenario
 from fairband.cli import main
@@ -92,6 +93,20 @@ def test_unreadable_scenario_file_is_an_error(tmp_path, kind, capsys):
     assert main(["run", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw.update(channels=[]), "channels: at least one channel is required"),
+    (lambda raw: raw["aps"][1].update(id="ap0"), "aps[1].id: duplicate id 'ap0'"),
+])
+def test_network_error_in_a_file_names_the_field(tmp_path, edit, message, capsys):
+    path = tmp_path / "s.yaml"
+    save_scenario(path, builtin("micro"))
+    raw = yaml.safe_load(path.read_text())
+    edit(raw)
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    assert main(["run", "--scenario", str(path), "--iters", "10"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_yaml_scenario_path(tmp_path, capsys):

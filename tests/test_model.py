@@ -17,7 +17,9 @@ from fairband import (
     SystemState,
 )
 from fairband import builtin, channel_profile, initial_configuration, model
-from conftest import CHANNEL_PALETTE, dense_reference, random_network, random_state
+from conftest import (
+    CHANNEL_PALETTE, dense_reference, dual_radio_grid, random_network, random_state,
+)
 
 
 def _dense_adjacency(net):
@@ -145,15 +147,9 @@ def test_link_and_pair_lists_equal_a_brute_force_loop(data):
 
 
 def test_compiled_grid_holds_no_client_by_radio_table():
-    # 16 x 16 dual-radio APs 300 m apart (V = 512) and 512 or 1024 clients
     rng = np.random.default_rng(16)
-    aps = [AccessPoint(f"ap{k}", (300.0 * (k // 16), 300.0 * (k % 16)), radio_count=2)
-           for k in range(256)]
-    channels = list(builtin("grid16-weighted").channels)
     for n_clients in (512, 1024):
-        clients = [Client(f"c{i}", tuple(rng.uniform(0.0, 4500.0, 2).tolist()))
-                   for i in range(n_clients)]
-        net = Network(channels, aps, clients)
+        net = dual_radio_grid(rng, n_clients)
         table = net.n_clients * net.n_vaps  # 262 144 or 524 288 entries
         arrays = {k: v for k, v in vars(net).items() if isinstance(v, np.ndarray)}
         assert {"rates", "log_rates", "adjacency", "distances"} <= arrays.keys()
@@ -172,11 +168,17 @@ def test_network_rejects_duplicates_and_empties():
     ch = [Channel("x", 2400.0, 22.0)]
     ap = [AccessPoint("a", (0, 0))]
     cl = [Client("c", (1, 0))]
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=r"^channels: at least one channel"):
         Network([], ap, cl)
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=r"^aps: at least one access point"):
+        Network(ch, [], cl)
+    with pytest.raises(ScenarioError, match=r"^clients: at least one client"):
+        Network(ch, ap, [])
+    with pytest.raises(ScenarioError, match=r"^channels\[1\]\.id: duplicate id 'x'$"):
+        Network(ch + ch, ap, cl)
+    with pytest.raises(ScenarioError, match=r"^aps\[1\]\.id: duplicate id 'a'$"):
         Network(ch, ap + ap, cl)
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=r"^clients\[1\]\.id: duplicate id 'c'$"):
         Network(ch, ap, cl + cl)
     with pytest.raises(ValueError):
         Client("c", (0, 0), weight=0.0)
