@@ -326,6 +326,24 @@ class RunResult:
     best_configuration: Configuration
 
 
+def potential_scale_reduction(chains) -> float | None:
+    """Gelman and Rubin's (1992) potential scale reduction factor of m >= 2
+    equally long chains (the rows of chains): sqrt(V / W), with W the mean
+    of the within-chain variances, B / n the variance of the chain means
+    (both with the m - 1 or n - 1 divisor) and V = (n - 1) / n W + B / n.
+    Near 1 when the chains sample one distribution. None when it is not
+    defined: chains of fewer than 2 draws, or W = 0."""
+    x = np.asarray(chains, dtype=float)
+    n = x.shape[1]
+    if n < 2:
+        return None
+    within = x.var(axis=1, ddof=1).mean()
+    if within == 0:
+        return None
+    between = x.mean(axis=1).var(ddof=1)  # B / n
+    return math.sqrt(((n - 1) / n * within + between) / within)
+
+
 def _coerce_network(scenario_or_network) -> Network:
     if isinstance(scenario_or_network, Network):
         return scenario_or_network
@@ -359,8 +377,10 @@ def run(
     best_u, best_t = u, 0
     best_snapshot = (state.assoc.copy(), state.chan.copy())
     # (energy, weighted throughput, digest) of the state at the last record;
-    # reused until a move changes the state
-    recorded = (u, state.weighted_throughput(), net.digest(state.assoc, state.chan))
+    # reused until a move changes the state. Each is kept up to date by the
+    # moves or refreshed only where they changed, so a record costs what
+    # moved since the last one.
+    recorded = (u, state.weighted_throughput(), state.digest())
     trajectory = [TrajectoryPoint(0, None, *recorded)]
     dirty = False
 
@@ -376,9 +396,7 @@ def run(
         greedy_done = policy.kind == "greedy" and unchanged_streak >= sweep
         if t % cadence == 0 or t == iters or greedy_done:
             if dirty:
-                recorded = (
-                    u, state.weighted_throughput(), net.digest(state.assoc, state.chan)
-                )
+                recorded = (u, state.weighted_throughput(), state.digest())
                 dirty = False
             trajectory.append(TrajectoryPoint(t, move.temperature, *recorded))
         if greedy_done:

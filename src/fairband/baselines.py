@@ -96,7 +96,7 @@ def wifi_allocation(net: Network, assoc: np.ndarray, chan: np.ndarray) -> Alloca
     state = SystemState(net, SCHEME_SERVER, assoc, chan)
     if not state.feasible:
         raise ScenarioError("equal-throughput split needs positive rates")
-    inv = 1.0 / state._link_rates()
+    inv = 1.0 / state._b_clients
     phi = np.empty(net.n_clients)
     for n in range(net.n_vaps):
         members = assoc == n

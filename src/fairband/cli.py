@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .annealing import (POLICY_KINDS, SELECTION_KINDS, OptimizerPolicy, RunResult,
-                        Schedule, run)
+                        Schedule, potential_scale_reduction, run)
 from .baselines import minint_wifi_run
 from .fairness import SCHEME_SERVER, SCHEMES
 from .model import ScenarioError
@@ -133,6 +133,20 @@ def _write_csv(path: Path, results: list[RunResult], scheme: str):
                 )
 
 
+def _print_spread(results: list[RunResult], policy: str):
+    """The spread of best U over the runs and, for the sampling policies,
+    the Gelman-Rubin factor of the recorded U over each run's second half
+    (every such run records at the same steps)."""
+    best = np.array([r.best_energy for r in results])
+    print(f"best U over {len(results)} runs: min {best.min():.6f} "
+          f"median {np.median(best):.6f} max {best.max():.6f}")
+    if policy in ("dp-exact", "dp-approx"):
+        halves = [[p.energy for p in r.trajectory[len(r.trajectory) // 2:]] for r in results]
+        factor = potential_scale_reduction(halves)
+        print("Gelman-Rubin factor of U over the second half of each run: "
+              + ("n/a" if factor is None else f"{factor:.4f}"))
+
+
 def cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     if args.iters is None:
@@ -174,6 +188,8 @@ def cmd_run(args) -> int:
         f"U {finals.mean():.6f} +- {finals.std():.6f}, "
         f"weighted throughput {rates.mean():.4f} +- {rates.std():.4f} Mb/s"
     )
+    if args.runs > 1:
+        _print_spread(results, args.policy)
 
     if args.out_dir:
         out = Path(args.out_dir)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .checks import check_integer
-from .model import Configuration, Network
+from .model import Configuration, Network, _short_hash
 
 SCHEME_SERVER = "server"
 SCHEME_CLIENT = "client"
@@ -127,8 +127,9 @@ def throughput(
     """
     p, phi = _allocation_vectors(network, config, allocation)
     state = SystemState.from_configuration(network, config, allocation.scheme)
-    r = _slot_rates(allocation.scheme, state._contention(), state.assoc, state._link_rates(),
-                    p, phi)
+    every = np.arange(len(p))
+    idle = _idle_products(every, state._contention_lists(every), p)
+    r = _slot_rates(allocation.scheme, idle, state.assoc, state._b_clients, p, phi)
 
     feasible = bool((r > 0).all())
     w = network.weights
@@ -157,41 +158,45 @@ def _entries(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flat // mask.shape[1], flat % mask.shape[1]
 
 
-def _contention_entries(scheme: str, same_ch_adj: np.ndarray, assoc: np.ndarray):
-    """Every transmitter's contention set, itself included, as _entries plus
-    the start of each row: radios under the server scheme, clients under the
-    client scheme."""
-    if scheme == SCHEME_CLIENT:
-        same_ch_adj = same_ch_adj.take(assoc, axis=0).take(assoc, axis=1)
-    rows, cols = _entries(same_ch_adj)
-    return rows, cols, rows.searchsorted(np.arange(len(same_ch_adj)))
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., starts[k] + lengths[k] - 1 for every k
+    in turn: the positions of a list of ranges, concatenated."""
+    ends = lengths.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _idle_products(rows: np.ndarray, lists, p: np.ndarray) -> np.ndarray:
+    """Each given transmitter's idle probability: the product of (1 - p_m)
+    over the others in its contention set, for access probabilities p (per
+    radio under the server scheme, per client under the client scheme).
+
+    lists holds each row's set, itself included, in ascending order, with
+    where each row starts (SystemState._contention_lists of rows). The factor
+    of a row's own entry is set to 1.0 and np.multiply.reduceat multiplies
+    each row out from left to right; every row holds its own entry, so none
+    is empty, and multiplying by 1.0 is exact, so the product equals a loop
+    over the others in index order bit for bit, whatever other rows are
+    multiplied in the same call.
+    """
+    at, cols, starts = lists
+    factors = 1.0 - p[cols]
+    factors[cols == rows[at]] = 1.0
+    return np.multiply.reduceat(factors, starts)
 
 
 def _slot_rates(
     scheme: str,
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+    idle: np.ndarray,
     assoc: np.ndarray,
     rates_now: np.ndarray,
     p: np.ndarray,
     phi: np.ndarray | None,
 ) -> np.ndarray:
     """Per-client expected rates from access probabilities p (per radio under
-    the server scheme, per client under the client scheme) and, under the
-    server scheme, the schedule phi.
-
-    A transmitter succeeds with p_k times the product of (1 - p_m) over the
-    others in its contention set. entries lists each set, k itself included,
-    row by row in ascending order, with where each row starts
-    (_contention_entries). The factor of k's
-    own entry is set to 1.0 and np.multiply.reduceat multiplies each row out
-    from left to right; every row holds its own entry, so none is empty, and
-    multiplying by 1.0 is exact, so the product equals a loop over the others
-    in index order bit for bit.
-    """
-    rows, cols, starts = entries
-    factors = 1.0 - p[cols]
-    factors[rows == cols] = 1.0
-    idle = np.multiply.reduceat(factors, starts)
+    the server scheme, per client under the client scheme), every
+    transmitter's idle probability (_idle_products) and, under the server
+    scheme, the schedule phi. A transmitter succeeds with p_k times its idle
+    probability."""
     if scheme == SCHEME_SERVER:
         return rates_now * phi * (p * idle)[assoc]
     return rates_now * p * idle
@@ -215,10 +220,10 @@ class SystemState:
     Link rates have one owner, the network's link lists: every rate and log
     rate is read there, at a link's position and its radio's current channel.
     The state keeps each client's position ``_link`` in those lists (-1 for a
-    pair that is not a link) and, since every applied move reads it, the log
-    rate ``_log_b_clients`` of that link (-inf for none). An association move
-    rewrites the mover's entries, a channel move those of the radio's own
-    clients.
+    pair that is not a link) and the rate ``_b_clients`` and log rate
+    ``_log_b_clients`` of that link (0 and -inf for none). An association
+    move rewrites the mover's entries, a channel move those of the radio's
+    own clients.
 
     Cached per state and refreshed after each applied move: the loads
     ``w_ap`` (a bincount over the clients) and ``z`` (z_n sums w_ap over n's
@@ -232,8 +237,16 @@ class SystemState:
     client's reachable radios, log rates and lists (``_reach``) and each
     evaluated radio's old and new neighbourhoods (``_channel_frame``), which
     72% and 82% of the calls find there on the benchmark's line3-2ch chains,
-    which run about 1.25x as fast with them; the server scheme's contention
-    lists (``_edges``, read through ``_contention``).
+    which run about 1.25x as fast with them.
+
+    Kept for the trajectory records, so a record costs what moved since the
+    last one: every transmitter's idle probability ``_idle`` (the product of
+    (1 - p_m) over the others in its contention set), refreshed by ``rates``
+    only on the transmitters of the radios marked in ``_stale`` since the
+    last refresh (``_refresh_products``; ``_update`` marks the neighbours of
+    the radios it touches); and, from the first ``digest()`` on, the JSON
+    text it hashes, as ``_pieces`` (Network.digest_pieces), of which an
+    applied move rewrites one.
 
     A move changes z only on the neighbourhoods of the radios it touches:
     N(a) and N(b) when a client moves from radio a to b, the old and the new
@@ -259,10 +272,11 @@ class SystemState:
         if self.chan.shape != (network.n_vaps,):
             raise ValueError("channel array has the wrong shape")
         self.same_ch_adj = _same_channel_adjacency(network, self.chan)
-        # each client's link to its radio (-1 for none) and its log rate
+        # each client's link to its radio (-1 for none), its rate and log rate
         self._link = network.link_index(np.arange(network.n_clients), self.assoc)
-        self._log_b_clients = self._on_links(log=True)
-        self._edges = None  # the server contention lists, until a channel move
+        self._b_clients, self._log_b_clients = self._on_links()
+        # the JSON text digest() hashes, as pieces, from the first digest() on
+        self._pieces = None
         # client i -> _reach(i) and radio v (as ~v) -> _channel_frame(v); they
         # depend only on the channels and are dropped on a channel move
         self._frames = {}
@@ -273,6 +287,10 @@ class SystemState:
             self._psi_w = xlogy(network.weights, network.weights)
             self._sched = 0.0
         self._f = np.zeros(len(self._psi_w))
+        # every transmitter's idle probability, and the radios whose own
+        # (server) or clients' (client scheme) products await a refresh
+        self._idle = np.ones(len(self._psi_w))
+        self._stale = np.zeros(network.n_vaps, dtype=bool)
         self._update(np.ones(network.n_vaps, dtype=bool))
 
     @classmethod
@@ -301,12 +319,15 @@ class SystemState:
         radios marked in touched (a bool mask), and some client's link
         (_log_b_clients is already up to date): z and the energy terms
         there, and the totals. loads: the move changed w_ap (an association
-        move). The sums call np.add.reduce, the ufunc loop of ndarray.sum."""
+        move). The sums call np.add.reduce, the ufunc loop of ndarray.sum.
+        The neighbours of the touched radios are marked for
+        _refresh_products."""
         net = self.net
         radios = touched.nonzero()[0]
         if loads:
             self.w_ap = np.bincount(self.assoc, weights=net.weights, minlength=net.n_vaps)
         rows, nbrs = self._neighbours(radios)
+        self._stale[nbrs] = True
         z = np.bincount(rows, weights=self.w_ap[nbrs], minlength=len(radios))
         self.z[radios] = z
         if self.scheme == SCHEME_SERVER:
@@ -328,9 +349,17 @@ class SystemState:
     def apply_association(self, client: int, target_vap: int):
         adj = self.same_ch_adj
         touched = adj[self.assoc[client]] | adj[target_vap]
+        net = self.net
         self.assoc[client] = target_vap
-        self._link[client] = self.net.link_index(client, target_vap)
-        self._log_b_clients[client] = self._on_links(log=True, clients=client)
+        link = self._link[client] = net.link_index(client, target_vap)
+        # the mover's rate and log rate as _on_links reads them, one scalar each
+        ch = self.chan[target_vap]
+        self._b_clients[client], self._log_b_clients[client] = \
+            (net.rates[link, ch], net.log_rates[link, ch]) if link >= 0 else (0.0, -np.inf)
+        if self._pieces is not None:
+            parts = net._digest_parts
+            k = parts.client_piece[client]
+            self._pieces[k] = parts.heads[k] + parts.vap_json[target_vap]
         self._update(touched)
 
     def apply_channel(self, vap: int, target_channel: int):
@@ -352,11 +381,14 @@ class SystemState:
         touched = adj[vap] | row
         adj[vap, :] = row
         adj[:, vap] = row
-        self._edges = None
         self._frames.clear()
+        if self._pieces is not None:
+            parts = net._digest_parts
+            k = parts.vap_piece[vap]
+            self._pieces[k] = parts.heads[k] + parts.channel_json[target_channel]
         if self.w_ap[vap]:  # the radio has clients, whose links changed
             members = (self.assoc == vap).nonzero()[0]
-            self._log_b_clients[members] = self._on_links(log=True, clients=members)
+            self._b_clients[members], self._log_b_clients[members] = self._on_links(members)
             self._update(touched, loads=False)
         else:
             # z over the new neighbour list: a bincount keyed by the bool row
@@ -663,45 +695,103 @@ class SystemState:
             self.scheme, dict(zip(net.client_ids, phi)), dict(zip(net.vap_ids, p))
         )
 
-    def _on_links(self, log: bool, clients=slice(None)):
-        """Each given client's log rate (log) or rate on its link at its
-        radio's current channel, read from the network's link lists: -inf or
-        0 where the client has no link."""
+    def _on_links(self, clients=slice(None)):
+        """Each given client's rate and log rate on its link at its radio's
+        current channel, read from the network's link lists: 0 and -inf where
+        the client has no link."""
+        net = self.net
         links = self._link[clients]
-        table, none = (self.net.log_rates, -np.inf) if log else (self.net.rates, 0.0)
-        if not table.size:  # no links, nothing to index
-            return np.full(np.shape(links), none)
-        return np.where(links >= 0, table[links, self.chan[self.assoc[clients]]], none)
+        if not net.rates.size:  # no links, nothing to index
+            return np.zeros(np.shape(links)), np.full(np.shape(links), -np.inf)
+        at, linked = (links, self.chan[self.assoc[clients]]), links >= 0
+        return (np.where(linked, net.rates[at], 0.0),
+                np.where(linked, net.log_rates[at], -np.inf))
 
-    def _link_rates(self) -> np.ndarray:
-        """Each client's rate on its link at its radio's channel, 0 where it
-        has no link."""
-        return self._on_links(log=False)
+    def _contention_lists(self, rows: np.ndarray):
+        """The contention sets of the given transmitters (ascending; radios
+        under the server scheme, clients under the client scheme): (position
+        in rows, member) of every member of each set, the transmitter
+        included, ascending within each set, and where each set starts.
 
-    def _contention(self):
-        """The contention lists of this state (_contention_entries); under the
-        server scheme they depend only on the channels and are kept until a
-        channel move."""
-        if self.scheme == SCHEME_CLIENT:
-            return _contention_entries(SCHEME_CLIENT, self.same_ch_adj, self.assoc)
-        if self._edges is None:
-            self._edges = _contention_entries(SCHEME_SERVER, self.same_ch_adj, self.assoc)
-        return self._edges
+        A radio's set is its neighbour list. A client's set is every client
+        of its radio's neighbours: each radio's clients come from one sort of
+        the association, those of a radio's neighbours are concatenated and
+        sorted, and each client takes the list of its radio. The cost grows
+        with the sets, not with I x I.
+        """
+        if self.scheme == SCHEME_SERVER:
+            at, cols = self._neighbours(rows)
+        else:
+            assoc, I, V = self.assoc, self.net.n_clients, self.net.n_vaps
+            homes = assoc[rows]
+            radios = np.zeros(V, dtype=bool)
+            radios[homes] = True
+            radios = radios.nonzero()[0]  # the rows' radios, ascending
+            near, nbrs = self._neighbours(radios)
+            counts = np.bincount(assoc, minlength=V)
+            n = counts[nbrs]
+            # (radio position, client) of every client of every neighbour, as
+            # one key per entry: the clients by radio come from one argsort,
+            # and one sort of the keys orders each radio's list
+            key = np.repeat(near * I, n) + assoc.argsort()[_spans(counts.cumsum()[nbrs] - n, n)]
+            key.sort()
+            bounds = key.searchsorted(np.arange(len(radios) + 1) * I)
+            home = radios.searchsorted(homes)
+            lengths = (bounds[1:] - bounds[:-1])[home]
+            at = np.repeat(np.arange(len(rows)), lengths)
+            cols = key[_spans(bounds[home], lengths)] % I
+        return at, cols, at.searchsorted(np.arange(len(rows)))
+
+    def _refresh_products(self, p: np.ndarray) -> np.ndarray:
+        """Every transmitter's idle probability (_idle_products) under the
+        state's access probabilities p, refreshing only the cached products
+        of the transmitters at a radio marked in _stale since the last
+        refresh: the radios themselves under the server scheme, their clients
+        under the client scheme.
+
+        A product changes only when a member of its set changes p, or the
+        set gains or loses a member. Either way a move touched the member's
+        radio (its z or w changed, or a client joined or left it) or the
+        transmitter's own radio (its neighbour list changed), and that radio
+        is a neighbour of the transmitter's radio. So _update marks N(touched)
+        on every move, from the neighbour lists it reads anyway. A later
+        channel move that changes a neighbour list touches the radio that
+        owns it, so the marks made under the old lists still cover every
+        changed product. A clientless radio's channel move marks nothing: its
+        p is 0, so its factor is exactly 1.0 in every list it leaves or
+        joins, and its own product is not read (p * idle is 0) until it gains
+        a client, which marks it.
+        """
+        stale = self._stale
+        if stale.any():
+            rows = (stale if self.scheme == SCHEME_SERVER else stale[self.assoc]).nonzero()[0]
+            stale[:] = False
+            self._idle[rows] = _idle_products(rows, self._contention_lists(rows), p)
+        return self._idle
 
     def rates(self) -> np.ndarray:
         """Per-client rates under the optimal allocation for this state.
 
         The server scheme multiplies over every radio's neighbour list, the
         client scheme over every client's list of the clients of its radio's
-        neighbours (_contention).
+        neighbours (_contention_lists); only the products that changed since
+        the last call are recomputed (_refresh_products).
         """
-        server = self.scheme == SCHEME_SERVER
-        phi = self.net.weights / self.w_ap[self.assoc] if server else None
-        return _slot_rates(self.scheme, self._contention(), self.assoc, self._link_rates(),
-                           self.access_probabilities(), phi)
+        p = self.access_probabilities()
+        idle = self._refresh_products(p)
+        phi = self.net.weights / self.w_ap[self.assoc] if self.scheme == SCHEME_SERVER else None
+        return _slot_rates(self.scheme, idle, self.assoc, self._b_clients, p, phi)
 
     def weighted_throughput(self) -> float:
         return float((self.net.weights * self.rates()).sum())
+
+    def digest(self) -> str:
+        """net.digest(assoc, chan) of the state, hashed from its JSON text as
+        pieces (Network.digest_pieces): built by the first call, after which
+        every applied move rewrites its one piece."""
+        if self._pieces is None:
+            self._pieces = self.net.digest_pieces(self.assoc, self.chan)
+        return _short_hash("".join(self._pieces))
 
 
 def slot_monte_carlo(
@@ -723,8 +813,8 @@ def slot_monte_carlo(
     check_integer("seed", seed, 0)
     p, phi = _allocation_vectors(network, config, allocation)
     state = SystemState.from_configuration(network, config, allocation.scheme)
-    assoc, rates_now = state.assoc, state._link_rates()
-    rows, cols, starts = state._contention()
+    assoc, rates_now = state.assoc, state._b_clients
+    rows, cols, starts = state._contention_lists(np.arange(len(p)))
     own = rows == cols
     rng = np.random.default_rng(seed)
     # slots per draw, so a batch's entry masks stay near 8 MB; the uniforms

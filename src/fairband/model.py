@@ -18,6 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +86,20 @@ class Configuration:
 
 def _short_hash(blob: str) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+class DigestParts(NamedTuple):
+    """The JSON text that Configuration.digest hashes is one piece per client
+    and per radio, clients and then radios in sorted id order, and a closing
+    "]]]": a pair '["<key>","<value>"]' with the brackets and comma before
+    it. Kept: each piece's text up to its value (heads), the JSON of every
+    radio and channel id, and the piece of every client and of every radio."""
+
+    heads: np.ndarray
+    vap_json: np.ndarray
+    channel_json: np.ndarray
+    client_piece: np.ndarray
+    vap_piece: np.ndarray
 
 
 class Network:
@@ -264,33 +279,36 @@ class Network:
         )
 
     @cached_property
-    def _digest_parts(self):
-        """What digest() needs, built on first use: the JSON text that
-        Configuration.digest hashes as a template with a gap for each value
-        (pairs '["<key>","<value>"]', clients and then radios in sorted id
-        order), the JSON of every radio and channel id, and the two orders."""
+    def _digest_parts(self) -> DigestParts:
+        """What digest_pieces() needs, built on first use."""
         I = self.n_clients
         vap_json = np.array([json.dumps(v) for v in self.vap_ids], dtype=object)
         channel_json = np.array([json.dumps(c) for c in self.channel_ids], dtype=object)
-        client_order = np.array(sorted(range(I), key=self.client_ids.__getitem__))
-        vap_order = np.array(sorted(range(self.n_vaps), key=self.vap_ids.__getitem__))
+        client_order = sorted(range(I), key=self.client_ids.__getitem__)
+        vap_order = sorted(range(self.n_vaps), key=self.vap_ids.__getitem__)
         keys = [json.dumps(self.client_ids[i]) for i in client_order]
         keys += vap_json[vap_order].tolist()
-        template = []
-        for k, key in enumerate(keys):
-            opener = "[[[" if k == 0 else "]],[[" if k == I else "],["
-            template += [opener + key + ",", None]
-        return template + ["]]]"], vap_json, channel_json, client_order, vap_order
+        heads = np.array([("[[[" if k == 0 else "]],[[" if k == I else "],[") + key + ","
+                          for k, key in enumerate(keys)], dtype=object)
+        piece = np.empty(len(keys), dtype=np.int64)
+        piece[client_order + [I + v for v in vap_order]] = np.arange(len(keys))
+        return DigestParts(heads, vap_json, channel_json, piece[:I], piece[I:])
+
+    def digest_pieces(self, assoc: np.ndarray, chan: np.ndarray) -> list[str]:
+        """The JSON text of configuration(assoc, chan).digest() as a list of
+        pieces (DigestParts), built straight from the arrays. Client i's
+        radio is in piece _digest_parts.client_piece[i] and radio v's channel
+        in piece vap_piece[v], so a move rewrites one piece."""
+        heads, vap_json, channel_json, client_piece, vap_piece = self._digest_parts
+        values = np.empty(len(heads), dtype=object)
+        values[client_piece] = vap_json[assoc]
+        values[vap_piece] = channel_json[chan]
+        return (heads + values).tolist() + ["]]]"]
 
     def digest(self, assoc: np.ndarray, chan: np.ndarray) -> str:
-        """configuration(assoc, chan).digest(), built straight from the arrays:
+        """configuration(assoc, chan).digest(), hashed from digest_pieces:
         the same JSON text, without the maps, the sorts or the encoder."""
-        template, vap_json, channel_json, client_order, vap_order = self._digest_parts
-        parts = template.copy()
-        I = self.n_clients
-        parts[1:2 * I:2] = vap_json[np.asarray(assoc)[client_order]].tolist()
-        parts[2 * I + 1::2] = channel_json[np.asarray(chan)[vap_order]].tolist()
-        return _short_hash("".join(parts))
+        return _short_hash("".join(self.digest_pieces(assoc, chan)))
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,7 +20,9 @@ from fairband import (
     run,
     softmax_probabilities,
 )
-from fairband.annealing import MAX_REDRAWS, _equal_cdf, _sample_index, gibbs_step
+from fairband.annealing import (
+    MAX_REDRAWS, _equal_cdf, _sample_index, gibbs_step, potential_scale_reduction,
+)
 from conftest import (
     dense_candidates, dense_reference, dual_radio_grid, random_network, random_state, rel,
 )
@@ -578,3 +580,17 @@ def test_bad_arguments_raise_value_error_naming_the_field(field, policy_args, ru
     with pytest.raises(ValueError, match=f"^{field}:"):
         run(builtin("micro"), OptimizerPolicy(**{"iterations": 10, **policy_args}),
             **run_args)
+
+
+def test_potential_scale_reduction_matches_a_hand_computation():
+    # chains [1, 2, 3] and [2, 4, 6]: within-chain variances 1 and 4, so
+    # W = 5/2; the means 2 and 4 vary by B / n = 2; with n = 3,
+    # V = (2/3) W + B / n = 11/3 and the factor is sqrt(V / W) = sqrt(22/15)
+    assert potential_scale_reduction([[1, 2, 3], [2, 4, 6]]) == pytest.approx(
+        math.sqrt(22 / 15), rel=1e-15)
+    # identical chains: no spread between them, so V / W = (n - 1) / n
+    assert potential_scale_reduction([[0, 1], [0, 1], [0, 1]]) == pytest.approx(
+        math.sqrt(1 / 2), rel=1e-15)
+    # no within-chain variance, or a single draw: not defined
+    assert potential_scale_reduction([[1, 1, 1], [2, 2, 2]]) is None
+    assert potential_scale_reduction([[1.0], [2.0]]) is None

@@ -1,11 +1,13 @@
 """Command line behavior: flags, outputs, determinism."""
 import csv
 import json
+import re
 
 import pytest
 import yaml
 
 from fairband import builtin, save_scenario
+from fairband.annealing import potential_scale_reduction
 from fairband.cli import main
 
 
@@ -184,3 +186,40 @@ def test_bad_flag_values_exit_2_naming_the_flag(flag, value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("policy", ["dp-exact", "dp-approx", "greedy"])
+def test_runs_print_the_spread_of_best_u_and_the_gelman_rubin_factor(
+    tmp_path, capsys, policy
+):
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", "grid16-weighted", "--policy", policy,
+                 "--iters", "600", "--runs", "3", "--seed", "4",
+                 "--out-dir", str(out)]) == 0
+    printed = capsys.readouterr().out
+    best = sorted(json.loads((out / f"r{k:03d}.json").read_text())["best_energy"]
+                  for k in range(3))
+    assert (f"best U over 3 runs: min {best[0]:.6f} median {best[1]:.6f} "
+            f"max {best[2]:.6f}") in printed
+    factor = re.search(r"Gelman-Rubin factor of U over the second half of each run: (\S+)",
+                       printed)
+    if policy == "greedy":  # no temperature, nothing sampled
+        assert factor is None
+        return
+    with (out / "trajectory.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    chains = [[float(r["U"]) for r in rows if r["run_id"] == f"r{k:03d}"] for k in range(3)]
+    halves = [chain[len(chain) // 2:] for chain in chains]
+    assert factor.group(1) == f"{potential_scale_reduction(halves):.4f}"
+
+
+def test_one_run_prints_no_spread(capsys):
+    assert main(["run", "--scenario", "micro", "--iters", "100"]) == 0
+    printed = capsys.readouterr().out
+    assert "best U over" not in printed and "Gelman-Rubin" not in printed
+
+
+def test_gelman_rubin_is_not_available_for_runs_that_record_one_u(capsys):
+    # no step: every run records its initial U alone, which has no variance
+    assert main(["run", "--scenario", "micro", "--iters", "0", "--runs", "2"]) == 0
+    assert "second half of each run: n/a" in capsys.readouterr().out

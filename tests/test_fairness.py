@@ -17,18 +17,21 @@ from fairband import (
     OptimizerPolicy,
     Schedule,
     SystemState,
+    initial_configuration,
     oracle_energy,
     slot_monte_carlo,
     throughput,
 )
 from fairband.annealing import _sample_index, gibbs_step, softmax_probabilities
 from fairband.fairness import (
-    _contention_entries,
+    _idle_products,
     _load_change,
     _same_channel_adjacency,
     _slot_rates,
 )
-from conftest import dense_candidates, dense_reference, random_network, random_state, rel
+from conftest import (
+    dense_candidates, dense_reference, dual_radio_grid, random_network, random_state, rel,
+)
 
 
 def _single_ap_two_clients():
@@ -389,20 +392,40 @@ def test_candidates_match_from_scratch_with_empty_and_isolated_radios(rng, schem
 
 def _assert_state_equals_fresh(state, rates=True):
     """Everything a state maintains equals a state built from scratch, bit
-    for bit; rates too when asked."""
-    fresh = SystemState(state.net, state.scheme, state.assoc, state.chan)
+    for bit; when asked, rates too, and then the success products the
+    state keeps for them."""
+    net = state.net
+    fresh = SystemState(net, state.scheme, state.assoc, state.chan)
     assert np.array_equal(state.same_ch_adj, fresh.same_ch_adj)
-    assert np.array_equal(state.same_ch_adj, _same_channel_adjacency(state.net, state.chan))
+    assert np.array_equal(state.same_ch_adj, _same_channel_adjacency(net, state.chan))
     assert np.array_equal(state._link, fresh._link)
+    assert np.array_equal(state._b_clients, fresh._b_clients)
     assert np.array_equal(state._log_b_clients, fresh._log_b_clients)
     assert np.array_equal(state.w_ap, fresh.w_ap)
     assert np.array_equal(state.z, fresh.z)
     assert np.array_equal(state._f, fresh._f)
     assert state.b_term == fresh.b_term
     assert state.energy() == fresh.energy()
+    assert state._pieces in (None, net.digest_pieces(state.assoc, state.chan))
     if not rates:
         return
     assert np.array_equal(state.rates(), fresh.rates())
+    _assert_products_equal_every_row(state, fresh)
+
+
+def _assert_products_equal_every_row(state, fresh):
+    """After a refresh, the products a state keeps equal a fresh state's and
+    the product routine run on every row, bit for bit, wherever they are
+    read: every client under the client scheme, every radio with clients
+    under the server scheme (a clientless radio's p is 0, and a channel
+    move leaves its own product for the move that gives it a client)."""
+    p = state.access_probabilities()
+    every = np.arange(len(p))
+    want = _idle_products(every, state._contention_lists(every), p)
+    read = every if state.scheme == "client" else (state.w_ap > 0).nonzero()[0]
+    assert np.array_equal(state._idle[read], want[read])
+    assert np.array_equal(fresh._idle, want)
+    assert not state._stale.any()
 
 
 def _close(a, b, net):
@@ -608,6 +631,95 @@ def test_stacked_load_change_equals_the_unstacked_form(rng):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+@pytest.mark.parametrize("every", [1, 2, 5, 17])
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_records_every_k_moves_equal_a_fresh_state(rng, scheme, every):
+    # the products and digest pieces a state keeps for its records are
+    # brought up to date only when read; read every k moves, after random
+    # moves that include clientless radios changing channel and clients
+    # moving onto clientless radios, they equal a fresh state's, the product
+    # routine over every row and both digests, bit for bit
+    seen = {"clientless channel": 0, "onto clientless": 0}
+    for _ in range(8):
+        net, _ = _weighted_network(int(rng.integers(2**32)), n_aps=5, n_clients=7,
+                                   n_channels=3, max_radios=3, spread=3.0)
+        state = random_state(net, rng, scheme)
+        for t in range(1, 41):
+            clientless = (state.w_ap == 0).nonzero()[0]
+            pool = clientless if clientless.size and rng.random() < 0.5 \
+                else np.arange(net.n_vaps)
+            target = int(rng.choice(pool))
+            if rng.random() < 0.5:
+                seen["onto clientless"] += not state.w_ap[target]
+                state.apply_association(int(rng.integers(net.n_clients)), target)
+            else:
+                seen["clientless channel"] += not state.w_ap[target]
+                state.apply_channel(target, int(rng.integers(net.n_channels)))
+            if t % every:
+                continue
+            fresh = SystemState(net, scheme, state.assoc, state.chan)
+            assert np.array_equal(state.rates(), fresh.rates())
+            assert state.weighted_throughput() == fresh.weighted_throughput()
+            _assert_products_equal_every_row(state, fresh)
+            assert state.digest() == net.digest(state.assoc, state.chan) \
+                == state.to_configuration().digest()
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_a_record_gathers_only_the_neighbourhood_of_a_move(scheme):
+    # V = 512: after one association move a record reads neighbour lists
+    # only within two hops of the two radios, and after a clientless radio's
+    # channel move it refreshes no product at all
+    rng = np.random.default_rng(7)
+    net = dual_radio_grid(rng, 512)
+    state = SystemState(net, scheme, *initial_configuration(net, rng))
+    gathered = []
+    neighbours = state._neighbours
+
+    def counting(radios):
+        gathered.append(np.array(radios))
+        return neighbours(radios)
+
+    state._neighbours = counting
+    state.weighted_throughput()
+    # the first record reads the list of every radio (server) or of every
+    # radio with clients (client scheme)
+    first = np.unique(np.concatenate(gathered))
+    assert first.size == (net.n_vaps if scheme == "server" else np.unique(state.assoc).size)
+    moved = 0
+    for client in rng.permutation(net.n_clients)[:20]:
+        targets, _ = state.association_candidates(int(client))
+        a = int(state.assoc[client])
+        others = targets[targets != a]
+        if not others.size:
+            continue
+        b = int(others[0])
+        state.apply_association(int(client), b)
+        gathered.clear()
+        state.weighted_throughput()
+        adj = state.same_ch_adj
+        two_hops = adj[adj[a] | adj[b]].any(axis=0)
+        rows = np.concatenate(gathered)
+        assert two_hops[rows].all()
+        assert 0 < len(rows) < net.n_vaps
+        moved += 1
+    assert moved >= 10
+    _assert_state_equals_fresh(state)
+
+    clientless = (state.w_ap == 0).nonzero()[0]
+    assert clientless.size
+    for v in clientless[:10]:
+        kept = state._idle.copy()
+        state.apply_channel(int(v), (int(state.chan[v]) + 1) % net.n_channels)
+        gathered.clear()
+        state.weighted_throughput()
+        assert not gathered
+        assert np.array_equal(state._idle, kept)
+        assert state.digest() == net.digest(state.assoc, state.chan)
+    _assert_state_equals_fresh(state)
+
+
 @pytest.mark.parametrize("scheme", ["server", "client"])
 def test_state_rates_equal_throughput_of_optimal_allocation(rng, scheme):
     for _ in range(20):
@@ -635,8 +747,9 @@ def test_slot_rates_equal_a_loop_over_the_set_entries(rng, scheme):
             assoc = state.assoc
             rates_now = rates[np.arange(net.n_clients), assoc, state.chan[assoc]]
             phi = rng.uniform(0.1, 1.0, net.n_clients) if scheme == "server" else None
-            entries = _contention_entries(scheme, state.same_ch_adj, assoc)
-            got = _slot_rates(scheme, entries, assoc, rates_now, p, phi)
+            every = np.arange(n)
+            idle = _idle_products(every, state._contention_lists(every), p)
+            got = _slot_rates(scheme, idle, assoc, rates_now, p, phi)
 
             # row k marks the transmitters other than k in k's contention set
             adj = state.same_ch_adj if scheme == "server" else \
