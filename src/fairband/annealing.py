@@ -13,6 +13,7 @@ T = 0, and every T = 0 step uses greedy's tie rule.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -176,18 +177,12 @@ def _sample_index(probs: np.ndarray, uniform: float) -> int:
     return int(_cdf(probs).searchsorted(uniform, side="right"))
 
 
-# n -> the cdf _sample_index builds over n equal finite values
-_EQUAL_CDFS: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _equal_cdf(n: int) -> np.ndarray:
-    """The cdf of the softmax of n equal finite values. Every gap to the max
-    is 0.0, so every exp is 1.0 at any T > 0: the cdf depends on neither the
-    value nor T, and is computed once per n."""
-    cdf = _EQUAL_CDFS.get(n)
-    if cdf is None:
-        cdf = _EQUAL_CDFS[n] = _cdf(softmax_probabilities(np.zeros(n), 1.0))
-    return cdf
+    """The cdf _sample_index builds over the softmax of n equal finite
+    values. Every gap to the max is 0.0, so every exp is 1.0 at any T > 0:
+    the cdf depends on neither the value nor T, and is computed once per n."""
+    return _cdf(softmax_probabilities(np.zeros(n), 1.0))
 
 
 def gibbs_step(
@@ -276,7 +271,7 @@ def initial_configuration(
         else:
             far = np.argmax([prof.max_range_m for prof in net.profiles])
             chan = np.full(V, far, dtype=np.int64)
-        hits, counts = net.nearest_links(net.usable_links(chan))
+        hits, counts = net.nearest_links(chan)
         if counts.all():
             break
     else:

@@ -78,7 +78,7 @@ def minint_channel_selection(
 
 def wifi_association(net: Network, chan: np.ndarray) -> np.ndarray:
     """Closest radio with a positive rate, ties to the lowest radio index."""
-    hits, counts = net.nearest_links(net.usable_links(chan))
+    hits, counts = net.nearest_links(chan)
     if not counts.all():
         raise ScenarioError(
             f"client {net.client_ids[int(counts.argmin())]!r} has no usable radio "

@@ -202,6 +202,16 @@ def _slot_rates(
     return rates_now * p * idle
 
 
+def _index_array(name: str, a, n: int, bound: int) -> np.ndarray:
+    """An int64 copy of a, which must be n integers in [0, bound)."""
+    a = np.asarray(a)
+    if a.shape != (n,):
+        raise ValueError(f"{name} has the wrong shape")
+    if a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= bound:
+        raise ValueError(f"{name} has entries that are not integers in [0, {bound})")
+    return a.astype(np.int64)
+
+
 class SystemState:
     """Mutable configuration with incremental energy and candidate evaluation.
 
@@ -245,8 +255,8 @@ class SystemState:
     only on the transmitters of the radios marked in ``_stale`` since the
     last refresh (``_refresh_products``; ``_update`` marks the neighbours of
     the radios it touches); and, from the first ``digest()`` on, the JSON
-    text it hashes, as ``_pieces`` (Network.digest_pieces), of which an
-    applied move rewrites one.
+    text it hashes, as ``_pieces`` (model.DigestParts), of which an applied
+    move rewrites one.
 
     A move changes z only on the neighbourhoods of the radios it touches:
     N(a) and N(b) when a client moves from radio a to b, the old and the new
@@ -265,12 +275,8 @@ class SystemState:
         _check_scheme(scheme)
         self.net = network
         self.scheme = scheme
-        self.assoc = np.asarray(assoc, dtype=np.int64).copy()
-        self.chan = np.asarray(chan, dtype=np.int64).copy()
-        if self.assoc.shape != (network.n_clients,):
-            raise ValueError("association array has the wrong shape")
-        if self.chan.shape != (network.n_vaps,):
-            raise ValueError("channel array has the wrong shape")
+        self.assoc = _index_array("association array", assoc, network.n_clients, network.n_vaps)
+        self.chan = _index_array("channel array", chan, network.n_vaps, network.n_channels)
         self.same_ch_adj = _same_channel_adjacency(network, self.chan)
         # each client's link to its radio (-1 for none), its rate and log rate
         self._link = network.link_index(np.arange(network.n_clients), self.assoc)
@@ -588,8 +594,9 @@ class SystemState:
         Returns (targets, values): targets are the channels, ascending, on
         which every client of the radio keeps its link, and values[k] is the
         full system energy with the radio on targets[k]. A clientless radio
-        can take any channel without changing the energy of anyone, so its
-        targets are all channels and every value is the current energy.
+        takes the same path, where its load of 0.0 changes no term, so its
+        targets are all channels and every value is the current energy;
+        gibbs_step decides such a radio itself and never calls this for one.
         Needs a feasible state (ValueError otherwise), where every value is
         finite. A radio with one feasible channel can only stay on its own:
         the values are [U], read without evaluating anything.
@@ -609,8 +616,6 @@ class SystemState:
         net = self.net
         C = net.n_channels
         members = (self.assoc == vap).nonzero()[0]
-        if not members.size:
-            return np.arange(C), np.full(C, self._u)
         wm = net.weights[members]
         links = wm @ net.log_rates[self._link[members]]  # -inf where a client loses its link
         targets = np.isfinite(links).nonzero()[0]
@@ -786,11 +791,15 @@ class SystemState:
         return float((self.net.weights * self.rates()).sum())
 
     def digest(self) -> str:
-        """net.digest(assoc, chan) of the state, hashed from its JSON text as
-        pieces (Network.digest_pieces): built by the first call, after which
-        every applied move rewrites its one piece."""
+        """to_configuration().digest(), hashed from the same JSON text as
+        pieces (model.DigestParts): built from the arrays by the first call,
+        after which every applied move rewrites its one piece."""
         if self._pieces is None:
-            self._pieces = self.net.digest_pieces(self.assoc, self.chan)
+            heads, vap_json, channel_json, client_piece, vap_piece = self.net._digest_parts
+            values = np.empty(len(heads), dtype=object)
+            values[client_piece] = vap_json[self.assoc]
+            values[vap_piece] = channel_json[self.chan]
+            self._pieces = (heads + values).tolist() + ["]]]"]
         return _short_hash("".join(self._pieces))
 
 

@@ -134,10 +134,9 @@ class Network:
     row per link or pair, so code that measures the compiled tables by those
     names measures these. ``link_index`` finds a link's position; a
     configuration may still use a pair that is not a link, which has rate 0
-    and log rate -inf. Under a channel map, ``usable_links``,
-    ``nearest_links`` and ``same_channel_pairs`` answer which links carry a
-    rate, which of them are each client's nearest and which pairs share a
-    channel on which they interfere.
+    and log rate -inf. Under a channel map, ``nearest_links`` and
+    ``same_channel_pairs`` answer which links with a rate are each client's
+    nearest and which pairs share a channel on which they interfere.
     """
 
     def __init__(
@@ -216,15 +215,12 @@ class Network:
         pos = self._link_keys.searchsorted(key)
         return (pos + 1) * (self._link_keys[pos] == key) - 1
 
-    def usable_links(self, chan: np.ndarray) -> np.ndarray:
-        """Mask of the links with a positive rate on their radio's channel
-        under the channel indices chan."""
-        return self.rates[np.arange(len(self.link_vap)), chan[self.link_vap]] > 0
-
-    def nearest_links(self, usable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The links of every client at its smallest distance among the links
-        marked in usable, client by client with radios ascending, and how many
-        each client has: 0 for a stranded client, one without a usable link."""
+    def nearest_links(self, chan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The links of every client at its smallest distance among its links
+        with a positive rate on their radio's channel under the channel
+        indices chan, client by client with radios ascending, and how many
+        each client has: 0 for a stranded client, one without such a link."""
+        usable = self.rates[np.arange(len(self.link_vap)), chan[self.link_vap]] > 0
         # the trailing inf closes the last client's segment, also when it is
         # empty; an empty segment's minimum is never read
         d = np.append(np.where(usable, self.distances, np.inf), np.inf)
@@ -280,7 +276,7 @@ class Network:
 
     @cached_property
     def _digest_parts(self) -> DigestParts:
-        """What digest_pieces() needs, built on first use."""
+        """What SystemState.digest() needs, built on first use."""
         I = self.n_clients
         vap_json = np.array([json.dumps(v) for v in self.vap_ids], dtype=object)
         channel_json = np.array([json.dumps(c) for c in self.channel_ids], dtype=object)
@@ -293,22 +289,6 @@ class Network:
         piece = np.empty(len(keys), dtype=np.int64)
         piece[client_order + [I + v for v in vap_order]] = np.arange(len(keys))
         return DigestParts(heads, vap_json, channel_json, piece[:I], piece[I:])
-
-    def digest_pieces(self, assoc: np.ndarray, chan: np.ndarray) -> list[str]:
-        """The JSON text of configuration(assoc, chan).digest() as a list of
-        pieces (DigestParts), built straight from the arrays. Client i's
-        radio is in piece _digest_parts.client_piece[i] and radio v's channel
-        in piece vap_piece[v], so a move rewrites one piece."""
-        heads, vap_json, channel_json, client_piece, vap_piece = self._digest_parts
-        values = np.empty(len(heads), dtype=object)
-        values[client_piece] = vap_json[assoc]
-        values[vap_piece] = channel_json[chan]
-        return (heads + values).tolist() + ["]]]"]
-
-    def digest(self, assoc: np.ndarray, chan: np.ndarray) -> str:
-        """configuration(assoc, chan).digest(), hashed from digest_pieces:
-        the same JSON text, without the maps, the sorts or the encoder."""
-        return _short_hash("".join(self.digest_pieces(assoc, chan)))
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -205,6 +205,20 @@ def test_infeasible_configuration_reports_minus_inf():
     assert math.isfinite(SystemState.from_configuration(net, good, "server").energy())
 
 
+@pytest.mark.parametrize("name, assoc, chan", [
+    ("association array", [0, 3], [0, 1, 0]),  # radio index V
+    ("association array", [-1, 0], [0, 1, 0]),
+    ("channel array", [0, 1], [0, 2, 0]),  # channel index C
+    ("channel array", [0, 1], [0, -1, 0]),  # not read as the last channel
+    ("channel array", [0, 1], [0.5, 1.0, 0.0]),  # not truncated to 0
+])
+def test_state_refuses_index_arrays_out_of_range(name, assoc, chan):
+    net = random_network(np.random.default_rng(0), n_aps=3, n_clients=2, n_channels=2)
+    assert (net.n_vaps, net.n_channels) == (3, 2)
+    with pytest.raises(ValueError, match=f"^{name} has entries that are not integers in"):
+        SystemState(net, "server", assoc, chan)
+
+
 @pytest.mark.parametrize("scheme", ["server", "client"])
 def test_association_candidates_match_from_scratch(rng, scheme):
     for _ in range(15):
@@ -225,6 +239,7 @@ def test_association_candidates_match_from_scratch(rng, scheme):
 
 @pytest.mark.parametrize("scheme", ["server", "client"])
 def test_channel_candidates_match_from_scratch(rng, scheme):
+    clientless = 0
     for _ in range(15):
         net = random_network(rng, n_aps=3, n_clients=5, n_channels=3,
                              dyadic=False, max_radios=2)
@@ -239,6 +254,14 @@ def test_channel_candidates_match_from_scratch(rng, scheme):
                 assert rel(values[c], fresh.energy()) < 1e-11
             else:
                 assert values[c] == -math.inf and fresh.energy() == -math.inf
+        # a clientless radio takes the general path, whose load of 0.0
+        # changes no term: every channel, each valued at exactly U
+        for v in (state.w_ap == 0).nonzero()[0]:
+            targets, values = state.channel_candidates(int(v))
+            assert np.array_equal(targets, np.arange(net.n_channels))
+            assert np.array_equal(values, np.full(net.n_channels, state.energy()))
+            clientless += 1
+    assert clientless > 0
 
 
 def _network_with_far_clients(rng):
@@ -406,7 +429,8 @@ def _assert_state_equals_fresh(state, rates=True):
     assert np.array_equal(state._f, fresh._f)
     assert state.b_term == fresh.b_term
     assert state.energy() == fresh.energy()
-    assert state._pieces in (None, net.digest_pieces(state.assoc, state.chan))
+    fresh.digest()  # builds fresh._pieces
+    assert state._pieces in (None, fresh._pieces)
     if not rates:
         return
     assert np.array_equal(state.rates(), fresh.rates())
@@ -638,11 +662,13 @@ def test_records_every_k_moves_equal_a_fresh_state(rng, scheme, every):
     # brought up to date only when read; read every k moves, after random
     # moves that include clientless radios changing channel and clients
     # moving onto clientless radios, they equal a fresh state's, the product
-    # routine over every row and both digests, bit for bit
+    # routine over every row and both digests, bit for bit; the last two
+    # networks put 20 clients on two radios, so one radio holds 10 or more
     seen = {"clientless channel": 0, "onto clientless": 0}
-    for _ in range(8):
-        net, _ = _weighted_network(int(rng.integers(2**32)), n_aps=5, n_clients=7,
-                                   n_channels=3, max_radios=3, spread=3.0)
+    cells = [dict(n_aps=5, n_clients=7, max_radios=3)] * 8 \
+        + [dict(n_aps=2, n_clients=20, max_radios=1)] * 2
+    for cell in cells:
+        net, _ = _weighted_network(int(rng.integers(2**32)), n_channels=3, spread=3.0, **cell)
         state = random_state(net, rng, scheme)
         for t in range(1, 41):
             clientless = (state.w_ap == 0).nonzero()[0]
@@ -661,7 +687,7 @@ def test_records_every_k_moves_equal_a_fresh_state(rng, scheme, every):
             assert np.array_equal(state.rates(), fresh.rates())
             assert state.weighted_throughput() == fresh.weighted_throughput()
             _assert_products_equal_every_row(state, fresh)
-            assert state.digest() == net.digest(state.assoc, state.chan) \
+            assert state.digest() == fresh.digest() \
                 == state.to_configuration().digest()
     assert min(seen.values()) > 0, seen
 
@@ -716,7 +742,7 @@ def test_a_record_gathers_only_the_neighbourhood_of_a_move(scheme):
         state.weighted_throughput()
         assert not gathered
         assert np.array_equal(state._idle, kept)
-        assert state.digest() == net.digest(state.assoc, state.chan)
+        assert state.digest() == state.to_configuration().digest()
     _assert_state_equals_fresh(state)
 
 
@@ -736,10 +762,14 @@ def test_state_rates_equal_throughput_of_optimal_allocation(rng, scheme):
 @pytest.mark.parametrize("scheme", ["server", "client"])
 def test_slot_rates_equal_a_loop_over_the_set_entries(rng, scheme):
     # dense interference (a small box, one channel or two) gives long
-    # products; p is non-dyadic, so any change of order shows in the bits
-    for trial in range(20):
-        net = random_network(rng, n_aps=10, n_clients=24, n_channels=1 + trial % 2,
-                             box=120.0, dyadic=False, max_radios=2)
+    # products; p is non-dyadic, so any change of order shows in the bits.
+    # The last four networks put 24 clients on two radios, so one radio
+    # holds 12 or more.
+    for trial in range(24):
+        crowded = trial >= 20
+        net = random_network(rng, n_aps=2 if crowded else 10, n_clients=24,
+                             n_channels=1 + trial % 2, box=120.0, dyadic=False,
+                             max_radios=1 if crowded else 2)
         state = random_state(net, rng, scheme)
         rates = dense_reference(net).rates
         n = net.n_vaps if scheme == "server" else net.n_clients

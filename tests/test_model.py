@@ -314,4 +314,5 @@ def test_network_digest_equals_configuration_digest():
     for _ in range(200):
         assoc = rng.integers(0, net.n_vaps, size=net.n_clients)
         chan = rng.integers(0, net.n_channels, size=net.n_vaps)
-        assert net.digest(assoc, chan) == net.configuration(assoc, chan).digest()
+        state = SystemState(net, "server", assoc, chan)
+        assert state.digest() == net.configuration(assoc, chan).digest()
