@@ -22,12 +22,14 @@ import numpy as np
 
 from .checks import check_integer
 from .model import Configuration, Network, ScenarioError
-from .fairness import SCHEME_SERVER, SystemState, _check_scheme
+from .fairness import SCHEME_CLIENT, SCHEME_SERVER, SystemState, _check_scheme
 
 POLICY_KINDS = ("dp-exact", "dp-approx", "greedy")
 SELECTION_KINDS = ("round-robin", "random")
 # channel draws initial_configuration tries before it falls back
 MAX_REDRAWS = 100
+# entries at which gibbs_step clears a network's candidate table
+TABLE_CAP = 2**15
 
 
 @dataclass(frozen=True)
@@ -210,16 +212,29 @@ def gibbs_step(
       values are C copies of U. At T > 0 it draws its channel from
       _equal_cdf(C), the cdf the draw would build from them; at T = 0 the
       margin keeps the current channel. channel_candidates is not called.
+
+    On a network with at most model.INDEX_LIMIT configurations, the step
+    reads the candidates from the network's candidate table
+    (Network._candidate_table) when it holds them, and stores them there
+    when it evaluates them, so a chain that returns to a configuration, or
+    another chain on the same network that reaches it, evaluates them once.
+    The key is exact, state.config_index() * 4 (I + V) + 4 m + 2 a + s, with
+    m the mover's position among the clients and then the radios, a = 1 for
+    a client's dp-approx scores and s = 1 under the client scheme. The
+    maintained state equals a fresh state of its configuration bit for bit,
+    so an entry holds the bits the candidate method returns. An entry is one
+    bytes object, the values and then the targets, read back as read-only
+    arrays. Only results with two or more targets are stored, since a
+    one-target return costs little, and the table is cleared when it holds
+    TABLE_CAP entries. A larger network has no table (None), and its steps
+    evaluate every mover.
     """
     kind, idx, current = _mover(state, t, rng if policy.selection == "random" else None)
-    if kind == "association" and policy.kind == "dp-approx":
-        targets, values = state.association_scores_approx(idx)
-    elif kind == "association":
-        targets, values = state.association_candidates(idx)
-    elif state.w_ap[idx]:
-        targets, values = state.channel_candidates(idx)
-    else:  # a clientless radio: C equal values, none evaluated
-        targets = None
+    if kind == "channel" and not state.w_ap[idx]:
+        targets = None  # a clientless radio: C equal values, none evaluated
+    else:
+        targets, values = _candidates(
+            state, kind, idx, kind == "association" and policy.kind == "dp-approx")
     temperature = None if policy.kind == "greedy" else policy.schedule.temperature(t)
     uniform = rng.random()
     if targets is None:
@@ -241,6 +256,37 @@ def gibbs_step(
     elif changed:
         state.apply_channel(idx, choice)
     return Move(kind, idx, choice, changed, temperature), state.energy()
+
+
+def _candidates(
+    state: SystemState, kind: str, idx: int, approx: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The mover's (targets, values): read from the network's candidate
+    table when it holds them (see gibbs_step), else from its candidate
+    method, association_scores_approx when approx, else
+    association_candidates or channel_candidates, and stored there."""
+    table = state.net._candidate_table
+    if table is not None:
+        n = state.assoc.size
+        m = idx if kind == "association" else n + idx
+        code = 4 * m + 2 * approx + (state.scheme == SCHEME_CLIENT)
+        key = state.config_index() * 4 * (n + state.chan.size) + code
+        entry = table.get(key)
+        if entry is not None:
+            found = np.frombuffer(entry)
+            half = found.size // 2
+            return found[half:].view(np.int64), found[:half]
+    if approx:
+        targets, values = state.association_scores_approx(idx)
+    elif kind == "association":
+        targets, values = state.association_candidates(idx)
+    else:
+        targets, values = state.channel_candidates(idx)
+    if table is not None and targets.size > 1:
+        if len(table) >= TABLE_CAP:
+            table.clear()
+        table[key] = values.tobytes() + targets.tobytes()
+    return targets, values
 
 
 # bench/tracing.py::targets() still patches this name
@@ -291,7 +337,7 @@ def initial_configuration(
 # -- full runs ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class TrajectoryPoint:
     t: int
     temperature: float | None

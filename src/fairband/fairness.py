@@ -258,6 +258,11 @@ class SystemState:
     text it hashes, as ``_pieces`` (model.DigestParts), of which an applied
     move rewrites one.
 
+    Kept for annealing.gibbs_step's candidate table, on a network that
+    numbers its configurations (Network._config_places): from the first
+    ``config_index()`` on, the configuration's index ``_index``, to which
+    an applied move adds (new - old) * place of the one digit it changes.
+
     A move changes z only on the neighbourhoods of the radios it touches:
     N(a) and N(b) when a client moves from radio a to b, the old and the new
     neighbourhood of a radio that changes channel. ``_update`` recomputes z
@@ -283,6 +288,8 @@ class SystemState:
         self._b_clients, self._log_b_clients = self._on_links()
         # the JSON text digest() hashes, as pieces, from the first digest() on
         self._pieces = None
+        # the configuration's index, from the first config_index() on
+        self._index = None
         # client i -> _reach(i) and radio v (as ~v) -> _channel_frame(v); they
         # depend only on the channels and are dropped on a channel move
         self._frames = {}
@@ -357,7 +364,10 @@ class SystemState:
         touched = adj[self.assoc[client]] | adj[target_vap]
         net = self.net
         self.assoc[client] = target_vap
+        old = self._link[client]
         link = self._link[client] = net.link_index(client, target_vap)
+        if self._index is not None:  # the client's digit is its link's position
+            self._index += (int(link) - int(old)) * net._config_places[client]
         # the mover's rate and log rate as _on_links reads them, one scalar each
         ch = self.chan[target_vap]
         self._b_clients[client], self._log_b_clients[client] = \
@@ -376,6 +386,9 @@ class SystemState:
         client term reads its z), and so does the energy."""
         net = self.net
         adj = self.same_ch_adj
+        if self._index is not None:
+            place = net._config_places[net.n_clients + vap]
+            self._index += (int(target_channel) - int(self.chan[vap])) * place
         self.chan[vap] = target_channel
         # the radio's new row, from its pair list: the partners on the target
         # channel that interfere with it there
@@ -789,6 +802,21 @@ class SystemState:
 
     def weighted_throughput(self) -> float:
         return float((self.net.weights * self.rates()).sum())
+
+    def config_index(self) -> int:
+        """The configuration's index, the sum of digit * place over the
+        digits and places of net._config_places (ValueError on a network
+        without them): built from the arrays by the first call, after which
+        every applied move adds the change of its one digit. Distinct for
+        distinct configurations in which every client sits on a link."""
+        if self._index is None:
+            places = self.net._config_places
+            if places is None:
+                raise ValueError("config_index: the network has more "
+                                 "configurations than model.INDEX_LIMIT")
+            digits = (self._link - self.net.link_ptr[:-1]).tolist() + self.chan.tolist()
+            self._index = sum(d * place for d, place in zip(digits, places))
+        return self._index
 
     def digest(self) -> str:
         """to_configuration().digest(), hashed from the same JSON text as

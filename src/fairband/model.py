@@ -25,6 +25,10 @@ import numpy as np
 from .checks import ScenarioError, check_id, check_integer, check_numbers, check_positive
 from .radio import ChannelProfile, RadioModel, channel_profile
 
+# a network with at most this many configurations numbers them
+# (Network._config_places) and keeps a candidate table (annealing.gibbs_step)
+INDEX_LIMIT = 2**64
+
 
 @dataclass(frozen=True)
 class Channel:
@@ -137,6 +141,13 @@ class Network:
     and log rate -inf. Under a channel map, ``nearest_links`` and
     ``same_channel_pairs`` answer which links with a rate are each client's
     nearest and which pairs share a channel on which they interfere.
+
+    Built on first use: ``_digest_parts``, the JSON text a state's digest
+    is hashed from, and, on a network with at most INDEX_LIMIT
+    configurations, ``_config_places``, which numbers them
+    (SystemState.config_index), and ``_candidate_table``, the candidate
+    values annealing.gibbs_step has evaluated, by configuration and mover;
+    both are None on a larger network.
     """
 
     def __init__(
@@ -289,6 +300,31 @@ class Network:
         piece = np.empty(len(keys), dtype=np.int64)
         piece[client_order + [I + v for v in vap_order]] = np.arange(len(keys))
         return DigestParts(heads, vap_json, channel_json, piece[:I], piece[I:])
+
+    @cached_property
+    def _config_places(self) -> tuple[int, ...] | None:
+        """The mixed-radix place value of every digit of a configuration,
+        clients and then radios, as Python ints, or None when the network
+        has more than INDEX_LIMIT configurations. Client i's digit is the
+        position of its link among its links, _link[i] - link_ptr[i], of
+        radix the number of its links (1 for a client with none); radio v's
+        digit is its channel, of radix C. Each place is the product of the
+        radices before it, so the configurations in which every client sits
+        on a link get distinct indices below the product of all radices."""
+        radices = np.maximum(np.diff(self.link_ptr), 1).tolist()
+        places, size = [], 1
+        for radix in radices + [self.n_channels] * self.n_vaps:
+            places.append(size)
+            size *= radix
+            if size > INDEX_LIMIT:
+                return None
+        return tuple(places)
+
+    @cached_property
+    def _candidate_table(self) -> dict[int, bytes] | None:
+        """annealing.gibbs_step's evaluated candidates, keyed by configuration
+        index and mover code (see there); None when _config_places is."""
+        return None if self._config_places is None else {}
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,6 @@
-"""Schedules, softmax moves, Gibbs steps (greedy at T = 0), full runs."""
+"""Schedules, softmax moves, Gibbs steps (greedy at T = 0), full runs, the
+candidate table."""
+import itertools
 import math
 
 import numpy as np
@@ -18,10 +20,12 @@ from fairband import (
     initial_configuration,
     oracle_energy,
     run,
+    save_result,
     softmax_probabilities,
 )
+from fairband import annealing
 from fairband.annealing import (
-    MAX_REDRAWS, _equal_cdf, _sample_index, gibbs_step, potential_scale_reduction,
+    MAX_REDRAWS, TABLE_CAP, _equal_cdf, _sample_index, gibbs_step, potential_scale_reduction,
 )
 from conftest import (
     dense_candidates, dense_reference, dual_radio_grid, random_network, random_state, rel,
@@ -594,3 +598,93 @@ def test_potential_scale_reduction_matches_a_hand_computation():
     # no within-chain variance, or a single draw: not defined
     assert potential_scale_reduction([[1, 1, 1], [2, 2, 2]]) is None
     assert potential_scale_reduction([[1.0], [2.0]]) is None
+
+
+# -- the candidate table ------------------------------------------------------------
+
+
+class _CountingTable(dict):
+    """A candidate table that counts the lookups that find an entry."""
+
+    hits = 0
+
+    def get(self, key):
+        entry = super().get(key)
+        self.hits += entry is not None
+        return entry
+
+
+def test_table_hits_equal_a_fresh_evaluation(monkeypatch, rng):
+    # every candidate lookup of a step, from the table or not, gives the
+    # targets and the bits of the mover's candidate method on a fresh state
+    # of the step's configuration; two chains of each policy, selection and
+    # scheme share one network and its table
+    original = annealing._candidates
+
+    def checked(state, kind, idx, approx):
+        targets, values = original(state, kind, idx, approx)
+        fresh = SystemState(state.net, state.scheme, state.assoc, state.chan)
+        if approx:
+            want = fresh.association_scores_approx(idx)
+        elif kind == "association":
+            want = fresh.association_candidates(idx)
+        else:
+            want = fresh.channel_candidates(idx)
+        assert np.array_equal(targets, want[0])
+        assert values.tobytes() == want[1].tobytes()
+        return targets, values
+
+    monkeypatch.setattr(annealing, "_candidates", checked)
+    nets = [builtin("line3-2ch").to_network(), builtin("micro").to_network()]
+    nets += [random_network(rng, n_aps=3, n_clients=6, n_channels=3, dyadic=False,
+                            max_radios=2) for _ in range(2)]
+    runs = [("dp-exact", "round-robin"), ("dp-exact", "random"), ("greedy", "round-robin"),
+            ("dp-approx", "round-robin"), ("dp-approx", "random")]
+    for net in nets:
+        table = net.__dict__["_candidate_table"] = _CountingTable()
+        for (kind, selection), scheme, seed in itertools.product(
+                runs, ("server", "client"), range(2)):
+            run(net, OptimizerPolicy(kind=kind, scheme=scheme, selection=selection,
+                                     iterations=400, seed=seed))
+        assert table.hits >= 100, net.name
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_runs_on_a_warm_table_equal_runs_on_fresh_networks(tmp_path, scheme):
+    # seeds 0-9 twice on one compiled network: the second round finds every
+    # entry it looks up, and both rounds write what runs on freshly compiled
+    # networks write
+    def saved(res):
+        path = tmp_path / "result.json"
+        save_result(path, res)
+        return path.read_text()
+
+    net = builtin("line3-2ch").to_network()
+    policies = [OptimizerPolicy(scheme=scheme, iterations=2000, seed=s) for s in range(10)]
+    cold = [run(net, policy) for policy in policies]
+    size = len(net._candidate_table)
+    warm = [run(net, policy) for policy in policies]
+    assert 0 < size == len(net._candidate_table)
+    for policy, *results in zip(policies, cold, warm):
+        fresh = run(builtin("line3-2ch").to_network(), policy)
+        for res in results:
+            assert saved(res) == saved(fresh)
+            assert res.trajectory == fresh.trajectory
+
+
+def test_the_table_is_cleared_at_its_cap():
+    # a table one short of its cap fills up and is cleared, never holding
+    # more than TABLE_CAP entries, and the chain moves as on a fresh network
+    net, mirror_net = (builtin("line3-2ch").to_network() for _ in range(2))
+    table = net._candidate_table
+    table.update((-k, b"") for k in range(1, TABLE_CAP))  # keys of no configuration
+    state, mirror = (SystemState(n, "server", *initial_configuration(n, np.random.default_rng(0)))
+                     for n in (net, mirror_net))
+    rng, mirror_rng = np.random.default_rng(1), np.random.default_rng(1)
+    policy = OptimizerPolicy()
+    sizes = []
+    for t in range(1, 2001):
+        assert gibbs_step(state, t, policy, rng) == gibbs_step(mirror, t, policy, mirror_rng)
+        sizes.append(len(table))
+    assert max(sizes) == TABLE_CAP and min(sizes) < 100
+    assert min(table) >= 0

@@ -1,4 +1,5 @@
 """Closed-form allocations, energy identities, candidate evaluation."""
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from fairband import (
     OptimizerPolicy,
     Schedule,
     SystemState,
+    builtin,
+    enumerate_optimum,
     initial_configuration,
     oracle_energy,
     slot_monte_carlo,
@@ -415,8 +418,10 @@ def test_candidates_match_from_scratch_with_empty_and_isolated_radios(rng, schem
 
 def _assert_state_equals_fresh(state, rates=True):
     """Everything a state maintains equals a state built from scratch, bit
-    for bit; when asked, rates too, and then the success products the
-    state keeps for them."""
+    for bit, and on a network that numbers its configurations so does the
+    configuration index (which the state builds on the first check and
+    maintains after it); when asked, rates too, and then the success
+    products the state keeps for them."""
     net = state.net
     fresh = SystemState(net, state.scheme, state.assoc, state.chan)
     assert np.array_equal(state.same_ch_adj, fresh.same_ch_adj)
@@ -431,6 +436,8 @@ def _assert_state_equals_fresh(state, rates=True):
     assert state.energy() == fresh.energy()
     fresh.digest()  # builds fresh._pieces
     assert state._pieces in (None, fresh._pieces)
+    if net._config_places is not None:
+        assert state.config_index() == fresh.config_index()
     if not rates:
         return
     assert np.array_equal(state.rates(), fresh.rates())
@@ -627,6 +634,40 @@ def test_determined_steps_pick_the_full_path_target(rng, scheme):
             seen["moved clientless"] += clientless and move.changed
             _assert_state_equals_fresh(state, rates=t % 5 == 0)
     assert min(seen.values()) > 0, seen
+
+
+def test_config_indices_number_every_configuration_of_micro():
+    # every channel map and every combination of the clients' links, of
+    # which the oracle's feasible configurations are a part, gets its own
+    # index, and together they fill range(size)
+    net = builtin("micro").to_network()
+    links = [net.link_vap[net.link_ptr[i]:net.link_ptr[i + 1]].tolist()
+             for i in range(net.n_clients)]
+    indices, feasible = [], 0
+    for chan in itertools.product(range(net.n_channels), repeat=net.n_vaps):
+        for assoc in itertools.product(*links):
+            state = SystemState(net, "server", np.array(assoc), np.array(chan))
+            indices.append(state.config_index())
+            feasible += state.feasible
+    size = math.prod(map(len, links)) * net.n_channels ** net.n_vaps
+    assert sorted(indices) == list(range(size))
+    assert feasible == enumerate_optimum(net).evaluated
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_large_networks_keep_no_index_or_table(rng, scheme):
+    # grid16-weighted and the dual-radio grid have more than 2**64
+    # configurations: no place values, no candidate table, and steps on
+    # them never build an index
+    for net in (builtin("grid16-weighted").to_network(), dual_radio_grid(rng, 64)):
+        assert net._config_places is None and net._candidate_table is None
+        state = SystemState(net, scheme, *initial_configuration(net, rng))
+        policy = OptimizerPolicy(scheme=scheme)
+        for t in range(1, net.n_clients + net.n_vaps + 1):
+            gibbs_step(state, t, policy, rng)
+        assert state._index is None
+        with pytest.raises(ValueError, match="^config_index:"):
+            state.config_index()
 
 
 def _load_change_unstacked(w, z, shift):
