@@ -155,7 +155,7 @@ def _entries(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row and in ascending column order within a row: the neighbour lists of
     its rows, read with one flat nonzero."""
     flat = mask.ravel().nonzero()[0]
-    return flat // mask.shape[1], flat % mask.shape[1]
+    return np.divmod(flat, mask.shape[1])
 
 
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -242,12 +242,7 @@ class SystemState:
     ``_f`` = psi(w) + psi(z - w) - psi(z) of its load w and its radio's z;
     the scheduling term ``_sched`` (0 under the client scheme), the link term
     ``b_term`` and the energy ``_u``, summed from them in the order
-    ``energy`` has always used, so ``energy()`` is a lookup. Kept until a
-    channel move changes the neighbour lists: in ``_frames``, each evaluated
-    client's reachable radios, log rates and lists (``_reach``) and each
-    evaluated radio's old and new neighbourhoods (``_channel_frame``), which
-    72% and 82% of the calls find there on the benchmark's line3-2ch chains,
-    which run about 1.25x as fast with them.
+    ``energy`` has always used, so ``energy()`` is a lookup.
 
     Kept for the trajectory records, so a record costs what moved since the
     last one: every transmitter's idle probability ``_idle`` (the product of
@@ -290,9 +285,6 @@ class SystemState:
         self._pieces = None
         # the configuration's index, from the first config_index() on
         self._index = None
-        # client i -> _reach(i) and radio v (as ~v) -> _channel_frame(v); they
-        # depend only on the channels and are dropped on a channel move
-        self._frames = {}
         self.z = np.zeros(network.n_vaps)
         if scheme == SCHEME_SERVER:
             self._psi_w = np.zeros(network.n_vaps)
@@ -400,7 +392,6 @@ class SystemState:
         touched = adj[vap] | row
         adj[vap, :] = row
         adj[:, vap] = row
-        self._frames.clear()
         if self._pieces is not None:
             parts = net._digest_parts
             k = parts.vap_piece[vap]
@@ -446,30 +437,32 @@ class SystemState:
         z[self.same_ch_adj[a].take(entries)] -= wi
         return w, z
 
-    def _reach(self, client: int):
-        """The radios the client reaches on the current channels (ascending),
-        its log rate to each, their neighbour lists (_neighbours) and the mask
-        of each radio's own entry in them. Under the client scheme also the
-        list entries sorted (_clients_at searches them), the position in
-        that sorted list of every entry's first copy and that of each
-        reachable radio. Read from the client's links; they depend only on
-        the channels, so they are kept until a channel move."""
-        frame = self._frames.get(client)
-        if frame is None:
-            net = self.net
-            lo, hi = net.link_ptr[client:client + 2].tolist()
-            radios = net.link_vap[lo:hi]
-            lb = net.log_rates[np.arange(lo, hi), self.chan[radios]]
-            usable = np.isfinite(lb)
-            reach, lb = radios[usable], lb[usable]
-            rows, nbrs = self._neighbours(reach)
-            own = nbrs == reach[rows]
-            frame = (reach, lb, rows, nbrs, own)
-            if self.scheme == SCHEME_CLIENT:
-                hood = np.sort(nbrs)
-                slot = hood.searchsorted(nbrs)
-                frame += (hood, slot, slot[own])
-            self._frames[client] = frame
+    def _links(self, client: int):
+        """The radios the client reaches on the current channels (ascending)
+        and its log rate to each, read from the client's links."""
+        net = self.net
+        lo, hi = net.link_ptr[client:client + 2].tolist()
+        radios = net.link_vap[lo:hi]
+        # link k's log rate on its radio's channel: the diagonal of the links'
+        # rows taken at every radio's channel, which needs no arange
+        lb = net.log_rates[lo:hi].take(self.chan[radios], axis=1).diagonal()
+        usable = np.isfinite(lb)
+        return radios[usable], lb[usable]
+
+    def _reach(self, reach: np.ndarray, lb: np.ndarray):
+        """A client's frame: the radios it reaches and its log rate to each
+        (_links), their neighbour lists (_neighbours) and the mask of each
+        radio's own entry in them. Under the client scheme also the list
+        entries sorted (_clients_at searches them), the position in that
+        sorted list of every entry's first copy and that of each reachable
+        radio."""
+        rows, nbrs = self._neighbours(reach)
+        own = nbrs == reach[rows]
+        frame = (reach, lb, rows, nbrs, own)
+        if self.scheme == SCHEME_CLIENT:
+            hood = np.sort(nbrs)
+            slot = hood.searchsorted(nbrs)
+            frame += (hood, slot, slot[own])
         return frame
 
     def _clients_at(self, radios: np.ndarray, but: int | None = None):
@@ -525,10 +518,11 @@ class SystemState:
         """
         self._check_feasible()
         net = self.net
-        frame = self._reach(client)
-        reach, lb, rows, nbrs, own = frame[:5]
+        reach, lb = self._links(client)
         if reach.size == 1:
             return reach, np.array([self._u])
+        frame = self._reach(reach, lb)
+        rows, own = frame[2], frame[4]
         wi = net.weights[client]
         w, z = self._left_out(client, frame)
         if self.scheme == SCHEME_SERVER:
@@ -574,7 +568,7 @@ class SystemState:
         self._check_feasible()
         net = self.net
         wi = net.weights[client]
-        frame = self._reach(client)
+        frame = self._reach(*self._links(client))
         reach, lb, rows, nbrs, own = frame[:5]
         link = lb + math.log(wi)
         w, z = self._left_out(client, frame)
@@ -622,8 +616,9 @@ class SystemState:
         N_c. So value(c) = U + the change of its clients' link terms + the
         change of t over the old neighbours + the change over N_c + the change
         of the radio's own terms, and value(here) = U. The terms that change
-        sit on the entries of _channel_frame, one bincount keyed by channel
-        adds them up, and the cost is O(degree + C): no channel x radio array.
+        sit on the radio's old neighbours and the N_c, one bincount keyed by
+        channel adds them up, and the cost is O(degree + C): no channel x
+        radio array.
         """
         self._check_feasible()
         net = self.net
@@ -637,10 +632,24 @@ class SystemState:
 
         here = self.chan[vap]
         load = self.w_ap[vap]
-        radios, key, sign, new, ch = self._channel_frame(vap)
+        # the radios whose z changes, in ascending order (_clients_at searches
+        # them), from one nonzero on the rows of net.adjacency that hold the
+        # radio's pairs: a partner on channel c within c's range is an old
+        # neighbour (key C, sign -1) when c is the radio's channel and in N_c
+        # (key c, sign +1) otherwise. A partner is on one channel, so it
+        # appears once.
+        lo, hi = net.pair_ptr[vap], net.pair_ptr[vap + 1]
+        pairs, ch = net.adjacency[lo:hi].nonzero()
+        radios = net.pair_vap[lo:hi][pairs]
+        on = (self.chan[radios] == ch) & (radios != vap)
+        radios, ch = radios[on], ch[on]
+        joins = ch != here
+        key = np.where(joins, ch, C)
+        sign = np.where(joins, 1.0, -1.0)
         # the radio's own load z: on each channel, and (last) as it is now
-        z_own = np.append(load + np.bincount(ch, weights=self.w_ap[new], minlength=C),
-                          self.z[vap])
+        z_own = np.append(
+            load + np.bincount(ch[joins], weights=self.w_ap[radios[joins]], minlength=C),
+            self.z[vap])
         if self.scheme == SCHEME_SERVER:
             w, z = self.w_ap[radios], self.z[radios]
             t_own = _t_term(load, z_own)
@@ -657,35 +666,6 @@ class SystemState:
         values = self._u + (links - links[here]) + (totals[:C] + totals[C] + own)
         values[here] = self._u
         return targets, values[targets]
-
-    def _channel_frame(self, vap: int):
-        """The radios whose z changes when the radio leaves its channel, in
-        ascending order (_clients_at searches them): its old neighbours (key
-        C, sign -1) and, for every other channel c, the new neighbours N_c
-        (key c, sign +1); and the new neighbours again as (radios, channels).
-        All come from one nonzero on the rows of net.adjacency that hold the
-        radio's pairs: a partner on channel c within c's range is an old
-        neighbour when c is the radio's channel and in N_c otherwise. A
-        partner is on one channel, so it appears once. Kept until a channel
-        move."""
-        frame = self._frames.get(~vap)
-        if frame is None:
-            net = self.net
-            here = self.chan[vap]
-            lo, hi = net.pair_ptr[vap], net.pair_ptr[vap + 1]
-            pairs, ch = net.adjacency[lo:hi].nonzero()
-            radios = net.pair_vap[lo:hi][pairs]
-            on = (self.chan[radios] == ch) & (radios != vap)
-            radios, ch = radios[on], ch[on]
-            joins = ch != here
-            frame = self._frames[~vap] = (
-                radios,
-                np.where(joins, ch, net.n_channels),
-                np.where(joins, 1.0, -1.0),
-                radios[joins],
-                ch[joins],
-            )
-        return frame
 
     # -- derived metrics ----------------------------------------------------
 

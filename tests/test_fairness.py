@@ -222,12 +222,19 @@ def test_state_refuses_index_arrays_out_of_range(name, assoc, chan):
         SystemState(net, "server", assoc, chan)
 
 
+_SPARSE = dict(n_aps=3, n_clients=5, max_radios=2)
+_CROWDED = dict(n_aps=2, n_clients=20, max_radios=1)
+
+
 @pytest.mark.parametrize("scheme", ["server", "client"])
 def test_association_candidates_match_from_scratch(rng, scheme):
-    for _ in range(15):
-        net = random_network(rng, n_aps=3, n_clients=5, n_channels=2,
-                             dyadic=False, max_radios=2)
+    # the last networks put 20 clients on two radios, so one radio holds 10
+    # or more
+    crowd = 0
+    for cell in [_SPARSE] * 15 + [_CROWDED] * 3:
+        net = random_network(rng, n_channels=2, dyadic=False, **cell)
         state = random_state(net, rng, scheme)
+        crowd = max(crowd, np.bincount(state.assoc).max())
         i = int(rng.integers(net.n_clients))
         values, feasible = dense_candidates(state.association_candidates(i), net.n_vaps)
         for b in range(net.n_vaps):
@@ -238,15 +245,18 @@ def test_association_candidates_match_from_scratch(rng, scheme):
                 assert rel(values[b], fresh.energy()) < 1e-11
             else:
                 assert values[b] == -math.inf and fresh.energy() == -math.inf
+    assert crowd >= 8
 
 
 @pytest.mark.parametrize("scheme", ["server", "client"])
 def test_channel_candidates_match_from_scratch(rng, scheme):
-    clientless = 0
-    for _ in range(15):
-        net = random_network(rng, n_aps=3, n_clients=5, n_channels=3,
-                             dyadic=False, max_radios=2)
+    # the last networks put 20 clients on two radios, so one radio holds 10
+    # or more
+    clientless = crowd = 0
+    for cell in [_SPARSE] * 15 + [_CROWDED] * 3:
+        net = random_network(rng, n_channels=3, dyadic=False, **cell)
         state = random_state(net, rng, scheme)
+        crowd = max(crowd, np.bincount(state.assoc).max())
         n = int(rng.integers(net.n_vaps))
         values, feasible = dense_candidates(state.channel_candidates(n), net.n_channels)
         for c in range(net.n_channels):
@@ -264,7 +274,7 @@ def test_channel_candidates_match_from_scratch(rng, scheme):
             assert np.array_equal(targets, np.arange(net.n_channels))
             assert np.array_equal(values, np.full(net.n_channels, state.energy()))
             clientless += 1
-    assert clientless > 0
+    assert clientless > 0 and crowd >= 8
 
 
 def _network_with_far_clients(rng):
@@ -587,9 +597,8 @@ def test_determined_steps_pick_the_full_path_target(rng, scheme):
     # movers with one target and clientless radios skip the evaluation or the
     # draw; at every temperature and uniform the step must still pick the
     # target the full arithmetic picks, and leave a state equal to a fresh
-    # one. The chains run on one live state, so the association candidates'
-    # cached entries of the client's radio outlive some moves and are
-    # dropped by others.
+    # one. The chains run on one live state, whose candidates are evaluated
+    # over the arrays that the moves before have maintained.
     uniforms = (0.0, 0.2, 0.5, 0.73, 1.0 - 2.0 ** -53)
     seen = {"one target": 0, "clientless": 0, "moved clientless": 0}
     for trial in range(4):
@@ -619,12 +628,13 @@ def test_determined_steps_pick_the_full_path_target(rng, scheme):
                     assert energy == trial_state.energy()
                     _assert_state_equals_fresh(trial_state, rates=False)
             # advance the live state by one dp-exact step; its candidates,
-            # read through caches kept since earlier steps, equal a fresh
-            # state's bit for bit
-            if kind == "association":
-                fresh = SystemState(net, scheme, state.assoc, state.chan)
-                for got, want in zip(state.association_candidates(mover),
-                                     fresh.association_candidates(mover)):
+            # evaluated on the maintained arrays, equal a fresh state's bit
+            # for bit
+            fresh = SystemState(net, scheme, state.assoc, state.chan)
+            methods = ("association_candidates", "association_scores_approx") \
+                if kind == "association" else ("channel_candidates",)
+            for name in methods:
+                for got, want in zip(getattr(state, name)(mover), getattr(fresh, name)(mover)):
                     assert np.array_equal(got, want)
             policy = OptimizerPolicy(scheme=scheme, schedule=Schedule("const", 0.4))
             choose, _ = _full_path_choice(state, kind, mover, policy, 0.4)

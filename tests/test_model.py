@@ -279,7 +279,7 @@ def test_leave_out_queries(rng):
         assert z_minus[home] == state.z[home] - wi
         # the frame's list entries (client scheme: sorted), repeats included,
         # read the same loads
-        frame = state._reach(0)
+        frame = state._reach(*state._links(0))
         entries = frame[3] if scheme == "server" else frame[5]
         assert home in entries
         w_some, z_some = state._left_out(0, frame)
