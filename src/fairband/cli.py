@@ -208,6 +208,8 @@ def cmd_enumerate(args) -> int:
     net = scenario.to_network()
     try:
         best = enumerate_optimum(net, scheme=args.scheme, limit=args.limit)
+    except ScenarioError:
+        raise  # main reports it and exits 2, as for run
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

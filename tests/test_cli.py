@@ -136,6 +136,18 @@ def test_enumerate_rejects_oversized(capsys):
     capsys.readouterr()
 
 
+def test_unreachable_client_is_a_scenario_error_for_run_and_enumerate(tmp_path, capsys):
+    path = tmp_path / "lost.yaml"
+    save_scenario(path, builtin("micro"))
+    raw = yaml.safe_load(path.read_text())
+    raw["clients"].append({"id": "lost", "position": [5000.0, 0.0], "weight": 1.0})
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    for command in (["run", "--iters", "10"], ["enumerate"]):
+        assert main([*command, "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: client 'lost' has no positive-rate AP on any channel\n"
+
+
 def test_runs_fan_out_with_distinct_seeds(tmp_path):
     out = tmp_path / "o"
     assert main([

@@ -1,4 +1,5 @@
 """The independent evaluator, exhaustive search, and numeric optimizer."""
+import itertools
 import math
 
 import numpy as np
@@ -29,15 +30,31 @@ def test_oracle_minus_inf_on_dead_link():
 
 
 def test_enumerate_micro_counts_and_agrees_both_schemes():
-    net = builtin("micro").to_network()
-    for scheme in ("server", "client"):
-        best = enumerate_optimum(net, scheme)
-        assert best.evaluated == 32  # 4 channel maps x 8 associations
-        cfg = Configuration(best.association, best.channel)
-        u = SystemState.from_configuration(net, cfg, scheme).energy()
-        assert rel(best.energy, u) < 1e-12
-        # nothing beats it in its own enumeration
-        assert math.isfinite(best.energy)
+    micro = builtin("micro").to_network()
+    # non-dyadic weights and a two-radio AP; on ch-16000 (51 m range) each
+    # client reaches only its nearest AP
+    dual = Network(
+        [Channel("ch-2400", 2400.0, 22.0), Channel("ch-16000", 16000.0, 50.0)],
+        [AccessPoint("ap0", (0.0, 0.0), radio_count=2), AccessPoint("ap1", (120.0, 0.0))],
+        [Client("c1", (20.0, 0.0), 0.7), Client("c2", (50.0, 0.0), 1.3),
+         Client("c3", (80.0, 0.0), 2.1), Client("c4", (110.0, 5.0), 0.9)],
+    )
+    # micro: 4 channel maps x 8 associations, all feasible
+    for net, count in ((micro, 32), (dual, 234)):
+        for scheme in ("server", "client"):
+            best = enumerate_optimum(net, scheme)
+            assert best.evaluated == count
+            cfg = Configuration(best.association, best.channel)
+            u = SystemState.from_configuration(net, cfg, scheme).energy()
+            assert rel(best.energy, u) < 1e-12
+            # nothing beats it in its own enumeration, scored by the engine
+            feasible = 0
+            for chan in itertools.product(range(net.n_channels), repeat=net.n_vaps):
+                for assoc in itertools.product(range(net.n_vaps), repeat=net.n_clients):
+                    state = SystemState(net, scheme, np.array(assoc), np.array(chan))
+                    feasible += state.feasible
+                    assert state.energy() <= best.energy + 1e-12
+            assert feasible == count
 
 
 def test_enumerate_respects_limit():
@@ -57,8 +74,11 @@ def test_enumerate_beats_random_configs(rng):
 def test_numeric_optimum_confirms_closed_form(rng):
     # the objective is concave in (phi, p), so SLSQP from an interior start
     # lands on the global optimum; closed form must match it
-    for _ in range(6):
-        net = random_network(rng, n_aps=2, n_clients=3, n_channels=2, dyadic=False)
+    # the last network has a two-radio AP: 3 clients + at most 3 occupied radios
+    for max_radios in [1] * 6 + [2]:
+        net = random_network(rng, n_aps=2, n_clients=3, n_channels=2, dyadic=False,
+                             max_radios=max_radios)
+        assert net.n_vaps > 2 or max_radios == 1
         state = random_state(net, rng, "server")
         cfg = state.to_configuration()
         numeric = numeric_allocation_optimum(
@@ -70,8 +90,11 @@ def test_numeric_optimum_confirms_closed_form(rng):
 
 
 def test_numeric_optimum_client_scheme(rng):
-    for _ in range(4):
-        net = random_network(rng, n_aps=2, n_clients=4, n_channels=2, dyadic=False)
+    # the last network has a two-radio AP
+    for max_radios in [1] * 4 + [2]:
+        net = random_network(rng, n_aps=2, n_clients=4, n_channels=2, dyadic=False,
+                             max_radios=max_radios)
+        assert net.n_vaps > 2 or max_radios == 1
         state = random_state(net, rng, "client")
         cfg = state.to_configuration()
         numeric = numeric_allocation_optimum(
