@@ -28,8 +28,8 @@ POLICY_KINDS = ("dp-exact", "dp-approx", "greedy")
 SELECTION_KINDS = ("round-robin", "random")
 # channel draws initial_configuration tries before it falls back
 MAX_REDRAWS = 100
-# entries at which gibbs_step clears a network's candidate table
-TABLE_CAP = 2**15
+# entries at which a network's candidate table is cleared
+TABLE_CAP = 2**16
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,16 @@ def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
     top = np.maximum.reduce(values, initial=-np.inf)
     if top == -np.inf:
         return np.zeros_like(values)
+    return _gap_softmax(values - top, temperature)
+
+
+def _gap_softmax(gaps: np.ndarray, temperature: float) -> np.ndarray:
+    """softmax_probabilities from the gaps values - max(values) of values
+    with a finite max, which a table entry holds (see gibbs_step)."""
     # exp is exactly 0 below about -745, so raising every gap to -1000 T
     # changes no probability; it keeps a tiny T from overflowing the quotient
     # (float() keeps the product a Python float, which cannot warn)
-    ex = np.exp(np.maximum(values - top, float(temperature) * -1000.0) / temperature)
+    ex = np.exp(np.maximum(gaps, float(temperature) * -1000.0) / temperature)
     return ex / np.add.reduce(ex)
 
 
@@ -218,14 +224,16 @@ def gibbs_step(
     (Network._candidate_table) when it holds them, and stores them there
     when it evaluates them, so a chain that returns to a configuration, or
     another chain on the same network that reaches it, evaluates them once.
-    The key is exact, state.config_index() * 4 (I + V) + 4 m + 2 a + s, with
-    m the mover's position among the clients and then the radios, a = 1 for
-    a client's dp-approx scores and s = 1 under the client scheme. The
-    maintained state equals a fresh state of its configuration bit for bit,
-    so an entry holds the bits the candidate method returns. An entry is one
-    bytes object, the values and then the targets, read back as read-only
-    arrays. Only results with two or more targets are stored, since a
-    one-target return costs little, and the table is cleared when it holds
+    The key is exact, _table_key(state, 4 m + 2 a + s), with m the mover's
+    position among the clients and then the radios, a = 1 for a client's
+    dp-approx scores and s = 1 under the client scheme. The maintained state
+    equals a fresh state of its configuration bit for bit, so an entry holds
+    the bits the candidate method returns. An entry is one bytes object of
+    24 bytes per target, read back as read-only arrays: the gaps
+    values - max(values), from which the draw starts (_gap_softmax), the
+    values, which T = 0 reads, and the targets. Only results with two or
+    more targets are stored, since a one-target return costs little. run's
+    records share the table (_record), and it is cleared when it holds
     TABLE_CAP entries. A larger network has no table (None), and its steps
     evaluate every mover.
     """
@@ -233,7 +241,7 @@ def gibbs_step(
     if kind == "channel" and not state.w_ap[idx]:
         targets = None  # a clientless radio: C equal values, none evaluated
     else:
-        targets, values = _candidates(
+        targets, values, gaps = _candidates(
             state, kind, idx, kind == "association" and policy.kind == "dp-approx")
     temperature = None if policy.kind == "greedy" else policy.schedule.temperature(t)
     uniform = rng.random()
@@ -243,8 +251,7 @@ def gibbs_step(
     elif targets.size == 1:
         choice = current
     elif temperature:
-        probs = softmax_probabilities(values, temperature)
-        choice = int(targets[_sample_index(probs, uniform)])
+        choice = int(targets[_sample_index(_gap_softmax(gaps, temperature), uniform)])
     else:
         best, u_cur = np.maximum.reduce(values), values[targets.searchsorted(current)]
         margin = 1e-12 * max(1.0, abs(u_cur))
@@ -260,33 +267,70 @@ def gibbs_step(
 
 def _candidates(
     state: SystemState, kind: str, idx: int, approx: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The mover's (targets, values): read from the network's candidate
-    table when it holds them (see gibbs_step), else from its candidate
-    method, association_scores_approx when approx, else
-    association_candidates or channel_candidates, and stored there."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mover's (targets, values, gaps), gaps = values - max(values):
+    read from the network's candidate table when it holds them (see
+    gibbs_step), else from its candidate method, association_scores_approx
+    when approx, else association_candidates or channel_candidates, and
+    stored there."""
     table = state.net._candidate_table
     if table is not None:
-        n = state.assoc.size
-        m = idx if kind == "association" else n + idx
-        code = 4 * m + 2 * approx + (state.scheme == SCHEME_CLIENT)
-        key = state.config_index() * 4 * (n + state.chan.size) + code
+        m = idx if kind == "association" else state.assoc.size + idx
+        key = _table_key(state, 4 * m + 2 * approx + (state.scheme == SCHEME_CLIENT))
         entry = table.get(key)
         if entry is not None:
             found = np.frombuffer(entry)
-            half = found.size // 2
-            return found[half:].view(np.int64), found[:half]
+            k = found.size // 3
+            return found[2 * k:].view(np.int64), found[k:2 * k], found[:k]
     if approx:
         targets, values = state.association_scores_approx(idx)
     elif kind == "association":
         targets, values = state.association_candidates(idx)
     else:
         targets, values = state.channel_candidates(idx)
+    gaps = values - np.maximum.reduce(values)
     if table is not None and targets.size > 1:
-        if len(table) >= TABLE_CAP:
-            table.clear()
-        table[key] = values.tobytes() + targets.tobytes()
-    return targets, values
+        _store(table, key, gaps.tobytes() + values.tobytes() + targets.tobytes())
+    return targets, values, gaps
+
+
+def _table_key(state: SystemState, code: int) -> int:
+    """The exact key of the candidate-table entry of code 0 <= code <
+    4 (I + V + 1) for the state's configuration:
+    state.config_index() * 4 (I + V + 1) + code. The movers' codes
+    (gibbs_step) lie below 4 (I + V), the records' (_record) above."""
+    return state.config_index() * 4 * (state.assoc.size + state.chan.size + 1) + code
+
+
+def _store(table: dict, key: int, entry):
+    """Store an entry in a candidate table, clearing it first when it holds
+    TABLE_CAP entries."""
+    if len(table) >= TABLE_CAP:
+        table.clear()
+    table[key] = entry
+
+
+def _record(state: SystemState) -> tuple[float, str]:
+    """The state's (weighted_throughput(), digest()) for a trajectory record.
+
+    Both are functions of the configuration and the scheme alone, so on a
+    network with a candidate table they are read from it when it holds them
+    and stored there when they are computed, under the key
+    _table_key(state, 4 (I + V) + s), s = 1 under the client scheme. A
+    computed record refreshes every success product and digest piece that
+    the moves since the last computed one left pending, so the records read
+    from the table leave the state as exact as ever.
+    """
+    table = state.net._candidate_table
+    if table is None:
+        return state.weighted_throughput(), state.digest()
+    code = 4 * (state.assoc.size + state.chan.size) + (state.scheme == SCHEME_CLIENT)
+    key = _table_key(state, code)
+    entry = table.get(key)
+    if entry is None:
+        entry = (state.weighted_throughput(), state.digest())
+        _store(table, key, entry)
+    return entry
 
 
 # bench/tracing.py::targets() still patches this name
@@ -401,7 +445,10 @@ def run(
 
     Records (t, T, energy, weighted throughput, configuration hash) at the
     requested cadence plus the initial and final points, and tracks the best
-    configuration seen anywhere along the trajectory. A greedy run stops
+    configuration seen anywhere along the trajectory. A record of a state
+    that no move changed since the last record reuses it; any other reads
+    the weighted throughput and hash from the network's candidate table, or
+    computes and stores them there (_record). A greedy run stops
     early once a whole sweep of movers produces no change, which certifies
     a local optimum under single moves.
     """
@@ -421,7 +468,7 @@ def run(
     # reused until a move changes the state. Each is kept up to date by the
     # moves or refreshed only where they changed, so a record costs what
     # moved since the last one.
-    recorded = (u, state.weighted_throughput(), state.digest())
+    recorded = (u, *_record(state))
     trajectory = [TrajectoryPoint(0, None, *recorded)]
     dirty = False
 
@@ -437,7 +484,7 @@ def run(
         greedy_done = policy.kind == "greedy" and unchanged_streak >= sweep
         if t % cadence == 0 or t == iters or greedy_done:
             if dirty:
-                recorded = (u, state.weighted_throughput(), state.digest())
+                recorded = (u, *_record(state))
                 dirty = False
             trajectory.append(TrajectoryPoint(t, move.temperature, *recorded))
         if greedy_done:

@@ -25,7 +25,8 @@ from fairband import (
 )
 from fairband import annealing
 from fairband.annealing import (
-    MAX_REDRAWS, TABLE_CAP, _equal_cdf, _sample_index, gibbs_step, potential_scale_reduction,
+    MAX_REDRAWS, TABLE_CAP, _equal_cdf, _gap_softmax, _sample_index, gibbs_step,
+    potential_scale_reduction,
 )
 from conftest import (
     dense_candidates, dense_reference, dual_radio_grid, random_network, random_state, rel,
@@ -138,6 +139,28 @@ def test_equal_cdf_is_the_draw_arithmetic_on_equal_values():
                 cdf = (probs / probs.sum()).cumsum()
                 cdf /= cdf[-1]
                 assert _equal_cdf(n).tobytes() == cdf.tobytes()
+
+
+def test_step_draw_from_gaps_matches_the_softmax_draw():
+    # the step draws from the gaps values - max(values) that its candidates
+    # come with; it must pick the index the reference draw picks from the
+    # softmax of the values, at temperatures down to the smallest positive
+    # float (where the -1000 T floor binds) and at uniforms on the cdf's
+    # own boundaries
+    meta = np.random.default_rng(23)
+    for _ in range(3000):
+        n = int(meta.integers(2, 9))
+        values = meta.normal(size=n) * 10.0 ** meta.uniform(-3, 3) + meta.normal() * 100.0
+        if meta.random() < 0.2:
+            values[int(meta.integers(n))] = values.max()  # a tied best
+        temperature = 5e-324 if _ % 10 == 0 else float(10.0 ** meta.uniform(-323, 1))
+        probs = softmax_probabilities(values, temperature)
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        uniforms = [0.0, *meta.random(4), *cdf[cdf < 1.0], *np.nextafter(cdf[cdf < 1.0], 0.0)]
+        gaps = values - values.max()
+        for u in uniforms:
+            assert _sample_index(_gap_softmax(gaps, temperature), u) == _sample_index(probs, u)
 
 
 def _masked_softmax(values, temperature, feasible):
@@ -614,15 +637,31 @@ class _CountingTable(dict):
         return entry
 
 
+def _table_networks(rng):
+    """line3-2ch, micro and two random three-AP networks with two-radio APs
+    and non-dyadic weights, each with a counting candidate table."""
+    nets = [builtin("line3-2ch").to_network(), builtin("micro").to_network()]
+    nets += [random_network(rng, n_aps=3, n_clients=6, n_channels=3, dyadic=False,
+                            max_radios=2) for _ in range(2)]
+    for net in nets:
+        net.__dict__["_candidate_table"] = _CountingTable()
+    return nets
+
+
+_TABLE_RUNS = [("dp-exact", "round-robin"), ("dp-exact", "random"), ("greedy", "round-robin"),
+               ("dp-approx", "round-robin"), ("dp-approx", "random")]
+
+
 def test_table_hits_equal_a_fresh_evaluation(monkeypatch, rng):
     # every candidate lookup of a step, from the table or not, gives the
     # targets and the bits of the mover's candidate method on a fresh state
-    # of the step's configuration; two chains of each policy, selection and
-    # scheme share one network and its table
+    # of the step's configuration, and the gaps to their max that the draw
+    # starts from; two chains of each policy, selection and scheme share one
+    # network and its table
     original = annealing._candidates
 
     def checked(state, kind, idx, approx):
-        targets, values = original(state, kind, idx, approx)
+        targets, values, gaps = original(state, kind, idx, approx)
         fresh = SystemState(state.net, state.scheme, state.assoc, state.chan)
         if approx:
             want = fresh.association_scores_approx(idx)
@@ -632,27 +671,50 @@ def test_table_hits_equal_a_fresh_evaluation(monkeypatch, rng):
             want = fresh.channel_candidates(idx)
         assert np.array_equal(targets, want[0])
         assert values.tobytes() == want[1].tobytes()
-        return targets, values
+        assert gaps.tobytes() == (want[1] - want[1].max()).tobytes()
+        return targets, values, gaps
 
     monkeypatch.setattr(annealing, "_candidates", checked)
-    nets = [builtin("line3-2ch").to_network(), builtin("micro").to_network()]
-    nets += [random_network(rng, n_aps=3, n_clients=6, n_channels=3, dyadic=False,
-                            max_radios=2) for _ in range(2)]
-    runs = [("dp-exact", "round-robin"), ("dp-exact", "random"), ("greedy", "round-robin"),
-            ("dp-approx", "round-robin"), ("dp-approx", "random")]
-    for net in nets:
-        table = net.__dict__["_candidate_table"] = _CountingTable()
+    for net in _table_networks(rng):
         for (kind, selection), scheme, seed in itertools.product(
-                runs, ("server", "client"), range(2)):
+                _TABLE_RUNS, ("server", "client"), range(2)):
             run(net, OptimizerPolicy(kind=kind, scheme=scheme, selection=selection,
                                      iterations=400, seed=seed))
-        assert table.hits >= 100, net.name
+        assert net._candidate_table.hits >= 100, net.name
+
+
+def test_table_records_equal_a_fresh_state(monkeypatch, rng):
+    # every trajectory record, from the table or not, gives the weighted
+    # throughput bits and the digest of a fresh state of its configuration,
+    # under both schemes; the chains share each network and its table
+    original = annealing._record
+    hits = []
+
+    def checked(state):
+        table = state.net._candidate_table
+        before = table.hits
+        wthr, digest = original(state)
+        hits.append(table.hits - before)
+        fresh = SystemState(state.net, state.scheme, state.assoc, state.chan)
+        assert wthr.hex() == fresh.weighted_throughput().hex()
+        assert digest == fresh.to_configuration().digest()
+        return wthr, digest
+
+    monkeypatch.setattr(annealing, "_record", checked)
+    for net in _table_networks(rng):
+        hits.clear()
+        for (kind, selection), scheme, seed in itertools.product(
+                _TABLE_RUNS, ("server", "client"), range(2)):
+            run(net, OptimizerPolicy(kind=kind, scheme=scheme, selection=selection,
+                                     iterations=300, seed=seed), record_every=1)
+        assert sum(hits) >= 100, net.name
 
 
 @pytest.mark.parametrize("scheme", ["server", "client"])
-def test_runs_on_a_warm_table_equal_runs_on_fresh_networks(tmp_path, scheme):
+def test_runs_on_a_warm_table_equal_runs_on_fresh_networks(monkeypatch, tmp_path, scheme):
     # seeds 0-9 twice on one compiled network: the second round finds every
-    # entry it looks up, and both rounds write what runs on freshly compiled
+    # entry it looks up, records included, so it computes no weighted
+    # throughput, and both rounds write what runs on freshly compiled
     # networks write
     def saved(res):
         path = tmp_path / "result.json"
@@ -663,7 +725,17 @@ def test_runs_on_a_warm_table_equal_runs_on_fresh_networks(tmp_path, scheme):
     policies = [OptimizerPolicy(scheme=scheme, iterations=2000, seed=s) for s in range(10)]
     cold = [run(net, policy) for policy in policies]
     size = len(net._candidate_table)
-    warm = [run(net, policy) for policy in policies]
+    calls = []
+    original = SystemState.weighted_throughput
+
+    def counted(state):
+        calls.append(state)
+        return original(state)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SystemState, "weighted_throughput", counted)
+        warm = [run(net, policy) for policy in policies]
+    assert not calls
     assert 0 < size == len(net._candidate_table)
     for policy, *results in zip(policies, cold, warm):
         fresh = run(builtin("line3-2ch").to_network(), policy)
