@@ -13,8 +13,10 @@ T = 0, and every T = 0 step uses greedy's tie rule.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -30,6 +32,8 @@ SELECTION_KINDS = ("round-robin", "random")
 MAX_REDRAWS = 100
 # entries at which a network's candidate table is cleared
 TABLE_CAP = 2**16
+# distance from a cdf boundary within which the float draw defers to numpy's
+GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -186,11 +190,54 @@ def _sample_index(probs: np.ndarray, uniform: float) -> int:
 
 
 @functools.cache
-def _equal_cdf(n: int) -> np.ndarray:
+def _equal_cdf(n: int) -> tuple[float, ...]:
     """The cdf _sample_index builds over the softmax of n equal finite
-    values. Every gap to the max is 0.0, so every exp is 1.0 at any T > 0:
-    the cdf depends on neither the value nor T, and is computed once per n."""
-    return _cdf(softmax_probabilities(np.zeros(n), 1.0))
+    values, as Python floats with the same bits. Every gap to the max is
+    0.0, so every exp is 1.0 at any T > 0: the cdf depends on neither the
+    value nor T, and is computed once per n. bisect.bisect_right on it is
+    the draw's searchsorted(side="right")."""
+    return tuple(_cdf(softmax_probabilities(np.zeros(n), 1.0)).tolist())
+
+
+@functools.cache
+def _gap_reader(k: int):
+    """The unpack_from that reads the k gaps that open an entry of k
+    targets as Python floats."""
+    return struct.Struct(f"{k}d").unpack_from
+
+
+# an entry's targets are int64, in the byte order ndarray.tobytes writes
+_TARGET = struct.Struct("q")
+
+
+def _float_draw(gaps, temperature: float, uniform: float) -> int | None:
+    """The index _sample_index(_gap_softmax(gaps, T), uniform) returns,
+    computed in Python floats, or None when uniform lies within GUARD of a
+    cdf value, where the estimate cannot be sure of it (see gibbs_step)."""
+    floor = temperature * -1000.0
+    ex = [math.exp((g if g > floor else floor) / temperature) for g in gaps]
+    total = 0.0
+    for e in ex:
+        total += e
+    running = 0.0
+    for j, e in enumerate(ex):
+        running += e
+        c = running / total
+        if uniform < c - GUARD:
+            return j
+        if uniform <= c + GUARD:
+            return None
+    return None  # not reached: the last c_j is total / total = 1.0 > uniform
+
+
+def _draw(entry: bytes, k: int, temperature: float, uniform: float) -> int:
+    """The index the softmax draw at T > 0 picks from the gaps of an entry
+    of k targets: the float estimate, or the numpy draw where it is
+    undecided. Only the first k doubles of entry are read."""
+    j = _float_draw(_gap_reader(k)(entry), temperature, uniform)
+    if j is None:
+        j = _sample_index(_gap_softmax(np.frombuffer(entry, count=k), temperature), uniform)
+    return j
 
 
 def gibbs_step(
@@ -215,9 +262,23 @@ def gibbs_step(
       cdf puts every uniform in [0, 1) on index 0, and at T = 0 the best is
       the current value, which the margin keeps.
     * A clientless radio changes no one's energy on any channel, so its
-      values are C copies of U. At T > 0 it draws its channel from
-      _equal_cdf(C), the cdf the draw would build from them; at T = 0 the
-      margin keeps the current channel. channel_candidates is not called.
+      values are C copies of U. At T > 0 it draws its channel by
+      bisect.bisect_right on _equal_cdf(C), the cdf the draw would build
+      from them as Python floats of the same bits; at T = 0 the margin keeps
+      the current channel. channel_candidates is not called.
+
+    The draw at T > 0 is computed in Python floats (_float_draw): with
+    e_j = math.exp(max(g_j, -1000 T) / T) over the gaps g = values -
+    max(values) and c_j the running sums of e over their total, it returns
+    the first j with uniform < c_j - GUARD, and "undecided" (None) as soon
+    as |uniform - c_j| <= GUARD. Where it is undecided the step draws as the
+    reference does, _sample_index(_gap_softmax(gaps, T), uniform) (_draw).
+    The estimate picks the reference's index everywhere else: the largest
+    gap is exactly 0.0, so the total is at least 1 and every term at most 1;
+    math.exp and numpy's exp are each within about an ulp, and every sum
+    and quotient adds one rounding, so c_j and the reference's cdf differ by
+    less than 1e-13 for up to 100 targets, far inside GUARD = 1e-9. The
+    guard sends a uniform to numpy with probability about 2e-9 per target.
 
     On a network with at most model.INDEX_LIMIT configurations, the step
     reads the candidates from the network's candidate table
@@ -228,31 +289,38 @@ def gibbs_step(
     position among the clients and then the radios, a = 1 for a client's
     dp-approx scores and s = 1 under the client scheme. The maintained state
     equals a fresh state of its configuration bit for bit, so an entry holds
-    the bits the candidate method returns. An entry is one bytes object of
-    24 bytes per target, read back as read-only arrays: the gaps
-    values - max(values), from which the draw starts (_gap_softmax), the
-    values, which T = 0 reads, and the targets. Only results with two or
-    more targets are stored, since a one-target return costs little. run's
-    records share the table (_record), and it is cleared when it holds
-    TABLE_CAP entries. A larger network has no table (None), and its steps
-    evaluate every mover.
+    the bits the candidate method returns. An entry (_candidates) is one
+    bytes object of 24 bytes per target: the gaps, the values and the
+    targets (int64). A step reads the k gaps as floats with one cached
+    struct unpack (_gap_reader) and the drawn target from its 8 bytes
+    (_TARGET); it builds arrays from the entry only at T = 0, which reads
+    the values and targets, and for an undecided draw. An evaluated mover
+    builds the same bytes, so a miss and a network without a table are read
+    the same way. Only results with two or more targets are stored, since a
+    one-target return costs little. run's records share the table (_record),
+    and it is cleared when it holds TABLE_CAP entries. A larger network has
+    no table (None), and its steps evaluate every mover.
     """
     kind, idx, current = _mover(state, t, rng if policy.selection == "random" else None)
     if kind == "channel" and not state.w_ap[idx]:
-        targets = None  # a clientless radio: C equal values, none evaluated
+        entry = None  # a clientless radio: C equal values, none evaluated
     else:
-        targets, values, gaps = _candidates(
+        entry = _candidates(
             state, kind, idx, kind == "association" and policy.kind == "dp-approx")
+        k = len(entry) // 24  # 24 bytes per target
     temperature = None if policy.kind == "greedy" else policy.schedule.temperature(t)
     uniform = rng.random()
-    if targets is None:
+    if entry is None:
         choice = current if not temperature \
-            else int(_equal_cdf(state.net.n_channels).searchsorted(uniform, side="right"))
-    elif targets.size == 1:
+            else bisect.bisect_right(_equal_cdf(state.net.n_channels), uniform)
+    elif k == 1:
         choice = current
     elif temperature:
-        choice = int(targets[_sample_index(_gap_softmax(gaps, temperature), uniform)])
+        j = _draw(entry, k, temperature, uniform)
+        choice = _TARGET.unpack_from(entry, 8 * (2 * k + j))[0]
     else:
+        found = np.frombuffer(entry)
+        values, targets = found[k:2 * k], found[2 * k:].view(np.int64)
         best, u_cur = np.maximum.reduce(values), values[targets.searchsorted(current)]
         margin = 1e-12 * max(1.0, abs(u_cur))
         choice = current if best - u_cur <= margin \
@@ -265,33 +333,29 @@ def gibbs_step(
     return Move(kind, idx, choice, changed, temperature), state.energy()
 
 
-def _candidates(
-    state: SystemState, kind: str, idx: int, approx: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mover's (targets, values, gaps), gaps = values - max(values):
-    read from the network's candidate table when it holds them (see
-    gibbs_step), else from its candidate method, association_scores_approx
-    when approx, else association_candidates or channel_candidates, and
-    stored there."""
+def _candidates(state: SystemState, kind: str, idx: int, approx: bool) -> bytes:
+    """The mover's candidate entry, the bytes of gaps + values + targets with
+    gaps = values - max(values): read from the network's candidate table
+    when it holds it (see gibbs_step), else built from the mover's candidate
+    method, association_scores_approx when approx, else
+    association_candidates or channel_candidates, and stored there."""
     table = state.net._candidate_table
     if table is not None:
         m = idx if kind == "association" else state.assoc.size + idx
         key = _table_key(state, 4 * m + 2 * approx + (state.scheme == SCHEME_CLIENT))
         entry = table.get(key)
         if entry is not None:
-            found = np.frombuffer(entry)
-            k = found.size // 3
-            return found[2 * k:].view(np.int64), found[k:2 * k], found[:k]
+            return entry
     if approx:
         targets, values = state.association_scores_approx(idx)
     elif kind == "association":
         targets, values = state.association_candidates(idx)
     else:
         targets, values = state.channel_candidates(idx)
-    gaps = values - np.maximum.reduce(values)
+    entry = (values - np.maximum.reduce(values)).tobytes() + values.tobytes() + targets.tobytes()
     if table is not None and targets.size > 1:
-        _store(table, key, gaps.tobytes() + values.tobytes() + targets.tobytes())
-    return targets, values, gaps
+        _store(table, key, entry)
+    return entry
 
 
 def _table_key(state: SystemState, code: int) -> int:

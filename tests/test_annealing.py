@@ -1,5 +1,6 @@
 """Schedules, softmax moves, Gibbs steps (greedy at T = 0), full runs, the
 candidate table."""
+import bisect
 import itertools
 import math
 
@@ -25,8 +26,8 @@ from fairband import (
 )
 from fairband import annealing
 from fairband.annealing import (
-    MAX_REDRAWS, TABLE_CAP, _equal_cdf, _gap_softmax, _sample_index, gibbs_step,
-    potential_scale_reduction,
+    GUARD, MAX_REDRAWS, TABLE_CAP, _draw, _equal_cdf, _float_draw, _gap_softmax, _sample_index,
+    gibbs_step, potential_scale_reduction,
 )
 from conftest import (
     dense_candidates, dense_reference, dual_radio_grid, random_network, random_state, rel,
@@ -129,38 +130,65 @@ def test_inverse_cdf_draw_matches_generator_choice():
 
 
 def test_equal_cdf_is_the_draw_arithmetic_on_equal_values():
-    # a clientless radio draws its channel from the cached cdf; it must be
-    # the cdf Generator.choice builds from the softmax of any n equal finite
-    # values at any T > 0, bit for bit
+    # a clientless radio draws its channel by bisect_right on the cached cdf;
+    # it must hold the bits of the cdf Generator.choice builds from the
+    # softmax of any n equal finite values at any T > 0, and bisect_right on
+    # it must pick the index searchsorted(side="right") picks
+    meta = np.random.default_rng(5)
     for n in range(1, 13):
         for temperature in (5e-324, 1e-3, 0.37, 1.0, 50.0):
             for u in (-1e6, 0.0, 7.48):
                 probs = softmax_probabilities(np.full(n, u), temperature)
                 cdf = (probs / probs.sum()).cumsum()
                 cdf /= cdf[-1]
-                assert _equal_cdf(n).tobytes() == cdf.tobytes()
+                assert np.array(_equal_cdf(n)).tobytes() == cdf.tobytes()
+        uniforms = [0.0, *meta.random(20), *cdf, *np.nextafter(cdf, 0.0), *np.nextafter(cdf, 2.0)]
+        for u in uniforms:
+            if u < 1.0:
+                assert bisect.bisect_right(_equal_cdf(n), float(u)) == \
+                    int(cdf.searchsorted(u, side="right"))
 
 
 def test_step_draw_from_gaps_matches_the_softmax_draw():
     # the step draws from the gaps values - max(values) that its candidates
-    # come with; it must pick the index the reference draw picks from the
-    # softmax of the values, at temperatures down to the smallest positive
-    # float (where the -1000 T floor binds) and at uniforms on the cdf's
-    # own boundaries
+    # come with, by the float estimate and, where it is undecided, the numpy
+    # draw; both paths must pick the index the reference draw picks from the
+    # softmax of the values, at temperatures from the smallest positive float
+    # (where the -1000 T floor binds) to 1e3, and at uniforms on the cdf's
+    # own boundaries, one ulp to either side of them and GUARD / 2 and
+    # 2 GUARD away. The estimate must be undecided on every uniform within
+    # GUARD / 2 of a boundary and decide every uniform 1.5 GUARD or more from
+    # all of them (it is within about 1e-13 of the cdf)
     meta = np.random.default_rng(23)
-    for _ in range(3000):
-        n = int(meta.integers(2, 9))
+    counts = {"undecided": 0, "decided": 0}
+    for trial in range(1000):
+        n = int(meta.integers(2, 17))
         values = meta.normal(size=n) * 10.0 ** meta.uniform(-3, 3) + meta.normal() * 100.0
         if meta.random() < 0.2:
             values[int(meta.integers(n))] = values.max()  # a tied best
-        temperature = 5e-324 if _ % 10 == 0 else float(10.0 ** meta.uniform(-323, 1))
+        temperature = 5e-324 if trial % 10 == 0 else float(10.0 ** meta.uniform(-323, 3))
         probs = softmax_probabilities(values, temperature)
         cdf = (probs / probs.sum()).cumsum()
         cdf /= cdf[-1]
-        uniforms = [0.0, *meta.random(4), *cdf[cdf < 1.0], *np.nextafter(cdf[cdf < 1.0], 0.0)]
+        near = np.concatenate([cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
+                               cdf - GUARD / 2, cdf + GUARD / 2])
+        far = np.concatenate([meta.random(4), cdf - 2 * GUARD, cdf + 2 * GUARD])
         gaps = values - values.max()
-        for u in uniforms:
-            assert _sample_index(_gap_softmax(gaps, temperature), u) == _sample_index(probs, u)
+        entry = gaps.tobytes()
+        for u in np.concatenate([near, far]).tolist():
+            if not 0.0 <= u < 1.0:
+                continue
+            want = _sample_index(probs, u)
+            assert _sample_index(_gap_softmax(gaps, temperature), u) == want
+            assert _draw(entry, n, temperature, u) == want
+            estimate = _float_draw(gaps.tolist(), temperature, u)
+            if np.abs(cdf - u).min() <= GUARD / 2:
+                assert estimate is None
+                counts["undecided"] += 1
+            elif np.abs(cdf - u).min() >= 1.5 * GUARD:
+                assert estimate == want
+                counts["decided"] += 1
+    assert min(counts.values()) > 5_000, counts
 
 
 def _masked_softmax(values, temperature, feasible):
@@ -654,25 +682,24 @@ _TABLE_RUNS = [("dp-exact", "round-robin"), ("dp-exact", "random"), ("greedy", "
 
 def test_table_hits_equal_a_fresh_evaluation(monkeypatch, rng):
     # every candidate lookup of a step, from the table or not, gives the
-    # targets and the bits of the mover's candidate method on a fresh state
-    # of the step's configuration, and the gaps to their max that the draw
-    # starts from; two chains of each policy, selection and scheme share one
-    # network and its table
+    # entry gaps + values + targets: the gaps to their max that the draw
+    # starts from, and the bits and targets of the mover's candidate method
+    # on a fresh state of the step's configuration; two chains of each
+    # policy, selection and scheme share one network and its table
     original = annealing._candidates
 
     def checked(state, kind, idx, approx):
-        targets, values, gaps = original(state, kind, idx, approx)
+        entry = original(state, kind, idx, approx)
         fresh = SystemState(state.net, state.scheme, state.assoc, state.chan)
         if approx:
-            want = fresh.association_scores_approx(idx)
+            targets, values = fresh.association_scores_approx(idx)
         elif kind == "association":
-            want = fresh.association_candidates(idx)
+            targets, values = fresh.association_candidates(idx)
         else:
-            want = fresh.channel_candidates(idx)
-        assert np.array_equal(targets, want[0])
-        assert values.tobytes() == want[1].tobytes()
-        assert gaps.tobytes() == (want[1] - want[1].max()).tobytes()
-        return targets, values, gaps
+            targets, values = fresh.channel_candidates(idx)
+        assert entry == (values - values.max()).tobytes() + values.tobytes() + \
+            targets.astype(np.int64).tobytes()
+        return entry
 
     monkeypatch.setattr(annealing, "_candidates", checked)
     for net in _table_networks(rng):
@@ -742,6 +769,39 @@ def test_runs_on_a_warm_table_equal_runs_on_fresh_networks(monkeypatch, tmp_path
         for res in results:
             assert saved(res) == saved(fresh)
             assert res.trajectory == fresh.trajectory
+
+
+@pytest.mark.parametrize("schedule", ["invsqrtlog", "geometric:0.5", "const:1000"])
+def test_runs_with_the_numpy_draw_alone_equal_normal_runs(monkeypatch, schedule):
+    # with the float estimate undecided on every uniform, every draw at T > 0
+    # takes the numpy fallback, and the runs must not change: line3-2ch runs
+    # twice on one network (the second round reads a warm table) under both
+    # schemes and dp-approx, micro, and a grid16-weighted layout (no table)
+    # under the client scheme. geometric:0.5 falls through subnormal
+    # temperatures to T = 0 by step 1076, const:1000 draws nearly uniformly
+    def runs():
+        line3, micro = builtin("line3-2ch").to_network(), builtin("micro").to_network()
+        grid = builtin("grid16-weighted", seed=3).to_network()
+        jobs = [(line3, "dp-exact", "server", seed) for seed in range(2)]
+        jobs += [(line3, "dp-exact", "client", 0), (line3, "dp-approx", "server", 0)]
+        jobs += jobs + [(micro, "dp-exact", "server", 0), (grid, "dp-exact", "client", 0)]
+        return [run(net, OptimizerPolicy(kind=kind, scheme=scheme, iterations=1100, seed=seed,
+                                         schedule=Schedule.parse(schedule)))
+                for net, kind, scheme, seed in jobs]
+
+    normal = runs()
+    estimates = []
+
+    def undecided(gaps, temperature, uniform):
+        estimates.append(temperature)
+        return None
+
+    monkeypatch.setattr(annealing, "_float_draw", undecided)
+    for want, got in zip(normal, runs(), strict=True):
+        assert got.trajectory == want.trajectory
+        assert got.best_energy == want.best_energy and got.best_t == want.best_t
+        assert got.best_configuration == want.best_configuration
+    assert len(estimates) > 1000
 
 
 def test_the_table_is_cleared_at_its_cap():
