@@ -13,7 +13,6 @@ T = 0, and every T = 0 step uses greedy's tie rule.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import struct
@@ -125,8 +124,8 @@ class Move(NamedTuple):
 
 def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
     """Move probabilities proportional to exp(value / T) over a step's
-    candidate values, for a temperature T > 0 (gibbs_step takes the argmax
-    at T = 0).
+    candidate values, for a temperature T > 0 (ValueError otherwise;
+    gibbs_step takes the argmax at T = 0).
 
     The candidate methods return only the feasible targets, so the values
     are finite on a feasible state. The max value is subtracted before
@@ -134,21 +133,17 @@ def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
     a -inf entry gets probability exactly 0, and so does every entry when
     there is no finite one.
     """
+    if not temperature > 0:
+        raise ValueError(f"temperature: must be > 0, got {temperature!r}")
     values = np.asarray(values, dtype=float)
     # the ufunc reductions ndarray.max and sum run, without their Python wrappers
     top = np.maximum.reduce(values, initial=-np.inf)
     if top == -np.inf:
         return np.zeros_like(values)
-    return _gap_softmax(values - top, temperature)
-
-
-def _gap_softmax(gaps: np.ndarray, temperature: float) -> np.ndarray:
-    """softmax_probabilities from the gaps values - max(values) of values
-    with a finite max, which a table entry holds (see gibbs_step)."""
     # exp is exactly 0 below about -745, so raising every gap to -1000 T
     # changes no probability; it keeps a tiny T from overflowing the quotient
     # (float() keeps the product a Python float, which cannot warn)
-    ex = np.exp(np.maximum(gaps, float(temperature) * -1000.0) / temperature)
+    ex = np.exp(np.maximum(values - top, float(temperature) * -1000.0) / temperature)
     return ex / np.add.reduce(ex)
 
 
@@ -173,49 +168,32 @@ def _mover(state: SystemState, t: int, rng=None) -> tuple[str, int, int]:
     return "channel", index - n, int(state.chan[index - n])
 
 
-def _cdf(probs: np.ndarray) -> np.ndarray:
-    """The cdf rng.choice(len(probs), p=probs / probs.sum()) searches: the
-    normalised cumulative sum, scaled to end at exactly 1 (np.add.reduce
-    and np.add.accumulate are the ufunc loops of ndarray.sum and cumsum)."""
-    cdf = np.add.accumulate(probs / np.add.reduce(probs))
-    cdf /= cdf[-1]
-    return cdf
-
-
 def _sample_index(probs: np.ndarray, uniform: float) -> int:
     """rng.choice(len(probs), p=probs / probs.sum()) without its argument
     checks, given the one uniform draw rng.choice would make: the same
-    inverse-CDF arithmetic, so the same index."""
-    return int(_cdf(probs).searchsorted(uniform, side="right"))
+    inverse-CDF arithmetic, so the same index. It searches the normalised
+    cumulative sum, scaled to end at exactly 1 (np.add.reduce and
+    np.add.accumulate are the ufunc loops of ndarray.sum and cumsum)."""
+    cdf = np.add.accumulate(probs / np.add.reduce(probs))
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(uniform, side="right"))
 
 
 @functools.cache
-def _equal_cdf(n: int) -> tuple[float, ...]:
-    """The cdf _sample_index builds over the softmax of n equal finite
-    values, as Python floats with the same bits. Every gap to the max is
-    0.0, so every exp is 1.0 at any T > 0: the cdf depends on neither the
-    value nor T, and is computed once per n. bisect.bisect_right on it is
-    the draw's searchsorted(side="right")."""
-    return tuple(_cdf(softmax_probabilities(np.zeros(n), 1.0)).tolist())
+def _entry_reader(k: int):
+    """The unpack that reads a candidate entry of k targets (see gibbs_step)
+    as its k values, Python floats, followed by its k targets, Python ints."""
+    return struct.Struct(f"{k}d{k}q").unpack
 
 
-@functools.cache
-def _gap_reader(k: int):
-    """The unpack_from that reads the k gaps that open an entry of k
-    targets as Python floats."""
-    return struct.Struct(f"{k}d").unpack_from
-
-
-# an entry's targets are int64, in the byte order ndarray.tobytes writes
-_TARGET = struct.Struct("q")
-
-
-def _float_draw(gaps, temperature: float, uniform: float) -> int | None:
-    """The index _sample_index(_gap_softmax(gaps, T), uniform) returns,
-    computed in Python floats, or None when uniform lies within GUARD of a
-    cdf value, where the estimate cannot be sure of it (see gibbs_step)."""
+def _float_draw(values, temperature: float, uniform: float) -> int | None:
+    """The index _sample_index(softmax_probabilities(values, T), uniform)
+    returns, computed in Python floats, or None when uniform lies within
+    GUARD of a cdf value, where the estimate cannot be sure of it (see
+    gibbs_step)."""
+    top = max(values)
     floor = temperature * -1000.0
-    ex = [math.exp((g if g > floor else floor) / temperature) for g in gaps]
+    ex = [math.exp((g if (g := v - top) > floor else floor) / temperature) for v in values]
     total = 0.0
     for e in ex:
         total += e
@@ -230,13 +208,12 @@ def _float_draw(gaps, temperature: float, uniform: float) -> int | None:
     return None  # not reached: the last c_j is total / total = 1.0 > uniform
 
 
-def _draw(entry: bytes, k: int, temperature: float, uniform: float) -> int:
-    """The index the softmax draw at T > 0 picks from the gaps of an entry
-    of k targets: the float estimate, or the numpy draw where it is
-    undecided. Only the first k doubles of entry are read."""
-    j = _float_draw(_gap_reader(k)(entry), temperature, uniform)
+def _draw(values, temperature: float, uniform: float) -> int:
+    """The index the softmax draw at T > 0 picks from the values: the float
+    estimate, or the numpy draw where it is undecided."""
+    j = _float_draw(values, temperature, uniform)
     if j is None:
-        j = _sample_index(_gap_softmax(np.frombuffer(entry, count=k), temperature), uniform)
+        j = _sample_index(softmax_probabilities(np.array(values), temperature), uniform)
     return j
 
 
@@ -248,37 +225,37 @@ def gibbs_step(
 
     The mover is chosen per the policy's selection order and every step makes
     one uniform draw. The candidate methods give the mover's feasible targets
-    (ascending) and their values. At T(t) > 0 the draw samples an index into
-    them from the softmax. At T = 0, and under a greedy policy, the step
-    takes their argmax instead: candidates within 1e-12 max(1, |u|) of the
-    best, u the current target's value, count as tied and the lowest target
-    wins, and the mover stays unless the best beats u by more than that
-    margin, so float noise between equal energies never makes a move.
+    (ascending) and their values, which the step reads as Python ints and
+    floats. At T(t) > 0 the draw samples an index into them from the
+    softmax (_draw). At T = 0, and under a greedy policy, the step takes
+    their argmax instead: candidates within 1e-12 max(1, |u|) of the best,
+    u the current target's value, count as tied and the lowest target wins,
+    and the mover stays unless the best beats u by more than that margin,
+    so float noise between equal energies never makes a move. Python's float
+    max, subtraction and comparisons give numpy's bits and answers, so no
+    rule needs an array.
 
-    Two kinds of step are decided without that work, with the same outcome:
-
-    * A mover with one target stays. In a feasible state the current target
-      is usable, so it is the one; the softmax of one value is [1.0], whose
-      cdf puts every uniform in [0, 1) on index 0, and at T = 0 the best is
-      the current value, which the margin keeps.
-    * A clientless radio changes no one's energy on any channel, so its
-      values are C copies of U. At T > 0 it draws its channel by
-      bisect.bisect_right on _equal_cdf(C), the cdf the draw would build
-      from them as Python floats of the same bits; at T = 0 the margin keeps
-      the current channel. channel_candidates is not called.
+    A mover with one target stays: in a feasible state the current target is
+    usable, so it is the one (the softmax of one value puts every uniform in
+    [0, 1) on it, and at T = 0 the margin keeps it). A clientless radio
+    changes no one's energy on any channel, so its values are C copies of U:
+    the step is decided over C zeros and the targets range(C) without
+    calling channel_candidates. The softmax of equal values does not depend
+    on the value, and at T = 0 the margin keeps the current channel.
 
     The draw at T > 0 is computed in Python floats (_float_draw): with
-    e_j = math.exp(max(g_j, -1000 T) / T) over the gaps g = values -
-    max(values) and c_j the running sums of e over their total, it returns
-    the first j with uniform < c_j - GUARD, and "undecided" (None) as soon
-    as |uniform - c_j| <= GUARD. Where it is undecided the step draws as the
-    reference does, _sample_index(_gap_softmax(gaps, T), uniform) (_draw).
-    The estimate picks the reference's index everywhere else: the largest
-    gap is exactly 0.0, so the total is at least 1 and every term at most 1;
-    math.exp and numpy's exp are each within about an ulp, and every sum
-    and quotient adds one rounding, so c_j and the reference's cdf differ by
-    less than 1e-13 for up to 100 targets, far inside GUARD = 1e-9. The
-    guard sends a uniform to numpy with probability about 2e-9 per target.
+    e_j = math.exp(max(g_j, -1000 T) / T) over the gaps g_j = v_j - max(v)
+    and c_j the running sums of e over their total, it returns the first j
+    with uniform < c_j - GUARD, and "undecided" (None) as soon as
+    |uniform - c_j| <= GUARD. Where it is undecided the step draws as the
+    reference does, _sample_index(softmax_probabilities(values, T), uniform).
+    The estimate picks the reference's index everywhere else: each gap is
+    the reference's IEEE subtraction and the largest is exactly 0.0, so the
+    total is at least 1 and every term at most 1; math.exp and numpy's exp
+    are each within about an ulp, and every sum and quotient adds one
+    rounding, so c_j and the reference's cdf differ by less than 1e-13 for
+    up to 100 targets, far inside GUARD = 1e-9. The guard sends a uniform to
+    numpy with probability about 2e-9 per target.
 
     On a network with at most model.INDEX_LIMIT configurations, the step
     reads the candidates from the network's candidate table
@@ -289,12 +266,10 @@ def gibbs_step(
     position among the clients and then the radios, a = 1 for a client's
     dp-approx scores and s = 1 under the client scheme. The maintained state
     equals a fresh state of its configuration bit for bit, so an entry holds
-    the bits the candidate method returns. An entry (_candidates) is one
-    bytes object of 24 bytes per target: the gaps, the values and the
-    targets (int64). A step reads the k gaps as floats with one cached
-    struct unpack (_gap_reader) and the drawn target from its 8 bytes
-    (_TARGET); it builds arrays from the entry only at T = 0, which reads
-    the values and targets, and for an undecided draw. An evaluated mover
+    the bits the candidate method returns. An entry (_candidates) is what
+    that method returned, as one bytes object of 16 bytes per target: the
+    values, then the targets (int64). One cached struct unpack per k
+    (_entry_reader) reads it as k floats and k ints. An evaluated mover
     builds the same bytes, so a miss and a network without a table are read
     the same way. Only results with two or more targets are stored, since a
     one-target return costs little. run's records share the table (_record),
@@ -303,28 +278,25 @@ def gibbs_step(
     """
     kind, idx, current = _mover(state, t, rng if policy.selection == "random" else None)
     if kind == "channel" and not state.w_ap[idx]:
-        entry = None  # a clientless radio: C equal values, none evaluated
+        k = state.net.n_channels  # a clientless radio: C equal values, none evaluated
+        values, targets = (0.0,) * k, range(k)
     else:
         entry = _candidates(
             state, kind, idx, kind == "association" and policy.kind == "dp-approx")
-        k = len(entry) // 24  # 24 bytes per target
+        k = len(entry) // 16  # 16 bytes per target
+        flat = _entry_reader(k)(entry)
+        values, targets = flat[:k], flat[k:]
     temperature = None if policy.kind == "greedy" else policy.schedule.temperature(t)
     uniform = rng.random()
-    if entry is None:
-        choice = current if not temperature \
-            else bisect.bisect_right(_equal_cdf(state.net.n_channels), uniform)
-    elif k == 1:
+    if k == 1:
         choice = current
     elif temperature:
-        j = _draw(entry, k, temperature, uniform)
-        choice = _TARGET.unpack_from(entry, 8 * (2 * k + j))[0]
+        choice = targets[_draw(values, temperature, uniform)]
     else:
-        found = np.frombuffer(entry)
-        values, targets = found[k:2 * k], found[2 * k:].view(np.int64)
-        best, u_cur = np.maximum.reduce(values), values[targets.searchsorted(current)]
+        best, u_cur = max(values), values[targets.index(current)]
         margin = 1e-12 * max(1.0, abs(u_cur))
         choice = current if best - u_cur <= margin \
-            else int(targets[np.argmax(values >= best - margin)])
+            else next(c for c, v in zip(targets, values) if v >= best - margin)
     changed = choice != current
     if changed and kind == "association":
         state.apply_association(idx, choice)
@@ -334,11 +306,11 @@ def gibbs_step(
 
 
 def _candidates(state: SystemState, kind: str, idx: int, approx: bool) -> bytes:
-    """The mover's candidate entry, the bytes of gaps + values + targets with
-    gaps = values - max(values): read from the network's candidate table
-    when it holds it (see gibbs_step), else built from the mover's candidate
-    method, association_scores_approx when approx, else
-    association_candidates or channel_candidates, and stored there."""
+    """The mover's candidate entry, the bytes of its values and then its
+    targets: read from the network's candidate table when it holds it (see
+    gibbs_step), else built from the mover's candidate method,
+    association_scores_approx when approx, else association_candidates or
+    channel_candidates, and stored there."""
     table = state.net._candidate_table
     if table is not None:
         m = idx if kind == "association" else state.assoc.size + idx
@@ -352,7 +324,7 @@ def _candidates(state: SystemState, kind: str, idx: int, approx: bool) -> bytes:
         targets, values = state.association_candidates(idx)
     else:
         targets, values = state.channel_candidates(idx)
-    entry = (values - np.maximum.reduce(values)).tobytes() + values.tobytes() + targets.tobytes()
+    entry = values.tobytes() + targets.tobytes()
     if table is not None and targets.size > 1:
         _store(table, key, entry)
     return entry
@@ -509,12 +481,13 @@ def run(
 
     Records (t, T, energy, weighted throughput, configuration hash) at the
     requested cadence plus the initial and final points, and tracks the best
-    configuration seen anywhere along the trajectory. A record of a state
-    that no move changed since the last record reuses it; any other reads
-    the weighted throughput and hash from the network's candidate table, or
-    computes and stores them there (_record). A greedy run stops
-    early once a whole sweep of movers produces no change, which certifies
-    a local optimum under single moves.
+    configuration seen anywhere along the trajectory. A record reads the
+    weighted throughput and hash from the network's candidate table, or
+    computes and stores them there (_record); the state keeps both up to
+    date incrementally, so a record of a state that no move changed costs a
+    table hit, or a refresh with nothing stale. A greedy run stops early
+    once a whole sweep of movers produces no change, which certifies a local
+    optimum under single moves.
     """
     net = _coerce_network(scenario_or_network)
     iters = policy.iterations
@@ -528,33 +501,22 @@ def run(
     u = state.energy()
     best_u, best_t = u, 0
     best_snapshot = (state.assoc.copy(), state.chan.copy())
-    # (energy, weighted throughput, digest) of the state at the last record;
-    # reused until a move changes the state. Each is kept up to date by the
-    # moves or refreshed only where they changed, so a record costs what
-    # moved since the last one.
-    recorded = (u, *_record(state))
-    trajectory = [TrajectoryPoint(0, None, *recorded)]
-    dirty = False
+    trajectory = [TrajectoryPoint(0, None, u, *_record(state))]
 
     sweep = net.n_clients + net.n_vaps
     unchanged_streak = 0
     for t in range(1, iters + 1):
         move, u = gibbs_step(state, t, policy, rng)
-        dirty |= move.changed
         unchanged_streak = 0 if move.changed else unchanged_streak + 1
         if u > best_u + 1e-12:
             best_u, best_t = u, t
             best_snapshot = (state.assoc.copy(), state.chan.copy())
         greedy_done = policy.kind == "greedy" and unchanged_streak >= sweep
         if t % cadence == 0 or t == iters or greedy_done:
-            if dirty:
-                recorded = (u, *_record(state))
-                dirty = False
-            trajectory.append(TrajectoryPoint(t, move.temperature, *recorded))
+            trajectory.append(TrajectoryPoint(t, move.temperature, u, *_record(state)))
         if greedy_done:
             break
 
-    final_energy, final_wthr, _ = recorded  # the last record is of the final state
     final_cfg = state.to_configuration()
     alloc = state.allocation()
     rates = state.rates()
@@ -566,8 +528,8 @@ def run(
         iterations=trajectory[-1].t,
         trajectory=trajectory,
         final_configuration=final_cfg,
-        final_energy=final_energy,
-        final_weighted_throughput=final_wthr,
+        final_energy=trajectory[-1].energy,  # the last record is of the final state
+        final_weighted_throughput=trajectory[-1].weighted_throughput,
         rates={net.client_ids[i]: float(rates[i]) for i in range(net.n_clients)},
         schedule_phi=alloc.schedule,
         access_p=alloc.access,

@@ -146,9 +146,9 @@ class Network:
     is hashed from, and, on a network with at most INDEX_LIMIT
     configurations, ``_config_places``, which numbers them
     (SystemState.config_index), and ``_candidate_table``, the candidate
-    values annealing.gibbs_step has evaluated, by configuration and mover,
-    and the trajectory records annealing.run has computed, by configuration
-    and scheme; both are None on a larger network.
+    values and targets annealing.gibbs_step has evaluated, by configuration
+    and mover, and the trajectory records annealing.run has computed, by
+    configuration and scheme; both are None on a larger network.
     """
 
     def __init__(
@@ -323,9 +323,10 @@ class Network:
 
     @cached_property
     def _candidate_table(self) -> dict[int, bytes | tuple[float, str]] | None:
-        """annealing.gibbs_step's evaluated candidates, one bytes object each,
-        and annealing.run's records, one (weighted throughput, digest) pair
-        each, keyed by configuration index and code (see gibbs_step and
+        """annealing.gibbs_step's evaluated candidates, one bytes object each
+        (the values, then the targets, as the candidate method returned
+        them), and annealing.run's records, one (weighted throughput, digest)
+        pair each, keyed by configuration index and code (see gibbs_step and
         annealing._record); None when _config_places is."""
         return None if self._config_places is None else {}
 

@@ -1,6 +1,5 @@
 """Schedules, softmax moves, Gibbs steps (greedy at T = 0), full runs, the
 candidate table."""
-import bisect
 import itertools
 import math
 
@@ -26,7 +25,7 @@ from fairband import (
 )
 from fairband import annealing
 from fairband.annealing import (
-    GUARD, MAX_REDRAWS, TABLE_CAP, _draw, _equal_cdf, _float_draw, _gap_softmax, _sample_index,
+    GUARD, MAX_REDRAWS, TABLE_CAP, _draw, _float_draw, _sample_index,
     gibbs_step, potential_scale_reduction,
 )
 from conftest import (
@@ -110,6 +109,15 @@ def test_softmax_temperature_sharpens():
     assert softmax_probabilities(values, 5e-324).tolist() == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("temperature", [0.0, -0.0, -1.0, -math.inf, math.nan])
+def test_softmax_refuses_a_temperature_that_is_not_positive(temperature):
+    # the probabilities are not defined unless T > 0 (gibbs_step takes the
+    # argmax at T = 0): the call refuses the temperature rather than return
+    # nans
+    with pytest.raises(ValueError, match=r"^temperature: must be > 0, got "):
+        softmax_probabilities(np.array([0.0, 1.0]), temperature)
+
+
 def test_inverse_cdf_draw_matches_generator_choice():
     # softmax outputs over weights from 1e-3 to 1e3, some entries -inf; the
     # draw must pick the index Generator.choice picks and leave both
@@ -130,28 +138,29 @@ def test_inverse_cdf_draw_matches_generator_choice():
 
 
 def test_equal_cdf_is_the_draw_arithmetic_on_equal_values():
-    # a clientless radio draws its channel by bisect_right on the cached cdf;
-    # it must hold the bits of the cdf Generator.choice builds from the
-    # softmax of any n equal finite values at any T > 0, and bisect_right on
-    # it must pick the index searchsorted(side="right") picks
+    # a clientless radio draws its channel with _draw over n zeros, since its
+    # n values are equal; it must pick the index searchsorted(side="right")
+    # picks on the cdf Generator.choice builds from the softmax of any n
+    # equal finite values at any T > 0, on every cdf boundary and one ulp to
+    # either side of it too
     meta = np.random.default_rng(5)
     for n in range(1, 13):
         for temperature in (5e-324, 1e-3, 0.37, 1.0, 50.0):
-            for u in (-1e6, 0.0, 7.48):
-                probs = softmax_probabilities(np.full(n, u), temperature)
+            for value in (-1e6, 0.0, 7.48):
+                probs = softmax_probabilities(np.full(n, value), temperature)
                 cdf = (probs / probs.sum()).cumsum()
                 cdf /= cdf[-1]
-                assert np.array(_equal_cdf(n)).tobytes() == cdf.tobytes()
-        uniforms = [0.0, *meta.random(20), *cdf, *np.nextafter(cdf, 0.0), *np.nextafter(cdf, 2.0)]
-        for u in uniforms:
-            if u < 1.0:
-                assert bisect.bisect_right(_equal_cdf(n), float(u)) == \
-                    int(cdf.searchsorted(u, side="right"))
+                uniforms = [0.0, *meta.random(20), *cdf, *np.nextafter(cdf, 0.0),
+                            *np.nextafter(cdf, 2.0)]
+                for u in uniforms:
+                    if u < 1.0:
+                        assert _draw((0.0,) * n, temperature, float(u)) == \
+                            int(cdf.searchsorted(u, side="right"))
 
 
 def test_step_draw_from_gaps_matches_the_softmax_draw():
-    # the step draws from the gaps values - max(values) that its candidates
-    # come with, by the float estimate and, where it is undecided, the numpy
+    # the step draws from its candidate values, by the float estimate over
+    # the gaps values - max(values) and, where it is undecided, the numpy
     # draw; both paths must pick the index the reference draw picks from the
     # softmax of the values, at temperatures from the smallest positive float
     # (where the -1000 T floor binds) to 1e3, and at uniforms on the cdf's
@@ -173,15 +182,13 @@ def test_step_draw_from_gaps_matches_the_softmax_draw():
         near = np.concatenate([cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
                                cdf - GUARD / 2, cdf + GUARD / 2])
         far = np.concatenate([meta.random(4), cdf - 2 * GUARD, cdf + 2 * GUARD])
-        gaps = values - values.max()
-        entry = gaps.tobytes()
+        floats = values.tolist()
         for u in np.concatenate([near, far]).tolist():
             if not 0.0 <= u < 1.0:
                 continue
             want = _sample_index(probs, u)
-            assert _sample_index(_gap_softmax(gaps, temperature), u) == want
-            assert _draw(entry, n, temperature, u) == want
-            estimate = _float_draw(gaps.tolist(), temperature, u)
+            assert _draw(floats, temperature, u) == want
+            estimate = _float_draw(floats, temperature, u)
             if np.abs(cdf - u).min() <= GUARD / 2:
                 assert estimate is None
                 counts["undecided"] += 1
@@ -317,8 +324,28 @@ def test_greedy_treats_near_equal_candidates_as_tied(rng, pol):
         ([u + 2.0 * m, u, u], 1, 0, True),  # gain above it: move
         ([u + 5.0 * m, u + 5.5 * m, u], 2, 0, True),  # tied best: lowest index
         ([u, u, u], 1, 1, False),  # exact tie with the current target: stay
+        # tied within the margin, the current target neither the lowest nor
+        # the best: stay
+        ([u + 5.0 * m, u + 5.5 * m, u + 5.2 * m], 2, 2, False),
+        ([u, u + 5.5 * m, u + 5.5 * m], 2, 2, False),
     ]
+    # a gain of exactly the margin stays and one ulp more moves, under both
+    # branches of max(1, |U|): U = 0 (margin 1e-12) and |U| near 1e6, where
+    # the margin is 2^-20, a multiple of U's ulp, so U + margin is exact
+    for u in (0.0, -(2.0**-20 / 1e-12), 2.0**-20 / 1e-12):
+        m = 1e-12 * max(1.0, abs(u))
+        assert (u + m) - u == m
+        cases += [([u + m, u, u], 1, 1, False),
+                  ([float(np.nextafter(u + m, math.inf)), u, u], 1, 0, True)]
+    # gains of 0.75 and 1.25 margins at |U| = 1e6 and 0.5: a margin of
+    # 1e-12 |U|, or of 1e-12 alone, would misjudge one of each pair
+    for u in (-1e6, 1e6, -0.5, 0.5):
+        m = 1e-12 * max(1.0, abs(u))
+        cases += [([u + 0.75 * m, u, u], 1, 1, False), ([u + 1.25 * m, u, u], 1, 0, True)]
     for values, current, expected, moved in cases:
+        # the cases patch the candidate method, so a table entry of an
+        # earlier case must not answer for it
+        net._candidate_table.clear()
         state = random_state(net, rng, "server")
         state.apply_association(0, current)
         state.association_candidates = lambda i, v=values: (np.arange(3), np.array(v))
@@ -682,9 +709,8 @@ _TABLE_RUNS = [("dp-exact", "round-robin"), ("dp-exact", "random"), ("greedy", "
 
 def test_table_hits_equal_a_fresh_evaluation(monkeypatch, rng):
     # every candidate lookup of a step, from the table or not, gives the
-    # entry gaps + values + targets: the gaps to their max that the draw
-    # starts from, and the bits and targets of the mover's candidate method
-    # on a fresh state of the step's configuration; two chains of each
+    # entry values + targets: the bits and targets of the mover's candidate
+    # method on a fresh state of the step's configuration; two chains of each
     # policy, selection and scheme share one network and its table
     original = annealing._candidates
 
@@ -697,8 +723,7 @@ def test_table_hits_equal_a_fresh_evaluation(monkeypatch, rng):
             targets, values = fresh.association_candidates(idx)
         else:
             targets, values = fresh.channel_candidates(idx)
-        assert entry == (values - values.max()).tobytes() + values.tobytes() + \
-            targets.astype(np.int64).tobytes()
+        assert entry == values.tobytes() + targets.astype(np.int64).tobytes()
         return entry
 
     monkeypatch.setattr(annealing, "_candidates", checked)
@@ -777,8 +802,9 @@ def test_runs_with_the_numpy_draw_alone_equal_normal_runs(monkeypatch, schedule)
     # takes the numpy fallback, and the runs must not change: line3-2ch runs
     # twice on one network (the second round reads a warm table) under both
     # schemes and dp-approx, micro, and a grid16-weighted layout (no table)
-    # under the client scheme. geometric:0.5 falls through subnormal
-    # temperatures to T = 0 by step 1076, const:1000 draws nearly uniformly
+    # under the client scheme, clientless radios included. geometric:0.5
+    # falls through subnormal temperatures to T = 0 by step 1076, const:1000
+    # draws nearly uniformly
     def runs():
         line3, micro = builtin("line3-2ch").to_network(), builtin("micro").to_network()
         grid = builtin("grid16-weighted", seed=3).to_network()
@@ -792,8 +818,8 @@ def test_runs_with_the_numpy_draw_alone_equal_normal_runs(monkeypatch, schedule)
     normal = runs()
     estimates = []
 
-    def undecided(gaps, temperature, uniform):
-        estimates.append(temperature)
+    def undecided(values, temperature, uniform):
+        estimates.append(values)
         return None
 
     monkeypatch.setattr(annealing, "_float_draw", undecided)
@@ -802,6 +828,8 @@ def test_runs_with_the_numpy_draw_alone_equal_normal_runs(monkeypatch, schedule)
         assert got.best_energy == want.best_energy and got.best_t == want.best_t
         assert got.best_configuration == want.best_configuration
     assert len(estimates) > 1000
+    # a clientless radio's draw, over zeros, takes the fallback as well
+    assert any(not any(values) for values in estimates)
 
 
 def test_the_table_is_cleared_at_its_cap():
