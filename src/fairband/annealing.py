@@ -10,6 +10,14 @@ infinity) the sampled chain concentrates on globally optimal
 configurations. At T = 0 the step takes the argmax instead, which is greedy
 ascent (iterated conditional modes): a greedy policy is the Gibbs step at
 T = 0, and every T = 0 step uses greedy's tie rule.
+
+A run is a Chain: it owns the Generator, the SystemState, the best
+configuration, the records and greedy's stop, and advance(n) steps it on,
+so a caller can hold chains between steps. It works out the step's
+constants once: feasibility per advance, the movers' targets and radios'
+client counts as lists, and per block of at most BLOCK steps the
+temperatures and, round-robin, the uniforms. gibbs_step is the one step,
+of a chain or of a bare SystemState wrapped in a one-step view.
 """
 from __future__ import annotations
 
@@ -33,6 +41,8 @@ MAX_REDRAWS = 100
 TABLE_CAP = 2**16
 # distance from a cdf boundary within which the float draw defers to numpy's
 GUARD = 1e-9
+# steps whose temperatures and uniforms a chain holds at once
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -77,10 +87,15 @@ class Schedule:
         """Parse 'invsqrtlog', 'invlog', 'geometric:<ratio>' or 'const:<T>'."""
         if text in ("invsqrtlog", "invlog"):
             return cls(kind=text, t0=t0)
-        if text.startswith("geometric:"):
-            return cls(kind="geometric", t0=t0, ratio=float(text.split(":", 1)[1]))
-        if text.startswith("const:"):
-            return cls(kind="const", t0=float(text.split(":", 1)[1]))
+        kind, colon, number = text.partition(":")
+        if kind in ("geometric", "const") and colon:
+            try:
+                value = float(number)
+            except ValueError:
+                name = "ratio" if kind == "geometric" else "temperature"
+                msg = f"cannot parse schedule {text!r}: {name} must be a number"
+                raise ValueError(msg) from None
+            return cls(kind, t0, value) if kind == "geometric" else cls(kind, value)
         raise ValueError(f"cannot parse schedule {text!r}")
 
 
@@ -150,24 +165,6 @@ def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
 # -- steps ------------------------------------------------------------------
 
 
-def _mover(state: SystemState, t: int, rng=None) -> tuple[str, int, int]:
-    """The mover of step t, at position (t - 1) mod m of the fixed order
-    (clients by index, then radios by index) or at one drawn from rng: its
-    kind, its own index and its current target.
-
-    An infeasible state raises ValueError before any draw. In a feasible
-    state the current target is a usable candidate and every usable
-    candidate keeps the state feasible, so a step always has a target.
-    """
-    state._check_feasible()
-    n = state.assoc.size  # the network's clients, then its radios
-    m = n + state.chan.size
-    index = (t - 1) % m if rng is None else int(rng.integers(m))
-    if index < n:
-        return "association", index, int(state.assoc[index])
-    return "channel", index - n, int(state.chan[index - n])
-
-
 def _sample_index(probs: np.ndarray, uniform: float) -> int:
     """rng.choice(len(probs), p=probs / probs.sum()) without its argument
     checks, given the one uniform draw rng.choice would make: the same
@@ -181,16 +178,20 @@ def _sample_index(probs: np.ndarray, uniform: float) -> int:
 
 @functools.cache
 def _entry_reader(k: int):
-    """The unpack that reads a candidate entry of k targets (see gibbs_step)
-    as its k values, Python floats, followed by its k targets, Python ints."""
+    """The unpack that reads a candidate entry of k targets (_candidates)."""
     return struct.Struct(f"{k}d{k}q").unpack
 
 
 def _float_draw(values, temperature: float, uniform: float) -> int | None:
     """The index _sample_index(softmax_probabilities(values, T), uniform)
     returns, computed in Python floats, or None when uniform lies within
-    GUARD of a cdf value, where the estimate cannot be sure of it (see
-    gibbs_step)."""
+    GUARD of a cdf value c_j (the running sums of e_j = exp(max(v_j - max(v),
+    -1000 T) / T) over their total), where the estimate cannot be sure of it.
+    The largest gap is exactly 0.0, so every e_j is at most 1 and the total
+    at least 1; math.exp and numpy's exp are each within about an ulp and
+    every sum and quotient adds one rounding, so for up to 100 targets c_j
+    is within 1e-13 of the reference's cdf, far inside GUARD = 1e-9, and a
+    uniform goes to numpy with probability about 2e-9 per target."""
     top = max(values)
     floor = temperature * -1000.0
     ex = [math.exp((g if (g := v - top) > floor else floor) / temperature) for v in values]
@@ -217,77 +218,52 @@ def _draw(values, temperature: float, uniform: float) -> int:
     return j
 
 
-def gibbs_step(
-    state: SystemState, t: int, policy: OptimizerPolicy, rng: np.random.Generator
-) -> tuple[Move, float]:
-    """One move from a feasible state (see _mover). Returns the Move and
-    state.energy() after it, under every policy.
+def gibbs_step(state: Chain | SystemState, t: int, policy: OptimizerPolicy,
+               rng: np.random.Generator) -> tuple[Move, float]:
+    """Step t of a chain, or one move of a feasible SystemState. Returns the
+    Move and the state's energy() after it, under every policy.
 
-    The mover is chosen per the policy's selection order and every step makes
-    one uniform draw. The candidate methods give the mover's feasible targets
-    (ascending) and their values, which the step reads as Python ints and
-    floats. At T(t) > 0 the draw samples an index into them from the
-    softmax (_draw). At T = 0, and under a greedy policy, the step takes
-    their argmax instead: candidates within 1e-12 max(1, |u|) of the best,
-    u the current target's value, count as tied and the lowest target wins,
-    and the mover stays unless the best beats u by more than that margin,
-    so float noise between equal energies never makes a move. Python's float
-    max, subtraction and comparisons give numpy's bits and answers, so no
-    rule needs an array.
+    A run passes its Chain, which supplies the step's constants. A bare
+    SystemState is wrapped in a one-step view (Chain._view), which raises
+    ValueError on an infeasible state before any draw; the view's step reads
+    T(t) from policy.schedule and draws its uniform with rng.random().
+
+    The mover is at position (t - 1) mod m of the fixed order (clients by
+    index, then radios by index), or at rng.integers(m) under random
+    selection, and every step makes one uniform draw. Its candidate entry
+    (_candidates) gives its feasible targets (ascending) and their values.
+    At T(t) > 0 the step draws an index from their softmax (_draw). At T = 0,
+    and under a greedy policy, it takes the argmax in Python floats instead:
+    candidates within 1e-12 max(1, |u|) of the best, u the current target's
+    value, count as tied and the lowest target wins, and the mover stays
+    unless the best beats u by more than that margin, so float noise between
+    equal energies never makes a move.
 
     A mover with one target stays: in a feasible state the current target is
-    usable, so it is the one (the softmax of one value puts every uniform in
-    [0, 1) on it, and at T = 0 the margin keeps it). A clientless radio
-    changes no one's energy on any channel, so its values are C copies of U:
-    the step is decided over C zeros and the targets range(C) without
-    calling channel_candidates. The softmax of equal values does not depend
-    on the value, and at T = 0 the margin keeps the current channel.
-
-    The draw at T > 0 is computed in Python floats (_float_draw): with
-    e_j = math.exp(max(g_j, -1000 T) / T) over the gaps g_j = v_j - max(v)
-    and c_j the running sums of e over their total, it returns the first j
-    with uniform < c_j - GUARD, and "undecided" (None) as soon as
-    |uniform - c_j| <= GUARD. Where it is undecided the step draws as the
-    reference does, _sample_index(softmax_probabilities(values, T), uniform).
-    The estimate picks the reference's index everywhere else: each gap is
-    the reference's IEEE subtraction and the largest is exactly 0.0, so the
-    total is at least 1 and every term at most 1; math.exp and numpy's exp
-    are each within about an ulp, and every sum and quotient adds one
-    rounding, so c_j and the reference's cdf differ by less than 1e-13 for
-    up to 100 targets, far inside GUARD = 1e-9. The guard sends a uniform to
-    numpy with probability about 2e-9 per target.
-
-    On a network with at most model.INDEX_LIMIT configurations, the step
-    reads the candidates from the network's candidate table
-    (Network._candidate_table) when it holds them, and stores them there
-    when it evaluates them, so a chain that returns to a configuration, or
-    another chain on the same network that reaches it, evaluates them once.
-    The key is exact, _table_key(state, 4 m + 2 a + s), with m the mover's
-    position among the clients and then the radios, a = 1 for a client's
-    dp-approx scores and s = 1 under the client scheme. The maintained state
-    equals a fresh state of its configuration bit for bit, so an entry holds
-    the bits the candidate method returns. An entry (_candidates) is what
-    that method returned, as one bytes object of 16 bytes per target: the
-    values, then the targets (int64). One cached struct unpack per k
-    (_entry_reader) reads it as k floats and k ints. An evaluated mover
-    builds the same bytes, so a miss and a network without a table are read
-    the same way. Only results with two or more targets are stored, since a
-    one-target return costs little. run's records share the table (_record),
-    and it is cleared when it holds TABLE_CAP entries. A larger network has
-    no table (None), and its steps evaluate every mover.
+    usable, so it is the one. A clientless radio changes no one's energy on
+    any channel: the step decides over C zeros and the targets range(C),
+    whose softmax does not depend on U, and at T = 0 the margin keeps it.
     """
-    kind, idx, current = _mover(state, t, rng if policy.selection == "random" else None)
-    if kind == "channel" and not state.w_ap[idx]:
-        k = state.net.n_channels  # a clientless radio: C equal values, none evaluated
+    chain = state if isinstance(state, Chain) else Chain._view(state, t, policy)
+    current_of, n = chain._current, chain._n
+    m = len(current_of)
+    pos = int(rng.integers(m)) if chain._random else (t - 1) % m
+    current = current_of[pos]
+    if pos < n:
+        kind, idx = "association", pos
+        entry = _candidates(chain.state, kind, idx, chain._approx)
+    else:
+        kind, idx = "channel", pos - n
+        entry = _candidates(chain.state, kind, idx, False) if chain._counts[idx] else None
+    if entry is None:
+        k = chain._n_channels  # a clientless radio: C equal values, none evaluated
         values, targets = (0.0,) * k, range(k)
     else:
-        entry = _candidates(
-            state, kind, idx, kind == "association" and policy.kind == "dp-approx")
         k = len(entry) // 16  # 16 bytes per target
         flat = _entry_reader(k)(entry)
         values, targets = flat[:k], flat[k:]
-    temperature = None if policy.kind == "greedy" else policy.schedule.temperature(t)
-    uniform = rng.random()
+    temperature, uniforms = chain._temps[t - chain._base], chain._uniforms
+    uniform = rng.random() if uniforms is None else uniforms[t - chain._base]
     if k == 1:
         choice = current
     elif temperature:
@@ -298,23 +274,34 @@ def gibbs_step(
         choice = current if best - u_cur <= margin \
             else next(c for c, v in zip(targets, values) if v >= best - margin)
     changed = choice != current
-    if changed and kind == "association":
-        state.apply_association(idx, choice)
-    elif changed:
-        state.apply_channel(idx, choice)
-    return Move(kind, idx, choice, changed, temperature), state.energy()
+    if changed:
+        current_of[pos] = choice
+        if kind == "association":
+            counts = chain._counts
+            counts[current] -= 1
+            counts[choice] += 1
+            chain.state.apply_association(idx, choice)
+        else:
+            chain.state.apply_channel(idx, choice)
+    return Move(kind, idx, choice, changed, temperature), chain.state.energy()
 
 
 def _candidates(state: SystemState, kind: str, idx: int, approx: bool) -> bytes:
-    """The mover's candidate entry, the bytes of its values and then its
-    targets: read from the network's candidate table when it holds it (see
-    gibbs_step), else built from the mover's candidate method,
-    association_scores_approx when approx, else association_candidates or
-    channel_candidates, and stored there."""
+    """The bytes of the values, then the targets (int64), that the mover's
+    candidate method returns (association_scores_approx when approx), read
+    as k floats and k ints by _entry_reader(k). A network with at most
+    model.INDEX_LIMIT configurations keeps them in its candidate table when
+    there are two or more targets, so its chains evaluate a configuration's
+    mover once, under the exact key config_index() * 4 (I + V + 1) + 4 m +
+    2 a + s (m the mover's position, a = 1 for dp-approx scores, s = 1
+    under the client scheme). The maintained state equals a fresh one bit
+    for bit, so an entry holds the bits the method returns."""
     table = state.net._candidate_table
     if table is not None:
-        m = idx if kind == "association" else state.assoc.size + idx
-        key = _table_key(state, 4 * m + 2 * approx + (state.scheme == SCHEME_CLIENT))
+        n = state.assoc.size
+        code = 4 * (idx if kind == "association" else n + idx) + 2 * approx
+        key = state.config_index() * 4 * (n + state.chan.size + 1) + code \
+            + (state.scheme == SCHEME_CLIENT)
         entry = table.get(key)
         if entry is not None:
             return entry
@@ -330,17 +317,8 @@ def _candidates(state: SystemState, kind: str, idx: int, approx: bool) -> bytes:
     return entry
 
 
-def _table_key(state: SystemState, code: int) -> int:
-    """The exact key of the candidate-table entry of code 0 <= code <
-    4 (I + V + 1) for the state's configuration:
-    state.config_index() * 4 (I + V + 1) + code. The movers' codes
-    (gibbs_step) lie below 4 (I + V), the records' (_record) above."""
-    return state.config_index() * 4 * (state.assoc.size + state.chan.size + 1) + code
-
-
 def _store(table: dict, key: int, entry):
-    """Store an entry in a candidate table, clearing it first when it holds
-    TABLE_CAP entries."""
+    """Store an entry, clearing the table first when it holds TABLE_CAP."""
     if len(table) >= TABLE_CAP:
         table.clear()
     table[key] = entry
@@ -349,19 +327,15 @@ def _store(table: dict, key: int, entry):
 def _record(state: SystemState) -> tuple[float, str]:
     """The state's (weighted_throughput(), digest()) for a trajectory record.
 
-    Both are functions of the configuration and the scheme alone, so on a
-    network with a candidate table they are read from it when it holds them
-    and stored there when they are computed, under the key
-    _table_key(state, 4 (I + V) + s), s = 1 under the client scheme. A
-    computed record refreshes every success product and digest piece that
-    the moves since the last computed one left pending, so the records read
-    from the table leave the state as exact as ever.
-    """
+    Both depend on the configuration and the scheme alone, so a network's
+    candidate table holds them too, under config_index() * 4 (I + V + 1) +
+    4 (I + V) + s, above every mover's code (_candidates). A computed record
+    refreshes what the moves since the last one left pending."""
     table = state.net._candidate_table
     if table is None:
         return state.weighted_throughput(), state.digest()
-    code = 4 * (state.assoc.size + state.chan.size) + (state.scheme == SCHEME_CLIENT)
-    key = _table_key(state, code)
+    movers = state.assoc.size + state.chan.size
+    key = state.config_index() * 4 * (movers + 1) + 4 * movers + (state.scheme == SCHEME_CLIENT)
     entry = table.get(key)
     if entry is None:
         entry = (state.weighted_throughput(), state.digest())
@@ -471,69 +445,116 @@ def _coerce_network(scenario_or_network) -> Network:
     return scenario_or_network.to_network()
 
 
-def run(
-    scenario_or_network,
-    policy: OptimizerPolicy,
-    record_every: int | None = None,
-    run_id: str = "run0",
-) -> RunResult:
-    """Run one optimizer policy from a fresh random initialization.
+@functools.lru_cache(maxsize=4)
+def _temperatures(schedule: Schedule, text: str, start: int, k: int) -> tuple:
+    """schedule.temperature(t) for the k steps from t = start, shared by the
+    chains of one schedule. text, repr(schedule), tells apart the t0 values
+    that compare equal but print differently (1 and 1.0, 0.0 and -0.0)."""
+    return tuple(map(schedule.temperature, range(start, start + k)))
 
-    Records (t, T, energy, weighted throughput, configuration hash) at the
-    requested cadence plus the initial and final points, and tracks the best
-    configuration seen anywhere along the trajectory. A record reads the
-    weighted throughput and hash from the network's candidate table, or
-    computes and stores them there (_record); the state keeps both up to
-    date incrementally, so a record of a state that no move changed costs a
-    table hit, or a refresh with nothing stale. A greedy run stops early
-    once a whole sweep of movers produces no change, which certifies a local
-    optimum under single moves.
-    """
-    net = _coerce_network(scenario_or_network)
-    iters = policy.iterations
-    if record_every is not None:
-        check_integer("record_every", record_every, 1)
-    cadence = record_every if record_every else max(1, iters // 100)
-    rng = np.random.default_rng(policy.seed)
 
-    assoc, chan = initial_configuration(net, rng)
-    state = SystemState(net, policy.scheme, assoc, chan)
-    u = state.energy()
-    best_u, best_t = u, 0
-    best_snapshot = (state.assoc.copy(), state.chan.copy())
-    trajectory = [TrajectoryPoint(0, None, u, *_record(state))]
+class Chain:
+    """One optimizer run from a fresh random initialization, advanced in
+    parts: advance(a) then advance(b) does what advance(a + b) does, bit for
+    bit, and result() gives the run so far. It owns the run's Generator
+    (rng), SystemState (state), best configuration (best_energy, best_t),
+    records and greedy stop. It records (t, T, U, weighted throughput, hash,
+    the last two through _record) at t = 0, every record_every steps (by
+    default iterations // 100, at least 1), at t = policy.iterations and at
+    the greedy stop: a sweep without a change, so a local optimum.
 
-    sweep = net.n_clients + net.n_vaps
-    unchanged_streak = 0
-    for t in range(1, iters + 1):
-        move, u = gibbs_step(state, t, policy, rng)
-        unchanged_streak = 0 if move.changed else unchanged_streak + 1
-        if u > best_u + 1e-12:
-            best_u, best_t = u, t
-            best_snapshot = (state.assoc.copy(), state.chan.copy())
-        greedy_done = policy.kind == "greedy" and unchanged_streak >= sweep
-        if t % cadence == 0 or t == iters or greedy_done:
-            trajectory.append(TrajectoryPoint(t, move.temperature, u, *_record(state)))
-        if greedy_done:
-            break
+    It keeps each mover's current target and each radio's client count as
+    lists beside the state, which gibbs_step reads and updates, and per
+    block of at most BLOCK steps the temperatures (_temperatures) and,
+    round-robin, the uniforms from one rng.random(k). Feasibility is checked
+    once per advance: a step keeps a feasible state feasible."""
 
-    final_cfg = state.to_configuration()
-    alloc = state.allocation()
-    rates = state.rates()
-    return RunResult(
-        run_id=run_id,
-        policy_kind=policy.kind,
-        scheme=policy.scheme,
-        seed=policy.seed,
-        iterations=trajectory[-1].t,
-        trajectory=trajectory,
-        final_configuration=final_cfg,
-        final_energy=trajectory[-1].energy,  # the last record is of the final state
-        final_weighted_throughput=trajectory[-1].weighted_throughput,
-        rates={net.client_ids[i]: float(rates[i]) for i in range(net.n_clients)},
-        schedule_phi=alloc.schedule,
-        access_p=alloc.access,
-        best_energy=best_u,
-        best_t=best_t,
-        best_configuration=net.configuration(*best_snapshot),
-    )
+    def __init__(self, scenario_or_network, policy: OptimizerPolicy,
+                 record_every: int | None = None, run_id: str = "run0"):
+        self.net = net = _coerce_network(scenario_or_network)
+        if record_every is not None:
+            check_integer("record_every", record_every, 1)
+        self.policy, self.run_id, self.scheme = policy, run_id, policy.scheme
+        self._cadence = record_every if record_every else max(1, policy.iterations // 100)
+        self.rng = rng = np.random.default_rng(policy.seed)
+        self.state = state = SystemState(net, policy.scheme, *initial_configuration(net, rng))
+        self._set_constants(state, policy)
+        self.t, self.stopped, self._streak, self._temperature = 0, False, 0, None
+        self.best_energy, self.best_t, self._best = state.energy(), 0, self._current[:]
+        self.trajectory = [TrajectoryPoint(0, None, self.best_energy, *_record(state))]
+
+    def _set_constants(self, state: SystemState, policy: OptimizerPolicy):
+        self._n, self._n_channels = state.assoc.size, state.net.n_channels
+        self._current = state.assoc.tolist() + state.chan.tolist()
+        self._counts = np.bincount(state.assoc, minlength=state.chan.size).tolist()
+        self._random, self._approx = policy.selection == "random", policy.kind == "dp-approx"
+
+    @classmethod
+    def _view(cls, state: SystemState, t: int, policy: OptimizerPolicy) -> Chain:
+        """A view of a bare state as a chain for step t alone (see gibbs_step)."""
+        state._check_feasible()
+        view = cls.__new__(cls)
+        view.state, view.scheme = state, state.scheme
+        view._set_constants(state, policy)
+        temperature = None if policy.kind == "greedy" else policy.schedule.temperature(t)
+        view._uniforms, view._temps, view._base = None, (temperature,), t
+        return view
+
+    def advance(self, n: int) -> Chain:
+        """Take up to n more steps, never past t = policy.iterations or
+        greedy's stop; returns the chain."""
+        check_integer("n", n, 0)
+        policy, state, rng, trajectory = self.policy, self.state, self.rng, self.trajectory
+        iters, cadence, greedy = policy.iterations, self._cadence, policy.kind == "greedy"
+        end = min(self.t + n, iters)
+        if self.stopped or self.t >= end:
+            return self
+        state._check_feasible()
+        t, streak, stop = self.t, self._streak, False
+        best_u, best_t = self.best_energy, self.best_t
+        while t < end and not stop:
+            k = min(BLOCK, end - t)
+            self._base = t + 1
+            self._temps = (None,) * k if greedy else \
+                _temperatures(policy.schedule, repr(policy.schedule), t + 1, k)
+            self._uniforms = None if self._random else rng.random(k).tolist()
+            for t in range(t + 1, t + k + 1):
+                move, u = gibbs_step(self, t, policy, rng)
+                streak = 0 if move.changed else streak + 1
+                if u > best_u + 1e-12:
+                    best_u, best_t, self._best = u, t, self._current[:]
+                stop = greedy and streak >= len(self._current)
+                if t % cadence == 0 or t == iters or stop:
+                    trajectory.append(TrajectoryPoint(t, move.temperature, u, *_record(state)))
+                    if stop:
+                        break
+        self.t, self.stopped, self._streak = t, stop, streak
+        self.best_energy, self.best_t, self._temperature = best_u, best_t, move.temperature
+        return self
+
+    def result(self) -> RunResult:
+        """The run so far, with a last record of the current state."""
+        net, state, n = self.net, self.state, self._n
+        trajectory = list(self.trajectory)
+        if trajectory[-1].t != self.t:
+            trajectory.append(
+                TrajectoryPoint(self.t, self._temperature, state.energy(), *_record(state)))
+        final_cfg, alloc, rates = state.to_configuration(), state.allocation(), state.rates()
+        return RunResult(
+            run_id=self.run_id, policy_kind=self.policy.kind, scheme=self.scheme,
+            seed=self.policy.seed, iterations=self.t, trajectory=trajectory,
+            final_configuration=final_cfg, final_energy=trajectory[-1].energy,
+            final_weighted_throughput=trajectory[-1].weighted_throughput,
+            rates={net.client_ids[i]: float(rates[i]) for i in range(net.n_clients)},
+            schedule_phi=alloc.schedule, access_p=alloc.access,
+            best_energy=self.best_energy, best_t=self.best_t,
+            best_configuration=net.configuration(self._best[:n], self._best[n:]),
+        )
+
+
+def run(scenario_or_network, policy: OptimizerPolicy, record_every: int | None = None,
+        run_id: str = "run0") -> RunResult:
+    """One policy run from a fresh random initialization to policy.iterations
+    steps or greedy's stop (see Chain for the records and the best)."""
+    chain = Chain(scenario_or_network, policy, record_every, run_id)
+    return chain.advance(policy.iterations).result()

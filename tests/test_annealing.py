@@ -25,7 +25,7 @@ from fairband import (
 )
 from fairband import annealing
 from fairband.annealing import (
-    GUARD, MAX_REDRAWS, TABLE_CAP, _draw, _float_draw, _sample_index,
+    BLOCK, GUARD, MAX_REDRAWS, TABLE_CAP, Chain, _draw, _float_draw, _sample_index,
     gibbs_step, potential_scale_reduction,
 )
 from conftest import (
@@ -50,6 +50,12 @@ def test_schedule_parse():
     assert Schedule.parse("const:0") == Schedule(kind="const", t0=0.0)
     with pytest.raises(ValueError):
         Schedule.parse("warp:9")
+    with pytest.raises(ValueError, match="^cannot parse schedule 'geometric:abc': ratio must "
+                                         "be a number$"):
+        Schedule.parse("geometric:abc")
+    with pytest.raises(ValueError, match="^cannot parse schedule 'const:': temperature must "
+                                         "be a number$"):
+        Schedule.parse("const:")
     with pytest.raises(ValueError):
         Schedule(kind="invsqrtlog", t0=0.0)
     with pytest.raises(ValueError):
@@ -627,6 +633,100 @@ def test_greedy_energy_is_monotone(rng):
 def test_run_accepts_scenario_directly():
     res = run(builtin("micro"), OptimizerPolicy(kind="greedy", iterations=100, seed=0))
     assert math.isfinite(res.final_energy)
+
+
+# -- resumable chains ---------------------------------------------------------
+
+_CHAIN_RUNS = [("dp-exact", "round-robin"), ("dp-exact", "random"), ("dp-approx", "round-robin"),
+               ("dp-approx", "random"), ("greedy", "round-robin")]
+
+
+def _chain_outcome(chain):
+    """Everything a chain's run shows: the result (records, best energy, best
+    t, best and final configuration, rates and allocation, floats by repr)
+    and the final state's arrays and energy bits."""
+    state = chain.state
+    return (repr(chain.result()), state.assoc.tolist(), state.chan.tolist(),
+            state.energy().hex())
+
+
+def _check_split_advances(net, kind, selection, scheme, iterations, splits):
+    """Check advance(a) then advance(iterations - a) against one advance, at
+    the given splits and, for a greedy chain, on either side of its stop."""
+    policy = OptimizerPolicy(kind=kind, scheme=scheme, selection=selection,
+                             iterations=iterations, seed=3)
+    whole = Chain(net, policy, record_every=1).advance(iterations)
+    want = _chain_outcome(whole)
+    if kind == "greedy":
+        # the chain stops inside its first block, and stays stopped
+        assert whole.stopped and 0 < whole.t < min(iterations, BLOCK)
+        splits = (*splits, whole.t - 1, whole.t)
+    for a in splits:
+        chain = Chain(net, policy, record_every=1).advance(a)
+        assert chain.t == min(a, whole.t)
+        assert chain.advance(iterations - a) is chain
+        assert _chain_outcome(chain) == want, a
+        if kind != "greedy":  # one uniform per step, however the blocks fall
+            assert chain.rng.bit_generator.state == whole.rng.bit_generator.state
+        assert _chain_outcome(chain.advance(50)) == want  # nothing left to do
+    return want
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+@pytest.mark.parametrize("kind, selection", _CHAIN_RUNS)
+def test_split_advances_equal_one_advance_on_a_table_network(kind, selection, scheme):
+    # advance(a) then advance(b) equals advance(a + b) byte for byte, at the
+    # ends and the edges of the first block, on line3-2ch (candidate table)
+    _check_split_advances(builtin("line3-2ch").to_network(), kind, selection, scheme,
+                          BLOCK + 4, (0, 1, BLOCK - 1, BLOCK, BLOCK + 1))
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+@pytest.mark.parametrize("kind, selection", _CHAIN_RUNS)
+def test_split_advances_equal_one_advance_without_a_table(monkeypatch, kind, selection, scheme):
+    # the same on grid16-weighted, which has no candidate table. A greedy
+    # chain stops inside the first block, before the later splits. The
+    # others run in blocks of 64, which must change no output, and split at
+    # the edges of the first (a full block of grid16 steps is slow)
+    net = builtin("grid16-weighted").to_network()
+    if kind == "greedy":
+        _check_split_advances(net, kind, selection, scheme, BLOCK + 4,
+                              (0, 1, BLOCK - 1, BLOCK, BLOCK + 1))
+        return
+    policy = OptimizerPolicy(kind=kind, scheme=scheme, selection=selection,
+                             iterations=200, seed=3)
+    want = _chain_outcome(Chain(net, policy, record_every=1).advance(200))
+    monkeypatch.setattr(annealing, "BLOCK", 64)
+    assert _check_split_advances(net, kind, selection, scheme, 200, (0, 1, 63, 64, 65)) == want
+
+
+def test_chain_results_close_with_a_record_of_the_current_state():
+    # a result taken between advances ends with a record of the current
+    # state, which the chain's own records do not keep
+    net = builtin("line3-2ch").to_network()
+    chain = Chain(net, OptimizerPolicy(iterations=1000, seed=1))  # records every 10
+    part = chain.advance(15).result()
+    assert [p.t for p in part.trajectory] == [0, 10, 15]
+    assert part.iterations == 15 and part.final_energy == chain.state.energy()
+    assert part.final_configuration == chain.state.to_configuration()
+    assert [p.t for p in chain.trajectory] == [0, 10]
+    assert chain.advance(985).result() == run(net, OptimizerPolicy(iterations=1000, seed=1))
+
+
+def test_chain_buffers_hold_at_most_one_block():
+    # a chain holds the uniforms and temperatures of one block at most,
+    # however many steps its policy asks for
+    net = builtin("line3-2ch").to_network()
+    for selection in ("round-robin", "random"):
+        chain = Chain(net, OptimizerPolicy(iterations=10**9, selection=selection))
+        chain.advance(10)
+        assert chain.t == 10 and len(chain._temps) == 10
+        chain.advance(BLOCK + 5)
+        assert chain.t == BLOCK + 15 and len(chain._temps) <= BLOCK
+        assert chain._uniforms is None if selection == "random" else \
+            len(chain._uniforms) <= BLOCK
+    with pytest.raises(ValueError, match="^n:"):
+        chain.advance(-1)
 
 
 def test_dp_approx_runs_and_reports_true_energy(rng):

@@ -200,6 +200,16 @@ def test_bad_flag_values_exit_2_naming_the_flag(flag, value, capsys):
     assert f"argument {flag}:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, field", [("geometric:abc", "ratio"), ("const:", "temperature")])
+def test_unparsable_schedule_numbers_exit_2_naming_the_schedule(text, field, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--scenario", "micro", "--schedule", text])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument --schedule: cannot parse schedule '{text}': {field} must be a number"
+            in err) and "Traceback" not in err
+
+
 @pytest.mark.parametrize("policy", ["dp-exact", "dp-approx", "greedy"])
 def test_runs_print_the_spread_of_best_u_and_the_gelman_rubin_factor(
     tmp_path, capsys, policy
