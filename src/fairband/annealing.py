@@ -4,8 +4,10 @@ Each step selects one mover, either a client (association move) or a radio
 (channel move), evaluates the energy of every feasible single move, and
 only those (the radios the client reaches, the channels that keep every
 client of the radio linked), and samples a target from the softmax of those
-energies at the current temperature. With a temperature schedule that
-cools slowly enough (the inverse-sqrt-log kind: T -> 0 while T log t ->
+energies at the current temperature: one inverse-CDF pass over the values
+in Python floats with math.exp (libm), whose probabilities
+softmax_probabilities returns. With a temperature schedule that cools
+slowly enough (the inverse-sqrt-log kind: T -> 0 while T log t ->
 infinity) the sampled chain concentrates on globally optimal
 configurations. At T = 0 the step takes the argmax instead, which is greedy
 ascent (iterated conditional modes): a greedy policy is the Gibbs step at
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import check_integer
+from .checks import check_integer, check_number
 from .model import Configuration, Network, ScenarioError
 from .fairness import SCHEME_CLIENT, SCHEME_SERVER, SystemState, _check_scheme
 
@@ -39,8 +41,6 @@ SELECTION_KINDS = ("round-robin", "random")
 MAX_REDRAWS = 100
 # entries at which a network's candidate table is cleared
 TABLE_CAP = 2**16
-# distance from a cdf boundary within which the float draw defers to numpy's
-GUARD = 1e-9
 # steps whose temperatures and uniforms a chain holds at once
 BLOCK = 4096
 
@@ -63,15 +63,15 @@ class Schedule:
     def __post_init__(self):
         if self.kind not in ("invsqrtlog", "invlog", "geometric", "const"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not (math.isfinite(self.t0) and math.isfinite(self.ratio)):
-            raise ValueError("temperature and ratio must be finite")
+        check_number("t0", self.t0, error=ValueError)
+        check_number("ratio", self.ratio, error=ValueError)
         if self.kind == "const":
             if self.t0 < 0:
-                raise ValueError("constant temperature must be >= 0")
+                raise ValueError("t0: a constant temperature must be >= 0")
         elif self.t0 <= 0:
-            raise ValueError("t0 must be positive")
+            raise ValueError("t0: must be positive")
         if self.kind == "geometric" and not 0 < self.ratio < 1:
-            raise ValueError("geometric ratio must lie in (0, 1)")
+            raise ValueError("ratio: a geometric ratio must lie in (0, 1)")
 
     def temperature(self, t: int) -> float:
         if self.kind == "invsqrtlog":
@@ -119,6 +119,8 @@ class OptimizerPolicy:
             # a greedy run moves round-robin, and run() certifies a local
             # optimum by a whole unchanged sweep in that order
             raise ValueError("selection: greedy moves round-robin only")
+        if not isinstance(self.schedule, Schedule):
+            raise ValueError(f"schedule: expected a Schedule, got {self.schedule!r}")
         _check_scheme(self.scheme)
         check_integer("seed", self.seed, 0)
         check_integer("iterations", self.iterations, 0)
@@ -140,7 +142,8 @@ class Move(NamedTuple):
 def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
     """Move probabilities proportional to exp(value / T) over a step's
     candidate values, for a temperature T > 0 (ValueError otherwise;
-    gibbs_step takes the argmax at T = 0).
+    gibbs_step takes the argmax at T = 0): the draw's own e_j over their
+    total (_exponentials), so _draw picks index j with probability p_j.
 
     The candidate methods return only the feasible targets, so the values
     are finite on a feasible state. The max value is subtracted before
@@ -151,29 +154,29 @@ def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
     if not temperature > 0:
         raise ValueError(f"temperature: must be > 0, got {temperature!r}")
     values = np.asarray(values, dtype=float)
-    # the ufunc reductions ndarray.max and sum run, without their Python wrappers
-    top = np.maximum.reduce(values, initial=-np.inf)
-    if top == -np.inf:
+    if not (values > -np.inf).any():
         return np.zeros_like(values)
-    # exp is exactly 0 below about -745, so raising every gap to -1000 T
-    # changes no probability; it keeps a tiny T from overflowing the quotient
-    # (float() keeps the product a Python float, which cannot warn)
-    ex = np.exp(np.maximum(values - top, float(temperature) * -1000.0) / temperature)
-    return ex / np.add.reduce(ex)
+    ex, total = _exponentials(values.tolist(), float(temperature))
+    return np.array(ex) / total
 
 
 # -- steps ------------------------------------------------------------------
 
 
-def _sample_index(probs: np.ndarray, uniform: float) -> int:
-    """rng.choice(len(probs), p=probs / probs.sum()) without its argument
-    checks, given the one uniform draw rng.choice would make: the same
-    inverse-CDF arithmetic, so the same index. It searches the normalised
-    cumulative sum, scaled to end at exactly 1 (np.add.reduce and
-    np.add.accumulate are the ufunc loops of ndarray.sum and cumsum)."""
-    cdf = np.add.accumulate(probs / np.add.reduce(probs))
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(uniform, side="right"))
+def _exponentials(values, temperature: float) -> tuple[list[float], float]:
+    """The softmax's terms e_j = exp(max(v_j - max(v), -1000 T) / T) of the
+    values at T > 0, in Python floats with math.exp (libm), and their total,
+    summed left to right. The largest gap is exactly 0.0, so every e_j is at
+    most 1 and the total at least 1. exp is exactly 0 below about -745, so
+    raising every gap to -1000 T changes no term; it keeps a tiny T from
+    overflowing the quotient, and a -inf value's term is 0."""
+    top = max(values)
+    floor = temperature * -1000.0
+    ex = [math.exp((g if (g := v - top) > floor else floor) / temperature) for v in values]
+    total = 0.0
+    for e in ex:
+        total += e
+    return ex, total
 
 
 @functools.cache
@@ -182,40 +185,17 @@ def _entry_reader(k: int):
     return struct.Struct(f"{k}d{k}q").unpack
 
 
-def _float_draw(values, temperature: float, uniform: float) -> int | None:
-    """The index _sample_index(softmax_probabilities(values, T), uniform)
-    returns, computed in Python floats, or None when uniform lies within
-    GUARD of a cdf value c_j (the running sums of e_j = exp(max(v_j - max(v),
-    -1000 T) / T) over their total), where the estimate cannot be sure of it.
-    The largest gap is exactly 0.0, so every e_j is at most 1 and the total
-    at least 1; math.exp and numpy's exp are each within about an ulp and
-    every sum and quotient adds one rounding, so for up to 100 targets c_j
-    is within 1e-13 of the reference's cdf, far inside GUARD = 1e-9, and a
-    uniform goes to numpy with probability about 2e-9 per target."""
-    top = max(values)
-    floor = temperature * -1000.0
-    ex = [math.exp((g if (g := v - top) > floor else floor) / temperature) for v in values]
-    total = 0.0
-    for e in ex:
-        total += e
+def _draw(values, temperature: float, uniform: float) -> int:
+    """The softmax draw at T > 0: the first index j whose running sum of the
+    terms e_0 + ... + e_j (_exponentials) over their total exceeds the
+    uniform in [0, 1). The last running sum is the total itself, and
+    total / total = 1.0, so some index always does."""
+    ex, total = _exponentials(values, temperature)
     running = 0.0
     for j, e in enumerate(ex):
         running += e
-        c = running / total
-        if uniform < c - GUARD:
+        if uniform < running / total:
             return j
-        if uniform <= c + GUARD:
-            return None
-    return None  # not reached: the last c_j is total / total = 1.0 > uniform
-
-
-def _draw(values, temperature: float, uniform: float) -> int:
-    """The index the softmax draw at T > 0 picks from the values: the float
-    estimate, or the numpy draw where it is undecided."""
-    j = _float_draw(values, temperature, uniform)
-    if j is None:
-        j = _sample_index(softmax_probabilities(np.array(values), temperature), uniform)
-    return j
 
 
 def gibbs_step(state: Chain | SystemState, t: int, policy: OptimizerPolicy,
@@ -232,7 +212,8 @@ def gibbs_step(state: Chain | SystemState, t: int, policy: OptimizerPolicy,
     index, then radios by index), or at rng.integers(m) under random
     selection, and every step makes one uniform draw. Its candidate entry
     (_candidates) gives its feasible targets (ascending) and their values.
-    At T(t) > 0 the step draws an index from their softmax (_draw). At T = 0,
+    At T(t) > 0 the step draws an index from their softmax with its uniform
+    (_draw, whose probabilities softmax_probabilities returns). At T = 0,
     and under a greedy policy, it takes the argmax in Python floats instead:
     candidates within 1e-12 max(1, |u|) of the best, u the current target's
     value, count as tied and the lowest target wins, and the mover stays
@@ -427,11 +408,11 @@ def potential_scale_reduction(chains) -> float | None:
     of the within-chain variances, B / n the variance of the chain means
     (both with the m - 1 or n - 1 divisor) and V = (n - 1) / n W + B / n.
     Near 1 when the chains sample one distribution. None when it is not
-    defined: chains of fewer than 2 draws, or W = 0."""
+    defined: fewer than 2 chains, chains of fewer than 2 draws, or W = 0."""
     x = np.asarray(chains, dtype=float)
-    n = x.shape[1]
-    if n < 2:
+    if len(x) < 2 or x.shape[1] < 2:
         return None
+    n = x.shape[1]
     within = x.var(axis=1, ddof=1).mean()
     if within == 0:
         return None

@@ -28,21 +28,21 @@ def check_id(name: str, value):
                             "file must quote an id that YAML reads as another type)")
 
 
-def check_number(name: str, value, index: int | None = None):
+def check_number(name: str, value, index: int | None = None, error: type = ScenarioError):
     """A finite number: an int or a float, numpy's included, not a bool.
-    With an index, the field is name[index]."""
+    With an index, the field is name[index]. Raises error naming the field."""
     if type(value) is float and math.isfinite(value):
         return
     if index is not None:
         name = f"{name}[{index}]"
     if isinstance(value, bool) or not isinstance(value, _NUMBERS):
-        raise ScenarioError(f"{name}: expected a number, got {value!r}")
+        raise error(f"{name}: expected a number, got {value!r}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite:
-        raise ScenarioError(f"{name}: must be finite")
+        raise error(f"{name}: must be finite")
 
 
 def check_positive(name: str, value):

@@ -554,7 +554,9 @@ class SystemState:
         neighbours, all under the post-move aggregates. Client scheme: the
         analogous local form for direct contention. Shared constants are
         dropped; only differences between candidates matter. Needs a
-        feasible state (ValueError otherwise).
+        feasible state (ValueError otherwise). A client that reaches one
+        radio can only stay on its own: the scores are [U], as in
+        association_candidates, read without evaluating anything.
 
         With the notation of association_candidates, a neighbour n != b of
         candidate b sees z+_n and w-_n, so its log idle probability
@@ -567,9 +569,12 @@ class SystemState:
         """
         self._check_feasible()
         net = self.net
+        reach, lb = self._links(client)
+        if reach.size == 1:
+            return reach, np.array([self._u])
         wi = net.weights[client]
-        frame = self._reach(*self._links(client))
-        reach, lb, rows, nbrs, own = frame[:5]
+        frame = self._reach(reach, lb)
+        rows, own = frame[2], frame[4]
         link = lb + math.log(wi)
         w, z = self._left_out(client, frame)
         if self.scheme == SCHEME_SERVER:

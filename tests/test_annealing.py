@@ -25,8 +25,7 @@ from fairband import (
 )
 from fairband import annealing
 from fairband.annealing import (
-    BLOCK, GUARD, MAX_REDRAWS, TABLE_CAP, Chain, _draw, _float_draw, _sample_index,
-    gibbs_step, potential_scale_reduction,
+    BLOCK, MAX_REDRAWS, TABLE_CAP, Chain, _draw, gibbs_step, potential_scale_reduction,
 )
 from conftest import (
     dense_candidates, dense_reference, dual_radio_grid, random_network, random_state, rel,
@@ -56,10 +55,17 @@ def test_schedule_parse():
     with pytest.raises(ValueError, match="^cannot parse schedule 'const:': temperature must "
                                          "be a number$"):
         Schedule.parse("const:")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^t0: must be positive$"):
         Schedule(kind="invsqrtlog", t0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^t0: "):
         Schedule(kind="const", t0=-1.0)
+    # each field is a finite number, not a bool or a string
+    for field, bad in [("t0", True), ("t0", "1"), ("t0", math.inf), ("ratio", "0.5"),
+                       ("ratio", False), ("ratio", math.nan)]:
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            Schedule(kind="geometric", **{field: bad})
+    with pytest.raises(ValueError, match="^ratio: "):
+        Schedule(kind="geometric", ratio=1.0)
 
 
 def test_convergence_conditions_symbolically():
@@ -124,11 +130,30 @@ def test_softmax_refuses_a_temperature_that_is_not_positive(temperature):
         softmax_probabilities(np.array([0.0, 1.0]), temperature)
 
 
+def _clear_of_the_cdf(probs, uniform, gap=1e-12) -> bool:
+    """Whether the uniform lies at least gap from every boundary of the cdf
+    of probs: there the draw's floats and numpy's arithmetic, which differ
+    by about 1e-13 at most, pick the same index."""
+    return bool(np.abs(np.cumsum(probs) - uniform).min() >= gap)
+
+
+def _cdf_by_definition(values, temperature):
+    """The draw's cdf from its definition, the running sums of the terms
+    e_j = exp(max(v_j - max(v), -1000 T) / T) over their total, and the
+    probabilities e_j / total."""
+    top = max(values)
+    ex = [math.exp(max(v - top, -1000.0 * temperature) / temperature) for v in values]
+    running = list(itertools.accumulate(ex))
+    return [r / running[-1] for r in running], [e / running[-1] for e in ex]
+
+
 def test_inverse_cdf_draw_matches_generator_choice():
-    # softmax outputs over weights from 1e-3 to 1e3, some entries -inf; the
-    # draw must pick the index Generator.choice picks and leave both
-    # generators in the same state
+    # softmax outputs over weights from 1e-3 to 1e3, some entries -inf; on
+    # every uniform at least 1e-12 from a cdf boundary the draw must pick
+    # the index Generator.choice picks from softmax_probabilities, and both
+    # generators must end in the same state
     meta = np.random.default_rng(7)
+    compared = 0
     for _ in range(3000):
         n = int(meta.integers(1, 40))
         values = np.log(10.0 ** meta.uniform(-3, 3, n))
@@ -138,70 +163,62 @@ def test_inverse_cdf_draw_matches_generator_choice():
         probs = softmax_probabilities(values, temperature)
         seed = int(meta.integers(2**32))
         ours, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _sample_index(probs, ours.random()) == \
-            int(numpy_.choice(n, p=probs / probs.sum()))
+        uniform = ours.random()
+        want = int(numpy_.choice(n, p=probs))
+        if _clear_of_the_cdf(probs, uniform):
+            assert _draw(values.tolist(), temperature, uniform) == want
+            compared += 1
         assert ours.random() == numpy_.random()
+    assert compared > 2990
 
 
 def test_equal_cdf_is_the_draw_arithmetic_on_equal_values():
-    # a clientless radio draws its channel with _draw over n zeros, since its
-    # n values are equal; it must pick the index searchsorted(side="right")
-    # picks on the cdf Generator.choice builds from the softmax of any n
-    # equal finite values at any T > 0, on every cdf boundary and one ulp to
-    # either side of it too
+    # a clientless radio draws its channel with _draw over n zeros: every
+    # term is exp(0) = 1, so its cdf is (j + 1) / n; on every boundary and
+    # one ulp to either side of it, at any T > 0, it must pick the first j
+    # with (j + 1) / n > u
     meta = np.random.default_rng(5)
     for n in range(1, 13):
+        cdf = [(j + 1) / n for j in range(n)]
+        uniforms = [0.0, *meta.random(20), *cdf, *np.nextafter(cdf, 0.0),
+                    *np.nextafter(cdf, 2.0)]
         for temperature in (5e-324, 1e-3, 0.37, 1.0, 50.0):
-            for value in (-1e6, 0.0, 7.48):
-                probs = softmax_probabilities(np.full(n, value), temperature)
-                cdf = (probs / probs.sum()).cumsum()
-                cdf /= cdf[-1]
-                uniforms = [0.0, *meta.random(20), *cdf, *np.nextafter(cdf, 0.0),
-                            *np.nextafter(cdf, 2.0)]
-                for u in uniforms:
-                    if u < 1.0:
-                        assert _draw((0.0,) * n, temperature, float(u)) == \
-                            int(cdf.searchsorted(u, side="right"))
+            for u in uniforms:
+                if u < 1.0:
+                    assert _draw((0.0,) * n, temperature, float(u)) == \
+                        next(j for j, c in enumerate(cdf) if c > u)
 
 
 def test_step_draw_from_gaps_matches_the_softmax_draw():
-    # the step draws from its candidate values, by the float estimate over
-    # the gaps values - max(values) and, where it is undecided, the numpy
-    # draw; both paths must pick the index the reference draw picks from the
-    # softmax of the values, at temperatures from the smallest positive float
-    # (where the -1000 T floor binds) to 1e3, and at uniforms on the cdf's
-    # own boundaries, one ulp to either side of them and GUARD / 2 and
-    # 2 GUARD away. The estimate must be undecided on every uniform within
-    # GUARD / 2 of a boundary and decide every uniform 1.5 GUARD or more from
-    # all of them (it is within about 1e-13 of the cdf)
+    # the step draws from its candidate values; at temperatures from the
+    # smallest positive float (where the -1000 T floor binds) to 1e3, the
+    # draw must pick the first index whose cdf value, by the definition,
+    # exceeds the uniform, on every boundary and one ulp to either side of
+    # it; softmax_probabilities must return the draw's own terms over their
+    # total; and on uniforms clear of the boundaries the draw must pick the
+    # index numpy's inverse-CDF arithmetic picks
     meta = np.random.default_rng(23)
-    counts = {"undecided": 0, "decided": 0}
+    counts = {"boundary": 0, "clear": 0}
     for trial in range(1000):
         n = int(meta.integers(2, 17))
         values = meta.normal(size=n) * 10.0 ** meta.uniform(-3, 3) + meta.normal() * 100.0
         if meta.random() < 0.2:
             values[int(meta.integers(n))] = values.max()  # a tied best
         temperature = 5e-324 if trial % 10 == 0 else float(10.0 ** meta.uniform(-323, 3))
-        probs = softmax_probabilities(values, temperature)
-        cdf = (probs / probs.sum()).cumsum()
-        cdf /= cdf[-1]
-        near = np.concatenate([cdf, np.nextafter(cdf, -1.0), np.nextafter(cdf, 2.0),
-                               cdf - GUARD / 2, cdf + GUARD / 2])
-        far = np.concatenate([meta.random(4), cdf - 2 * GUARD, cdf + 2 * GUARD])
         floats = values.tolist()
-        for u in np.concatenate([near, far]).tolist():
-            if not 0.0 <= u < 1.0:
-                continue
-            want = _sample_index(probs, u)
-            assert _draw(floats, temperature, u) == want
-            estimate = _float_draw(floats, temperature, u)
-            if np.abs(cdf - u).min() <= GUARD / 2:
-                assert estimate is None
-                counts["undecided"] += 1
-            elif np.abs(cdf - u).min() >= 1.5 * GUARD:
-                assert estimate == want
-                counts["decided"] += 1
-    assert min(counts.values()) > 5_000, counts
+        cdf, want_probs = _cdf_by_definition(floats, temperature)
+        probs = softmax_probabilities(values, temperature)
+        assert probs.tolist() == want_probs
+        for u in [*cdf, *np.nextafter(cdf, -1.0), *np.nextafter(cdf, 2.0)]:
+            if 0.0 <= u < 1.0:
+                assert _draw(floats, temperature, u) == next(j for j, c in enumerate(cdf) if c > u)
+                counts["boundary"] += 1
+        for u in meta.random(4).tolist():
+            if _clear_of_the_cdf(probs, u):
+                assert _draw(floats, temperature, u) == \
+                    int(np.cumsum(probs).searchsorted(u, side="right"))
+                counts["clear"] += 1
+    assert min(counts.values()) > 3_000, counts
 
 
 def _masked_softmax(values, temperature, feasible):
@@ -214,10 +231,12 @@ def _masked_softmax(values, temperature, feasible):
 
 def test_compact_draw_matches_choice_over_the_masked_vector():
     # a step draws an index into its targets from the softmax of their values
-    # alone; with the same uniform it must pick the target Generator.choice
-    # picks over the whole masked vector, although the two normalising sums
-    # group their terms differently
+    # alone; with the same uniform, when it is at least 1e-12 from a cdf
+    # boundary, it must pick the target Generator.choice picks over the whole
+    # masked vector, although the two normalising sums group their terms
+    # differently
     meta = np.random.default_rng(11)
+    compared = 0
     for _ in range(2000):
         n = int(meta.integers(8, 601))
         k = int(meta.integers(1, min(n, 19) + 1))
@@ -230,8 +249,12 @@ def test_compact_draw_matches_choice_over_the_masked_vector():
         seed = int(meta.integers(2**32))
         ours, numpy_ = np.random.default_rng(seed), np.random.default_rng(seed)
         probs = softmax_probabilities(values[targets], temperature)
-        assert targets[_sample_index(probs, ours.random())] == \
-            numpy_.choice(n, p=_masked_softmax(values, temperature, feasible))
+        uniform = ours.random()
+        want = numpy_.choice(n, p=_masked_softmax(values, temperature, feasible))
+        if _clear_of_the_cdf(probs, uniform):
+            assert targets[_draw(values[targets].tolist(), temperature, uniform)] == want
+            compared += 1
+    assert compared > 1990
 
 
 # -- single-move deltas ---------------------------------------------------------
@@ -747,6 +770,9 @@ def test_policy_validation():
         OptimizerPolicy(selection="sorted")
     with pytest.raises(ValueError, match="^selection:"):
         OptimizerPolicy(kind="greedy", selection="random")
+    # a schedule's text is for Schedule.parse; the policy takes a Schedule
+    with pytest.raises(ValueError, match="^schedule: expected a Schedule, got 'invlog'$"):
+        OptimizerPolicy(schedule="invlog")
 
 
 @pytest.mark.parametrize("field, policy_args, run_args", [
@@ -773,9 +799,12 @@ def test_potential_scale_reduction_matches_a_hand_computation():
     # identical chains: no spread between them, so V / W = (n - 1) / n
     assert potential_scale_reduction([[0, 1], [0, 1], [0, 1]]) == pytest.approx(
         math.sqrt(1 / 2), rel=1e-15)
-    # no within-chain variance, or a single draw: not defined
+    # no within-chain variance, a single draw, a single chain or no chain:
+    # not defined
     assert potential_scale_reduction([[1, 1, 1], [2, 2, 2]]) is None
     assert potential_scale_reduction([[1.0], [2.0]]) is None
+    assert potential_scale_reduction([[1.0, 2.0, 4.0]]) is None
+    assert potential_scale_reduction([]) is None
 
 
 # -- the candidate table ------------------------------------------------------------
@@ -897,39 +926,36 @@ def test_runs_on_a_warm_table_equal_runs_on_fresh_networks(monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("schedule", ["invsqrtlog", "geometric:0.5", "const:1000"])
-def test_runs_with_the_numpy_draw_alone_equal_normal_runs(monkeypatch, schedule):
-    # with the float estimate undecided on every uniform, every draw at T > 0
-    # takes the numpy fallback, and the runs must not change: line3-2ch runs
-    # twice on one network (the second round reads a warm table) under both
-    # schemes and dp-approx, micro, and a grid16-weighted layout (no table)
-    # under the client scheme, clientless radios included. geometric:0.5
-    # falls through subnormal temperatures to T = 0 by step 1076, const:1000
-    # draws nearly uniformly
-    def runs():
-        line3, micro = builtin("line3-2ch").to_network(), builtin("micro").to_network()
-        grid = builtin("grid16-weighted", seed=3).to_network()
-        jobs = [(line3, "dp-exact", "server", seed) for seed in range(2)]
-        jobs += [(line3, "dp-exact", "client", 0), (line3, "dp-approx", "server", 0)]
-        jobs += jobs + [(micro, "dp-exact", "server", 0), (grid, "dp-exact", "client", 0)]
-        return [run(net, OptimizerPolicy(kind=kind, scheme=scheme, iterations=1100, seed=seed,
-                                         schedule=Schedule.parse(schedule)))
-                for net, kind, scheme, seed in jobs]
+def test_steps_never_call_softmax_probabilities(monkeypatch, schedule):
+    # the step draws by _draw alone: with softmax_probabilities made to raise,
+    # runs still finish, on line3-2ch twice on one network (the second round
+    # reads a warm table) under both schemes and dp-approx, on micro, and on
+    # a grid16-weighted layout (no table) under the client scheme, clientless
+    # radios included. geometric:0.5 falls through subnormal temperatures to
+    # T = 0 by step 1076, const:1000 draws nearly uniformly
+    def refuse(values, temperature):
+        raise AssertionError("a step called softmax_probabilities")
 
-    normal = runs()
-    estimates = []
+    draws = []
 
-    def undecided(values, temperature, uniform):
-        estimates.append(values)
-        return None
+    def draw(values, temperature, uniform):
+        draws.append(values)
+        return original(values, temperature, uniform)
 
-    monkeypatch.setattr(annealing, "_float_draw", undecided)
-    for want, got in zip(normal, runs(), strict=True):
-        assert got.trajectory == want.trajectory
-        assert got.best_energy == want.best_energy and got.best_t == want.best_t
-        assert got.best_configuration == want.best_configuration
-    assert len(estimates) > 1000
-    # a clientless radio's draw, over zeros, takes the fallback as well
-    assert any(not any(values) for values in estimates)
+    original = annealing._draw
+    monkeypatch.setattr(annealing, "softmax_probabilities", refuse)
+    monkeypatch.setattr(annealing, "_draw", draw)
+    line3, micro = builtin("line3-2ch").to_network(), builtin("micro").to_network()
+    grid = builtin("grid16-weighted", seed=3).to_network()
+    jobs = [(line3, "dp-exact", "server", seed) for seed in range(2)]
+    jobs += [(line3, "dp-exact", "client", 0), (line3, "dp-approx", "server", 0)]
+    jobs += jobs + [(micro, "dp-exact", "server", 0), (grid, "dp-exact", "client", 0)]
+    for net, kind, scheme, seed in jobs:
+        run(net, OptimizerPolicy(kind=kind, scheme=scheme, iterations=1100, seed=seed,
+                                 schedule=Schedule.parse(schedule)))
+    assert len(draws) > 1000
+    # a clientless radio's draw, over zeros, goes through _draw as well
+    assert any(not any(values) for values in draws)
 
 
 def test_the_table_is_cleared_at_its_cap():

@@ -25,7 +25,7 @@ from fairband import (
     slot_monte_carlo,
     throughput,
 )
-from fairband.annealing import _sample_index, gibbs_step, softmax_probabilities
+from fairband.annealing import _draw, gibbs_step, softmax_probabilities
 from fairband.fairness import (
     _idle_products,
     _load_change,
@@ -370,10 +370,15 @@ def test_applied_moves_never_drift(rng, scheme):
 
 def _approx_scores_from_scratch(net, state, client, scheme):
     """association_scores_approx by its definition: for each candidate b,
-    the local score under a fresh state with the client moved to b."""
+    the local score under a fresh state with the client moved to b; for a
+    client that reaches one radio, the state's energy U on that radio."""
     wi = net.weights[client]
     log_rates = dense_reference(net).log_rates
     scores = np.full(net.n_vaps, -np.inf)
+    reach = np.isfinite(log_rates[client, np.arange(net.n_vaps), state.chan])
+    if reach.sum() == 1:
+        scores[reach] = SystemState(net, scheme, state.assoc, state.chan).energy()
+        return scores
     for b in range(net.n_vaps):
         lb = log_rates[client, b, state.chan[b]]
         if not np.isfinite(lb):
@@ -400,18 +405,26 @@ def _approx_scores_from_scratch(net, state, client, scheme):
 
 @pytest.mark.parametrize("scheme", ["server", "client"])
 def test_candidates_match_from_scratch_with_empty_and_isolated_radios(rng, scheme):
-    for _ in range(3):
-        net = _network_with_isolated_cell(rng)
-        assert net.n_vaps >= 16
-        state = random_state(net, rng, scheme)
-        far = [net.vap_index["far/r0"], net.vap_index["far/r1"]]
-        served = int(state.assoc[net.client_index["f0"]])
-        assert state.w_ap[[v for v in far if v != served][0]] == 0.0
-        assert state.z[served] == state.w_ap[served]
+    # networks with an isolated cell, and networks with far clients, some
+    # of which reach one radio alone on the drawn channels
+    one_target = 0
+    for trial in range(6):
+        if trial < 3:
+            net = _network_with_isolated_cell(rng)
+            assert net.n_vaps >= 16
+            state = random_state(net, rng, scheme)
+            far = [net.vap_index["far/r0"], net.vap_index["far/r1"]]
+            served = int(state.assoc[net.client_index["f0"]])
+            assert state.w_ap[[v for v in far if v != served][0]] == 0.0
+            assert state.z[served] == state.w_ap[served]
+        else:
+            net = _network_with_far_clients(rng)
+            state = random_state(net, rng, scheme)
         for i in range(net.n_clients):
             targets, values = state.association_candidates(i)
             targets2, approx = state.association_scores_approx(i)
             assert np.array_equal(targets, targets2)
+            one_target += targets.size == 1
             values, feasible = dense_candidates((targets, values), net.n_vaps)
             approx, _ = dense_candidates((targets2, approx), net.n_vaps)
             ref_approx = _approx_scores_from_scratch(net, state, i, scheme)
@@ -424,6 +437,7 @@ def test_candidates_match_from_scratch_with_empty_and_isolated_radios(rng, schem
                     assert rel(approx[b], ref_approx[b]) < 1e-12
                 else:
                     assert values[b] == approx[b] == fresh == ref_approx[b] == -math.inf
+    assert one_target > 0
 
 
 def _assert_state_equals_fresh(state, rates=True):
@@ -577,7 +591,7 @@ def _full_path_choice(state, kind, mover, policy, temperature):
 
     def choose(u):
         if temperature:
-            return int(targets[_sample_index(softmax_probabilities(values, temperature), u)])
+            return int(targets[_draw(values.tolist(), temperature, u)])
         best, u_cur = values.max(), values[targets.tolist().index(current)]
         margin = 1e-12 * max(1.0, abs(u_cur))
         return current if best - u_cur <= margin \
