@@ -20,6 +20,21 @@ constants once: feasibility per advance, the movers' targets and radios'
 client counts as lists, and per block of at most BLOCK steps the
 temperatures and, round-robin, the uniforms. gibbs_step is the one step,
 of a chain or of a bare SystemState wrapped in a one-step view.
+
+A network with at most model.INDEX_LIMIT configurations numbers them and
+keeps a candidate table (model.Network._candidate_table, cleared at
+model.TABLE_CAP entries), keyed by config_index() * 4 (I + V + 1) + code +
+s, s = 1 under the client scheme (SystemState._table_key). The codes:
+
+* 4 m + 2 a: mover m's candidate entry, its values then its targets (a = 1
+  for dp-approx scores), when it has two or more targets (_candidates);
+* 4 (I + V): the trajectory record, (weighted throughput, digest) (_record);
+* 4 (I + V) + 2: the energy (SystemState.energy).
+
+While a chain advances on such a network, its state keeps only its digits
+current on each move and brings its arrays up to date when something reads
+them, and at the end of advance (SystemState._sync). So a step that finds
+its candidate entry and its energy entry evaluates nothing.
 """
 from __future__ import annotations
 
@@ -32,15 +47,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .checks import check_integer, check_number
-from .model import Configuration, Network, ScenarioError
-from .fairness import SCHEME_CLIENT, SCHEME_SERVER, SystemState, _check_scheme
+from .model import Configuration, Network, ScenarioError, _store
+from .fairness import SCHEME_SERVER, SystemState, _check_scheme
 
 POLICY_KINDS = ("dp-exact", "dp-approx", "greedy")
 SELECTION_KINDS = ("round-robin", "random")
 # channel draws initial_configuration tries before it falls back
 MAX_REDRAWS = 100
-# entries at which a network's candidate table is cleared
-TABLE_CAP = 2**16
 # steps whose temperatures and uniforms a chain holds at once
 BLOCK = 4096
 
@@ -270,19 +283,15 @@ def gibbs_step(state: Chain | SystemState, t: int, policy: OptimizerPolicy,
 def _candidates(state: SystemState, kind: str, idx: int, approx: bool) -> bytes:
     """The bytes of the values, then the targets (int64), that the mover's
     candidate method returns (association_scores_approx when approx), read
-    as k floats and k ints by _entry_reader(k). A network with at most
-    model.INDEX_LIMIT configurations keeps them in its candidate table when
-    there are two or more targets, so its chains evaluate a configuration's
-    mover once, under the exact key config_index() * 4 (I + V + 1) + 4 m +
-    2 a + s (m the mover's position, a = 1 for dp-approx scores, s = 1
-    under the client scheme). The maintained state equals a fresh one bit
-    for bit, so an entry holds the bits the method returns."""
+    as k floats and k ints by _entry_reader(k). A numbered network keeps
+    them in its candidate table when there are two or more targets, under
+    the mover's code, so its chains evaluate a configuration's mover once.
+    The maintained state equals a fresh one bit for bit, so an entry holds
+    the bits the method returns."""
     table = state.net._candidate_table
     if table is not None:
-        n = state.assoc.size
-        code = 4 * (idx if kind == "association" else n + idx) + 2 * approx
-        key = state.config_index() * 4 * (n + state.chan.size + 1) + code \
-            + (state.scheme == SCHEME_CLIENT)
+        pos = idx if kind == "association" else state.assoc.size + idx
+        key = state._table_key(4 * pos + 2 * approx)
         entry = table.get(key)
         if entry is not None:
             return entry
@@ -298,25 +307,17 @@ def _candidates(state: SystemState, kind: str, idx: int, approx: bool) -> bytes:
     return entry
 
 
-def _store(table: dict, key: int, entry):
-    """Store an entry, clearing the table first when it holds TABLE_CAP."""
-    if len(table) >= TABLE_CAP:
-        table.clear()
-    table[key] = entry
-
-
 def _record(state: SystemState) -> tuple[float, str]:
     """The state's (weighted_throughput(), digest()) for a trajectory record.
 
-    Both depend on the configuration and the scheme alone, so a network's
-    candidate table holds them too, under config_index() * 4 (I + V + 1) +
-    4 (I + V) + s, above every mover's code (_candidates). A computed record
-    refreshes what the moves since the last one left pending."""
+    Both depend on the configuration and the scheme alone, so a numbered
+    network's candidate table holds them too, under the record code. A
+    computed record refreshes what the moves since the last one left
+    pending."""
     table = state.net._candidate_table
     if table is None:
         return state.weighted_throughput(), state.digest()
-    movers = state.assoc.size + state.chan.size
-    key = state.config_index() * 4 * (movers + 1) + 4 * movers + (state.scheme == SCHEME_CLIENT)
+    key = state._table_key(4 * (state.assoc.size + state.chan.size))
     entry = table.get(key)
     if entry is None:
         entry = (state.weighted_throughput(), state.digest())
@@ -493,22 +494,29 @@ class Chain:
         state._check_feasible()
         t, streak, stop = self.t, self._streak, False
         best_u, best_t = self.best_energy, self.best_t
-        while t < end and not stop:
-            k = min(BLOCK, end - t)
-            self._base = t + 1
-            self._temps = (None,) * k if greedy else \
-                _temperatures(policy.schedule, repr(policy.schedule), t + 1, k)
-            self._uniforms = None if self._random else rng.random(k).tolist()
-            for t in range(t + 1, t + k + 1):
-                move, u = gibbs_step(self, t, policy, rng)
-                streak = 0 if move.changed else streak + 1
-                if u > best_u + 1e-12:
-                    best_u, best_t, self._best = u, t, self._current[:]
-                stop = greedy and streak >= len(self._current)
-                if t % cadence == 0 or t == iters or stop:
-                    trajectory.append(TrajectoryPoint(t, move.temperature, u, *_record(state)))
-                    if stop:
-                        break
+        # on a numbered network the state defers its arrays until a read
+        state._held = None if state.net._candidate_table is None else {}
+        try:
+            while t < end and not stop:
+                k = min(BLOCK, end - t)
+                self._base = t + 1
+                self._temps = (None,) * k if greedy else \
+                    _temperatures(policy.schedule, repr(policy.schedule), t + 1, k)
+                self._uniforms = None if self._random else rng.random(k).tolist()
+                for t in range(t + 1, t + k + 1):
+                    move, u = gibbs_step(self, t, policy, rng)
+                    streak = 0 if move.changed else streak + 1
+                    if u > best_u + 1e-12:
+                        best_u, best_t, self._best = u, t, self._current[:]
+                    stop = greedy and streak >= len(self._current)
+                    if t % cadence == 0 or t == iters or stop:
+                        trajectory.append(
+                            TrajectoryPoint(t, move.temperature, u, *_record(state)))
+                        if stop:
+                            break
+        finally:
+            state._sync()
+            state._held = None
         self.t, self.stopped, self._streak = t, stop, streak
         self.best_energy, self.best_t, self._temperature = best_u, best_t, move.temperature
         return self

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .checks import check_integer
-from .model import Configuration, Network, _short_hash
+from .model import Configuration, Network, _short_hash, _store
 
 SCHEME_SERVER = "server"
 SCHEME_CLIENT = "client"
@@ -258,6 +258,22 @@ class SystemState:
     ``config_index()`` on, the configuration's index ``_index``, to which
     an applied move adds (new - old) * place of the one digit it changes.
 
+    Deferred while annealing.Chain.advance runs on such a network: each
+    applied move then keeps only the digits current, ``assoc``, ``chan``,
+    each client's ``_link`` and ``_index``, and ``_held`` (None while the
+    state is eager) keeps, for each mover moved since the last sync, the
+    digit the arrays still hold. The deferred arrays are ``same_ch_adj``,
+    the link rates, ``w_ap``, ``z``, the energy terms and their sums, the
+    stale marks and the digest pieces. ``_sync`` brings them up to date at
+    the first read that needs them: a candidate evaluation past its
+    one-target return, ``rates``, ``weighted_throughput``, ``allocation``,
+    ``access_probabilities``, ``digest`` and a miss of the energy entry;
+    and advance syncs at its end. Meanwhile ``energy()`` reads the
+    configuration's energy entry in the network's candidate table, and a
+    one-target return reads only the digits and ``energy()``. A deferred
+    state is feasible, since advance checks it first and every move keeps
+    it so, so ``feasible`` stays true while the arrays wait.
+
     A move changes z only on the neighbourhoods of the radios it touches:
     N(a) and N(b) when a client moves from radio a to b, the old and the new
     neighbourhood of a radio that changes channel. ``_update`` recomputes z
@@ -277,6 +293,8 @@ class SystemState:
         self.scheme = scheme
         self.assoc = _index_array("association array", assoc, network.n_clients, network.n_vaps)
         self.chan = _index_array("channel array", chan, network.n_vaps, network.n_channels)
+        # None while eager; while deferred, the digits the arrays hold
+        self._held = None
         self.same_ch_adj = _same_channel_adjacency(network, self.chan)
         # each client's link to its radio (-1 for none), its rate and log rate
         self._link = network.link_index(np.arange(network.n_clients), self.assoc)
@@ -352,14 +370,18 @@ class SystemState:
         self._u = self.b_term + self._sched + float(np.add.reduce(self._f))
 
     def apply_association(self, client: int, target_vap: int):
-        adj = self.same_ch_adj
-        touched = adj[self.assoc[client]] | adj[target_vap]
-        net = self.net
+        net, held = self.net, self._held
+        radio, old = self.assoc[client], self._link[client]
+        if held is not None and client not in held:
+            held[client] = (int(radio), int(old))
         self.assoc[client] = target_vap
-        old = self._link[client]
         link = self._link[client] = net.link_index(client, target_vap)
         if self._index is not None:  # the client's digit is its link's position
             self._index += (int(link) - int(old)) * net._config_places[client]
+        if held is not None:
+            return
+        adj = self.same_ch_adj
+        touched = adj[radio] | adj[target_vap]
         # the mover's rate and log rate as _on_links reads them, one scalar each
         ch = self.chan[target_vap]
         self._b_clients[client], self._log_b_clients[client] = \
@@ -376,12 +398,17 @@ class SystemState:
         terms and every energy term stay as they are bit for bit (its own
         server term is psi(0) + psi(z) - psi(z) = 0 on any channel, and no
         client term reads its z), and so does the energy."""
-        net = self.net
-        adj = self.same_ch_adj
+        net, held = self.net, self._held
+        pos = net.n_clients + vap
+        if held is not None and pos not in held:
+            held[pos] = int(self.chan[vap])
         if self._index is not None:
-            place = net._config_places[net.n_clients + vap]
+            place = net._config_places[pos]
             self._index += (int(target_channel) - int(self.chan[vap])) * place
         self.chan[vap] = target_channel
+        if held is not None:
+            return
+        adj = self.same_ch_adj
         # the radio's new row, from its pair list: the partners on the target
         # channel that interfere with it there
         lo, hi = net.pair_ptr[vap], net.pair_ptr[vap + 1]
@@ -409,8 +436,19 @@ class SystemState:
 
     def energy(self) -> float:
         """sum_i w_i log r_i under the optimal allocation; -inf when some
-        client sits on a zero-rate link. Cached: O(1)."""
-        return self._u
+        client sits on a zero-rate link. Cached: O(1). A deferred state reads
+        its configuration's energy entry in the candidate table instead, and
+        on a miss syncs (_sync) and stores the energy there."""
+        if self._held is None:
+            return self._u
+        table = self.net._candidate_table
+        key = self._table_key(4 * (self.assoc.size + self.chan.size) + 2)
+        u = table.get(key)
+        if u is None:
+            self._sync()
+            u = self._u
+            _store(table, key, u)
+        return u
 
     def _check_feasible(self):
         """Raise ValueError unless the state is feasible; every move needs one."""
@@ -520,7 +558,8 @@ class SystemState:
         net = self.net
         reach, lb = self._links(client)
         if reach.size == 1:
-            return reach, np.array([self._u])
+            return reach, np.array([self.energy()])
+        self._sync()
         frame = self._reach(reach, lb)
         rows, own = frame[2], frame[4]
         wi = net.weights[client]
@@ -571,7 +610,8 @@ class SystemState:
         net = self.net
         reach, lb = self._links(client)
         if reach.size == 1:
-            return reach, np.array([self._u])
+            return reach, np.array([self.energy()])
+        self._sync()
         wi = net.weights[client]
         frame = self._reach(reach, lb)
         rows, own = frame[2], frame[4]
@@ -633,8 +673,8 @@ class SystemState:
         links = wm @ net.log_rates[self._link[members]]  # -inf where a client loses its link
         targets = np.isfinite(links).nonzero()[0]
         if targets.size == 1:
-            return targets, np.array([self._u])
-
+            return targets, np.array([self.energy()])
+        self._sync()
         here = self.chan[vap]
         load = self.w_ap[vap]
         # the radios whose z changes, in ascending order (_clients_at searches
@@ -676,6 +716,7 @@ class SystemState:
 
     def access_probabilities(self) -> np.ndarray:
         """Optimal p per radio (server) or per client (client scheme)."""
+        self._sync()
         if self.scheme == SCHEME_SERVER:
             return np.divide(
                 self.w_ap, self.z, out=np.zeros_like(self.w_ap), where=self.z > 0
@@ -803,10 +844,48 @@ class SystemState:
             self._index = sum(d * place for d, place in zip(digits, places))
         return self._index
 
+    def _table_key(self, code: int) -> int:
+        """The candidate table's key of the configuration and a code below
+        4 (I + V + 1) (the annealing module lists them): config_index() *
+        4 (I + V + 1) + code + s, s = 1 under the client scheme."""
+        movers = self.assoc.size + self.chan.size
+        return self.config_index() * 4 * (movers + 1) + code + (self.scheme == SCHEME_CLIENT)
+
+    # -- deferral -----------------------------------------------------------
+
+    def _sync(self):
+        """Bring the deferred arrays up to the digits: put back each held
+        digit that differs from the current one, then apply the current ones
+        through apply_channel and apply_association, radios then clients,
+        each in index order. The maintained state equals a fresh one
+        whatever its path, infeasible configurations on the way included, so
+        the arrays get the bits they would have had after every move."""
+        held = self._held
+        if not held:
+            return
+        n, radios, clients = self.assoc.size, [], []
+        for pos, digit in sorted(held.items()):
+            if pos >= n:
+                channel = int(self.chan[pos - n])
+                if channel != digit:
+                    self.chan[pos - n] = digit
+                    radios.append((pos - n, channel))
+            elif (vap := int(self.assoc[pos])) != digit[0]:
+                self.assoc[pos], self._link[pos] = digit
+                clients.append((pos, vap))
+        # eager while the moves are applied again, which the index already counts
+        index, self._index, self._held = self._index, None, None
+        for vap, channel in radios:
+            self.apply_channel(vap, channel)
+        for client, vap in clients:
+            self.apply_association(client, vap)
+        self._index, self._held = index, {}
+
     def digest(self) -> str:
         """to_configuration().digest(), hashed from the same JSON text as
         pieces (model.DigestParts): built from the arrays by the first call,
         after which every applied move rewrites its one piece."""
+        self._sync()
         if self._pieces is None:
             heads, vap_json, channel_json, client_piece, vap_piece = self.net._digest_parts
             values = np.empty(len(heads), dtype=object)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -28,6 +29,8 @@ from .radio import ChannelProfile, RadioModel, channel_profile
 # a network with at most this many configurations numbers them
 # (Network._config_places) and keeps a candidate table (annealing.gibbs_step)
 INDEX_LIMIT = 2**64
+# entries at which a network's candidate table is cleared
+TABLE_CAP = 2**16
 
 
 @dataclass(frozen=True)
@@ -147,8 +150,9 @@ class Network:
     configurations, ``_config_places``, which numbers them
     (SystemState.config_index), and ``_candidate_table``, the candidate
     values and targets annealing.gibbs_step has evaluated, by configuration
-    and mover, and the trajectory records annealing.run has computed, by
-    configuration and scheme; both are None on a larger network.
+    and mover, and the trajectory records and energies its chains have
+    computed, by configuration and scheme; both are None on a larger
+    network.
     """
 
     def __init__(
@@ -217,6 +221,7 @@ class Network:
         self.adjacency = pair_d[:, None] <= intf  # (P, C)
 
         self.weights = np.array([c.weight for c in self.clients], dtype=float)
+        _check_total_weight(self.weights, self.rates)
         self.sum_w_log_w = float((self.weights * np.log(self.weights)).sum())
 
     def link_index(self, clients, radios) -> np.ndarray:
@@ -322,13 +327,38 @@ class Network:
         return tuple(places)
 
     @cached_property
-    def _candidate_table(self) -> dict[int, bytes | tuple[float, str]] | None:
+    def _candidate_table(self) -> dict[int, bytes | tuple[float, str] | float] | None:
         """annealing.gibbs_step's evaluated candidates, one bytes object each
         (the values, then the targets, as the candidate method returned
-        them), and annealing.run's records, one (weighted throughput, digest)
-        pair each, keyed by configuration index and code (see gibbs_step and
-        annealing._record); None when _config_places is."""
+        them), a chain's records, one (weighted throughput, digest) pair
+        each, and the energies of the configurations its steps reached, one
+        float each, keyed by configuration index and code (the annealing
+        module lists the codes; _store fills it); None when _config_places
+        is."""
         return None if self._config_places is None else {}
+
+
+def _store(table: dict, key: int, entry):
+    """Store an entry in a candidate table, clearing it first when it holds
+    TABLE_CAP entries."""
+    if len(table) >= TABLE_CAP:
+        table.clear()
+    table[key] = entry
+
+
+def _check_total_weight(weights: np.ndarray, rates: np.ndarray):
+    """Raise ScenarioError unless W log(W r_max) is finite, W the clients'
+    total weight and r_max the largest link rate, or 1 when there is no
+    larger one: every psi term of the energy, such as psi(z) = z log z of a
+    load z <= W and w_i log(w_i r_i), is at most of that size."""
+    r_max = max(float(rates.max()) if rates.size else 0.0, 1.0)
+    with np.errstate(over="ignore"):
+        total = float(weights.sum())
+    if not math.isfinite(total * math.log(total * r_max)):
+        raise ScenarioError(
+            f"clients.weight: the weights total {total!r}, too much for finite "
+            f"energies: W log(W r_max) overflows, with r_max = {r_max!r} Mb/s "
+            "the largest link rate (at least 1)")
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

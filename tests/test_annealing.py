@@ -2,6 +2,7 @@
 candidate table."""
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from fairband import (
 )
 from fairband import annealing
 from fairband.annealing import (
-    BLOCK, MAX_REDRAWS, TABLE_CAP, Chain, _draw, gibbs_step, potential_scale_reduction,
+    BLOCK, MAX_REDRAWS, Chain, _draw, gibbs_step, potential_scale_reduction,
 )
+from fairband.model import TABLE_CAP
 from conftest import (
     dense_candidates, dense_reference, dual_radio_grid, random_network, random_state, rel,
 )
@@ -839,9 +841,11 @@ _TABLE_RUNS = [("dp-exact", "round-robin"), ("dp-exact", "random"), ("greedy", "
 def test_table_hits_equal_a_fresh_evaluation(monkeypatch, rng):
     # every candidate lookup of a step, from the table or not, gives the
     # entry values + targets: the bits and targets of the mover's candidate
-    # method on a fresh state of the step's configuration; two chains of each
-    # policy, selection and scheme share one network and its table
-    original = annealing._candidates
+    # method on a fresh state of the step's configuration; and every energy a
+    # step returns, from an energy entry or not, has the bits of that fresh
+    # state's energy(); two chains of each policy, selection and scheme share
+    # one network and its table
+    original, step = annealing._candidates, annealing.gibbs_step
 
     def checked(state, kind, idx, approx):
         entry = original(state, kind, idx, approx)
@@ -855,7 +859,15 @@ def test_table_hits_equal_a_fresh_evaluation(monkeypatch, rng):
         assert entry == values.tobytes() + targets.astype(np.int64).tobytes()
         return entry
 
+    def checked_step(chain, t, policy, rng):
+        move, u = step(chain, t, policy, rng)
+        state = chain.state
+        fresh = SystemState(state.net, state.scheme, state.assoc, state.chan)
+        assert u.hex() == fresh.energy().hex()
+        return move, u
+
     monkeypatch.setattr(annealing, "_candidates", checked)
+    monkeypatch.setattr(annealing, "gibbs_step", checked_step)
     for net in _table_networks(rng):
         for (kind, selection), scheme, seed in itertools.product(
                 _TABLE_RUNS, ("server", "client"), range(2)):
@@ -902,27 +914,96 @@ def test_runs_on_a_warm_table_equal_runs_on_fresh_networks(monkeypatch, tmp_path
         save_result(path, res)
         return path.read_text()
 
+    # throughput, and its steps find every candidate and energy entry, so
+    # SystemState._update runs only from the sync at the end of advance
     net = builtin("line3-2ch").to_network()
     policies = [OptimizerPolicy(scheme=scheme, iterations=2000, seed=s) for s in range(10)]
     cold = [run(net, policy) for policy in policies]
     size = len(net._candidate_table)
-    calls = []
-    original = SystemState.weighted_throughput
+    calls, updates = [], []
+    original, update = SystemState.weighted_throughput, SystemState._update
 
     def counted(state):
         calls.append(state)
         return original(state)
 
+    def traced_update(state, *args, **kwargs):
+        frame, callers = sys._getframe(1), []
+        while frame is not None and len(callers) < 4:
+            callers.append(frame.f_code.co_name)
+            frame = frame.f_back
+        updates.append(tuple(callers))
+        return update(state, *args, **kwargs)
+
     with monkeypatch.context() as patch:
         patch.setattr(SystemState, "weighted_throughput", counted)
+        patch.setattr(SystemState, "_update", traced_update)
         warm = [run(net, policy) for policy in policies]
     assert not calls
+    # each chain's state is built once; every other update replays a move in
+    # the sync at the end of an advance
+    assert sum(c[0] == "__init__" for c in updates) == len(policies)
+    replays = [c for c in updates if c[0] != "__init__"]
+    assert replays and all(c[1:3] == ("_sync", "advance") for c in replays)
     assert 0 < size == len(net._candidate_table)
     for policy, *results in zip(policies, cold, warm):
         fresh = run(builtin("line3-2ch").to_network(), policy)
         for res in results:
             assert saved(res) == saved(fresh)
             assert res.trajectory == fresh.trajectory
+
+
+_DEFERRED = ("same_ch_adj", "_b_clients", "_log_b_clients", "w_ap", "z", "_psi_w", "_f")
+
+
+def _state_bits(state):
+    """A state's digits, deferred arrays and scalars as bytes and hex, and
+    its rates and digest (which refresh the success products and pieces)."""
+    arrays = [getattr(state, name).tobytes() for name in ("assoc", "chan", "_link") + _DEFERRED]
+    scalars = [float(x).hex() for x in (state._sched, state.b_term, state.energy())]
+    return arrays, scalars, state.rates().tobytes(), state.digest(), state.feasible
+
+
+def test_deferred_chains_equal_chains_that_sync_after_every_step(monkeypatch, rng):
+    # a chain that advances one step at a time syncs its state after every
+    # step; one advance, on the same network's warm table, defers the most;
+    # split advances, on a twin network of their own, stop at random points.
+    # All three give the same result, final arrays and energy bits, and the
+    # arrays and energy are those of a fresh state of the final
+    # configuration
+    pending = []
+    sync = SystemState._sync
+
+    def traced_sync(state):
+        if sys._getframe(1).f_code.co_name == "advance":
+            pending.append(bool(state._held))
+        return sync(state)
+
+    monkeypatch.setattr(SystemState, "_sync", traced_sync)
+    split_pending = 0
+    for net in _table_networks(rng):
+        twin = Network(list(net.channels), list(net.aps), list(net.clients), net.radio_model)
+        for (kind, selection), scheme in itertools.product(_TABLE_RUNS, ("server", "client")):
+            policy = OptimizerPolicy(kind=kind, scheme=scheme, selection=selection,
+                                     iterations=300, seed=int(rng.integers(100)))
+            stepwise = Chain(net, policy)
+            for _ in range(policy.iterations):
+                stepwise.advance(1)
+            whole = Chain(net, policy).advance(policy.iterations)
+            split, before = Chain(twin, policy), len(pending)
+            while split.t < policy.iterations and not split.stopped:
+                split.advance(int(rng.integers(1, 40)))
+            split_pending += sum(pending[before:])
+            want = repr(stepwise.result())
+            state = stepwise.state
+            fresh = SystemState(net, scheme, state.assoc, state.chan)
+            bits = _state_bits(state)
+            assert bits[:2] == _state_bits(fresh)[:2]
+            for chain in (whole, split):
+                assert repr(chain.result()) == want, (net.name, kind, selection, scheme)
+                assert _state_bits(chain.state) == bits
+    # the split advances often stopped with moves pending
+    assert split_pending >= 50
 
 
 @pytest.mark.parametrize("schedule", ["invsqrtlog", "geometric:0.5", "const:1000"])

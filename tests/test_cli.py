@@ -111,6 +111,20 @@ def test_network_error_in_a_file_names_the_field(tmp_path, edit, message, capsys
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_weights_whose_energy_overflows_exit_2_naming_the_weight(tmp_path, capsys):
+    # two clients of weight 1e307: W log(W r_max) overflows, which gave
+    # U = nan and exit 0 before the network refused such weights
+    path = tmp_path / "s.yaml"
+    save_scenario(path, builtin("micro"))
+    raw = yaml.safe_load(path.read_text())
+    raw["clients"] = [dict(c, weight=1e307) for c in raw["clients"][:2]]
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    assert main(["run", "--scenario", str(path), "--iters", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: clients.weight: the weights total 2e+307, ")
+    assert "Traceback" not in err
+
+
 def test_yaml_scenario_path(tmp_path, capsys):
     path = tmp_path / "my.yaml"
     save_scenario(path, builtin("micro"))

@@ -1,5 +1,7 @@
 """Domain model: virtual AP expansion, interference adjacency, rate tables,
 and the per-radio loads SystemState derives from them."""
+import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -13,10 +15,11 @@ from fairband import (
     Client,
     Configuration,
     Network,
+    OptimizerPolicy,
     ScenarioError,
     SystemState,
 )
-from fairband import builtin, channel_profile, initial_configuration, model
+from fairband import builtin, channel_profile, initial_configuration, model, run
 from conftest import (
     CHANNEL_PALETTE, dense_reference, dual_radio_grid, random_network, random_state,
 )
@@ -184,6 +187,45 @@ def test_network_rejects_duplicates_and_empties():
         Client("c", (0, 0), weight=0.0)
     with pytest.raises(ValueError):
         AccessPoint("a", (0, 0), radio_count=0)
+
+
+def test_network_bounds_the_total_weight_at_finite_energies():
+    # two clients of weight w share one radio on a channel of top rate
+    # r_max = 11 Mb/s, so W = 2 w exactly. Found by bisection over the
+    # floats, the largest w a Network accepts gives W log(W r_max) finite,
+    # and one ulp more overflows it; at that w and one ulp below, runs under
+    # both schemes keep every energy finite (RuntimeWarnings are errors here)
+    def network(w):
+        return Network([Channel("x", 2400.0, 22.0)], [AccessPoint("a", (0, 0))],
+                       [Client("c1", (1, 0), w), Client("c2", (2, 0), w)])
+
+    def accepted(w):
+        try:
+            network(w)
+        except ScenarioError as exc:
+            assert str(exc).startswith("clients.weight: the weights total ")
+            return False
+        return True
+
+    lo, hi = 1.0, 1e308  # as bit patterns: accepted and refused
+    lo, hi = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (lo, hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if accepted(struct.unpack("<d", struct.pack("<q", mid))[0]) \
+            else (lo, mid)
+    w = struct.unpack("<d", struct.pack("<q", lo))[0]
+    r_max = float(network(w).rates.max())
+    assert r_max == 11.0
+    bound, over = 2 * w, 2 * math.nextafter(w, math.inf)
+    assert math.isfinite(bound * math.log(bound * r_max))
+    assert over * math.log(over * r_max) == math.inf
+    assert not accepted(math.nextafter(w, math.inf))
+    for weight in (w, math.nextafter(w, 0.0)):
+        net = network(weight)
+        for scheme in ("server", "client"):
+            res = run(net, OptimizerPolicy(scheme=scheme, iterations=20, seed=0))
+            assert all(math.isfinite(p.energy) for p in res.trajectory)
+            assert math.isfinite(res.final_weighted_throughput)
 
 
 def test_association_candidates_mark_reachable_radios():
