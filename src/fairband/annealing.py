@@ -33,8 +33,12 @@ s, s = 1 under the client scheme (SystemState._table_key). The codes:
 
 While a chain advances on such a network, its state keeps only its digits
 current on each move and brings its arrays up to date when something reads
-them, and at the end of advance (SystemState._sync). So a step that finds
-its candidate entry and its energy entry evaluates nothing.
+them, and at the end of advance (SystemState._sync). The chain holds the
+current energy, and a step reads the energy entry only after a move that
+changed the state. So a step that finds its candidate entry evaluates
+nothing, and one that changes nothing reads no other entry: it returns the
+held energy, and a one-target mover returns before its entry is unpacked
+(its candidate method reads the energy entry itself).
 """
 from __future__ import annotations
 
@@ -42,6 +46,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass, field
+from math import exp
 from typing import NamedTuple
 
 import numpy as np
@@ -179,15 +184,19 @@ def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
 def _exponentials(values, temperature: float) -> tuple[list[float], float]:
     """The softmax's terms e_j = exp(max(v_j - max(v), -1000 T) / T) of the
     values at T > 0, in Python floats with math.exp (libm), and their total,
-    summed left to right. The largest gap is exactly 0.0, so every e_j is at
-    most 1 and the total at least 1. exp is exactly 0 below about -745, so
-    raising every gap to -1000 T changes no term; it keeps a tiny T from
-    overflowing the quotient, and a -inf value's term is 0."""
+    added left to right onto 0.0 in one plain loop (not sum(), which
+    compensates its additions from Python 3.12 on). The largest gap is
+    exactly 0.0, so every e_j is at most 1 and the total at least 1. exp is
+    exactly 0 below about -745, so raising every gap to -1000 T changes no
+    term; it keeps a tiny T from overflowing the quotient, and a -inf
+    value's term is 0."""
     top = max(values)
     floor = temperature * -1000.0
-    ex = [math.exp((g if (g := v - top) > floor else floor) / temperature) for v in values]
-    total = 0.0
-    for e in ex:
+    ex, total = [], 0.0
+    for v in values:
+        g = v - top
+        e = exp((g if g > floor else floor) / temperature)
+        ex.append(e)
         total += e
     return ex, total
 
@@ -201,14 +210,17 @@ def _entry_reader(k: int):
 def _draw(values, temperature: float, uniform: float) -> int:
     """The softmax draw at T > 0: the first index j whose running sum of the
     terms e_0 + ... + e_j (_exponentials) over their total exceeds the
-    uniform in [0, 1). The last running sum is the total itself, and
-    total / total = 1.0, so some index always does."""
+    uniform in [0, 1). The running sums repeat the total's additions in its
+    order, so the last one is the total itself, and total / total = 1.0:
+    some index always does. Both loops are plain, with a counter and no
+    enumerate, as a step draws over two or three targets."""
     ex, total = _exponentials(values, temperature)
-    running = 0.0
-    for j, e in enumerate(ex):
+    running, j = 0.0, 0
+    for e in ex:
         running += e
         if uniform < running / total:
             return j
+        j += 1
 
 
 def gibbs_step(state: Chain | SystemState, t: int, policy: OptimizerPolicy,
@@ -234,50 +246,56 @@ def gibbs_step(state: Chain | SystemState, t: int, policy: OptimizerPolicy,
     equal energies never makes a move.
 
     A mover with one target stays: in a feasible state the current target is
-    usable, so it is the one. A clientless radio changes no one's energy on
-    any channel: the step decides over C zeros and the targets range(C),
-    whose softmax does not depend on U, and at T = 0 the margin keeps it.
+    usable, so it is the one, and the step returns before it unpacks the
+    entry. A clientless radio changes no one's energy on any channel: the
+    step decides over C zeros and the targets range(C), whose softmax does
+    not depend on U, and at T = 0 the margin keeps it.
+
+    The step's uniform is drawn before its entry is read, and whatever the
+    entry. The energy it returns is the chain's held one (Chain._u) unless
+    the move changed the state, which alone reads state.energy() again.
     """
     chain = state if isinstance(state, Chain) else Chain._view(state, t, policy)
     current_of, n = chain._current, chain._n
     m = len(current_of)
     pos = int(rng.integers(m)) if chain._random else (t - 1) % m
     current = current_of[pos]
+    i, uniforms = t - chain._base, chain._uniforms
+    temperature = chain._temps[i]
+    uniform = rng.random() if uniforms is None else uniforms[i]
     if pos < n:
         kind, idx = "association", pos
         entry = _candidates(chain.state, kind, idx, chain._approx)
     else:
         kind, idx = "channel", pos - n
         entry = _candidates(chain.state, kind, idx, False) if chain._counts[idx] else None
-    if entry is None:
-        k = chain._n_channels  # a clientless radio: C equal values, none evaluated
+    k = chain._n_channels if entry is None else len(entry) >> 4  # 16 bytes per target
+    if k == 1:
+        return Move(kind, idx, current, False, temperature), chain._u
+    if entry is None:  # a clientless radio: C equal values, none evaluated
         values, targets = (0.0,) * k, range(k)
     else:
-        k = len(entry) // 16  # 16 bytes per target
         flat = _entry_reader(k)(entry)
         values, targets = flat[:k], flat[k:]
-    temperature, uniforms = chain._temps[t - chain._base], chain._uniforms
-    uniform = rng.random() if uniforms is None else uniforms[t - chain._base]
-    if k == 1:
-        choice = current
-    elif temperature:
+    if temperature:
         choice = targets[_draw(values, temperature, uniform)]
     else:
         best, u_cur = max(values), values[targets.index(current)]
         margin = 1e-12 * max(1.0, abs(u_cur))
         choice = current if best - u_cur <= margin \
             else next(c for c, v in zip(targets, values) if v >= best - margin)
-    changed = choice != current
-    if changed:
-        current_of[pos] = choice
-        if kind == "association":
-            counts = chain._counts
-            counts[current] -= 1
-            counts[choice] += 1
-            chain.state.apply_association(idx, choice)
-        else:
-            chain.state.apply_channel(idx, choice)
-    return Move(kind, idx, choice, changed, temperature), chain.state.energy()
+    if choice == current:
+        return Move(kind, idx, current, False, temperature), chain._u
+    current_of[pos] = choice
+    if kind == "association":
+        counts = chain._counts
+        counts[current] -= 1
+        counts[choice] += 1
+        chain.state.apply_association(idx, choice)
+    else:
+        chain.state.apply_channel(idx, choice)
+    chain._u = u = chain.state.energy()
+    return Move(kind, idx, choice, True, temperature), u
 
 
 def _candidates(state: SystemState, kind: str, idx: int, approx: bool) -> bytes:
@@ -446,10 +464,12 @@ class Chain:
     the greedy stop: a sweep without a change, so a local optimum.
 
     It keeps each mover's current target and each radio's client count as
-    lists beside the state, which gibbs_step reads and updates, and per
-    block of at most BLOCK steps the temperatures (_temperatures) and,
-    round-robin, the uniforms from one rng.random(k). Feasibility is checked
-    once per advance: a step keeps a feasible state feasible."""
+    lists beside the state, which gibbs_step reads and updates, the current
+    energy as a float (_u), which gibbs_step reads anew from the state only
+    after a move that changed it, and per block of at most BLOCK steps the
+    temperatures (_temperatures) and, round-robin, the uniforms from one
+    rng.random(k). Feasibility is checked once per advance: a step keeps a
+    feasible state feasible."""
 
     def __init__(self, scenario_or_network, policy: OptimizerPolicy,
                  record_every: int | None = None, run_id: str = "run0"):
@@ -462,8 +482,9 @@ class Chain:
         self.state = state = SystemState(net, policy.scheme, *initial_configuration(net, rng))
         self._set_constants(state, policy)
         self.t, self.stopped, self._streak, self._temperature = 0, False, 0, None
-        self.best_energy, self.best_t, self._best = state.energy(), 0, self._current[:]
-        self.trajectory = [TrajectoryPoint(0, None, self.best_energy, *_record(state))]
+        self._u = self.best_energy = state.energy()
+        self.best_t, self._best = 0, self._current[:]
+        self.trajectory = [TrajectoryPoint(0, None, self._u, *_record(state))]
 
     def _set_constants(self, state: SystemState, policy: OptimizerPolicy):
         self._n, self._n_channels = state.assoc.size, state.net.n_channels
@@ -473,10 +494,11 @@ class Chain:
 
     @classmethod
     def _view(cls, state: SystemState, t: int, policy: OptimizerPolicy) -> Chain:
-        """A view of a bare state as a chain for step t alone (see gibbs_step)."""
+        """A view of a bare state as a chain for step t alone (see gibbs_step),
+        which holds the state's energy()."""
         state._check_feasible()
         view = cls.__new__(cls)
-        view.state, view.scheme = state, state.scheme
+        view.state, view.scheme, view._u = state, state.scheme, state.energy()
         view._set_constants(state, policy)
         temperature = None if policy.kind == "greedy" else policy.schedule.temperature(t)
         view._uniforms, view._temps, view._base = None, (temperature,), t
@@ -527,7 +549,7 @@ class Chain:
         trajectory = list(self.trajectory)
         if trajectory[-1].t != self.t:
             trajectory.append(
-                TrajectoryPoint(self.t, self._temperature, state.energy(), *_record(state)))
+                TrajectoryPoint(self.t, self._temperature, self._u, *_record(state)))
         final_cfg, alloc, rates = state.to_configuration(), state.allocation(), state.rates()
         return RunResult(
             run_id=self.run_id, policy_kind=self.policy.kind, scheme=self.scheme,

@@ -262,7 +262,10 @@ class SystemState:
     applied move then keeps only the digits current, ``assoc``, ``chan``,
     each client's ``_link`` and ``_index``, and ``_held`` (None while the
     state is eager) keeps, for each mover moved since the last sync, the
-    digit the arrays still hold. The deferred arrays are ``same_ch_adj``,
+    digit the arrays still hold; an association move reads and writes its
+    digits as Python ints and finds its link in the network's dict of links
+    by client * V + radio (``Network._link_at``), where an eager one
+    searches ``link_index``. The deferred arrays are ``same_ch_adj``,
     the link rates, ``w_ap``, ``z``, the energy terms and their sums, the
     stale marks and the digest pieces. ``_sync`` brings them up to date at
     the first read that needs them: a candidate evaluation past its
@@ -371,15 +374,21 @@ class SystemState:
 
     def apply_association(self, client: int, target_vap: int):
         net, held = self.net, self._held
+        if held is not None:  # deferred: the digits alone, in Python ints
+            old = self._link.item(client)
+            if client not in held:
+                held[client] = (self.assoc.item(client), old)
+            self.assoc[client] = target_vap
+            key = client * len(net.vap_ids) + target_vap
+            link = self._link[client] = net._link_at.get(key, -1)
+            if self._index is not None:  # the client's digit is its link's position
+                self._index += (link - old) * net._config_places[client]
+            return
         radio, old = self.assoc[client], self._link[client]
-        if held is not None and client not in held:
-            held[client] = (int(radio), int(old))
         self.assoc[client] = target_vap
         link = self._link[client] = net.link_index(client, target_vap)
-        if self._index is not None:  # the client's digit is its link's position
+        if self._index is not None:
             self._index += (int(link) - int(old)) * net._config_places[client]
-        if held is not None:
-            return
         adj = self.same_ch_adj
         touched = adj[radio] | adj[target_vap]
         # the mover's rate and log rate as _on_links reads them, one scalar each
@@ -399,12 +408,11 @@ class SystemState:
         server term is psi(0) + psi(z) - psi(z) = 0 on any channel, and no
         client term reads its z), and so does the energy."""
         net, held = self.net, self._held
-        pos = net.n_clients + vap
+        pos, old = net.n_clients + vap, self.chan.item(vap)
         if held is not None and pos not in held:
-            held[pos] = int(self.chan[vap])
+            held[pos] = old
         if self._index is not None:
-            place = net._config_places[pos]
-            self._index += (int(target_channel) - int(self.chan[vap])) * place
+            self._index += (int(target_channel) - old) * net._config_places[pos]
         self.chan[vap] = target_channel
         if held is not None:
             return
@@ -842,14 +850,18 @@ class SystemState:
                                  "configurations than model.INDEX_LIMIT")
             digits = (self._link - self.net.link_ptr[:-1]).tolist() + self.chan.tolist()
             self._index = sum(d * place for d, place in zip(digits, places))
+            # _table_key's stride and scheme offset, plain ints fixed here
+            self._stride, self._offset = 4 * (len(places) + 1), int(self.scheme == SCHEME_CLIENT)
         return self._index
 
     def _table_key(self, code: int) -> int:
         """The candidate table's key of the configuration and a code below
         4 (I + V + 1) (the annealing module lists them): config_index() *
         4 (I + V + 1) + code + s, s = 1 under the client scheme."""
-        movers = self.assoc.size + self.chan.size
-        return self.config_index() * 4 * (movers + 1) + code + (self.scheme == SCHEME_CLIENT)
+        index = self._index
+        if index is None:
+            index = self.config_index()
+        return index * self._stride + code + self._offset
 
     # -- deferral -----------------------------------------------------------
 

@@ -139,10 +139,11 @@ class Network:
     ``distances``, ``rates``, ``log_rates`` and ``adjacency`` keep the names
     of the dense (I, V), (I, V, C) and (V, V, C) tables they replace, with a
     row per link or pair, so code that measures the compiled tables by those
-    names measures these. ``link_index`` finds a link's position; a
-    configuration may still use a pair that is not a link, which has rate 0
-    and log rate -inf. Under a channel map, ``nearest_links`` and
-    ``same_channel_pairs`` answer which links with a rate are each client's
+    names measures these. ``link_index`` finds a link's position, and so
+    does ``_link_at``, a dict by client * V + radio built on first use for
+    one pair at a time; a configuration may still use a pair that is not a
+    link, which has rate 0 and log rate -inf. Under a channel map,
+    ``nearest_links`` and ``same_channel_pairs`` answer which links with a rate are each client's
     nearest and which pairs share a channel on which they interfere.
 
     Built on first use: ``_digest_parts``, the JSON text a state's digest
@@ -222,6 +223,7 @@ class Network:
 
         self.weights = np.array([c.weight for c in self.clients], dtype=float)
         _check_total_weight(self.weights, self.rates)
+        _check_weight_spread(self.weights, I + V)
         self.sum_w_log_w = float((self.weights * np.log(self.weights)).sum())
 
     def link_index(self, clients, radios) -> np.ndarray:
@@ -292,6 +294,14 @@ class Network:
         )
 
     @cached_property
+    def _link_at(self) -> dict[int, int]:
+        """Each link's position by its key client * V + radio, as link_index
+        finds it, for the deferred association moves of
+        fairness.SystemState.apply_association, one pair at a time."""
+        keys = self._link_keys[:-1].tolist()
+        return dict(zip(keys, range(len(keys))))
+
+    @cached_property
     def _digest_parts(self) -> DigestParts:
         """What SystemState.digest() needs, built on first use."""
         I = self.n_clients
@@ -359,6 +369,35 @@ def _check_total_weight(weights: np.ndarray, rates: np.ndarray):
             f"clients.weight: the weights total {total!r}, too much for finite "
             f"energies: W log(W r_max) overflows, with r_max = {r_max!r} Mb/s "
             "the largest link rate (at least 1)")
+
+
+def _check_weight_spread(weights: np.ndarray, movers: int):
+    """Raise ScenarioError unless the smallest weight exceeds
+    (I + V + 3) ulp(W), movers = I + V and W the clients' total weight: a
+    weight below that can vanish in the rounding of a load sum.
+
+    Every load the energy and the scores read (a radio's w and z, a
+    neighbourhood's z with a client taken out or moved in, z+ - w_j) is at
+    most about W. A rounding to nearest errs by at most half the ulp of its
+    result, and a result of at most about W has an ulp of at most 2 ulp(W)
+    (twice only just past a power of two), so each rounding errs by at
+    most ulp(W). A load adds a radio's clients' weights in turn (at most I
+    roundings across the radios), then its neighbours' loads (at most V),
+    then at most three more: a client's weight taken out, put back on a
+    candidate, and another client's taken out of that. So a computed load
+    is within (I + V + 3) ulp(W) of the exact one, and one whose exact
+    value is at least the smallest weight, such as the rest z+ - w_j of a
+    load that also holds w_i, stays positive. Below the bound it can round
+    to 0: under the client scheme dp-approx's scores then all become -inf
+    (weights 1e100, 1 and 1 on one channel)."""
+    total = float(weights.sum())
+    bound = (movers + 3) * math.ulp(total)
+    least = float(weights.min())
+    if not least > bound:
+        raise ScenarioError(
+            f"clients.weight: the smallest weight {least!r} is within the rounding "
+            f"of a load sum: it must exceed (I + V + 3) ulp(W) = {bound!r}, "
+            f"W = {total!r} the total weight")
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

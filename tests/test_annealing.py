@@ -1006,6 +1006,82 @@ def test_deferred_chains_equal_chains_that_sync_after_every_step(monkeypatch, rn
     assert split_pending >= 50
 
 
+def test_steps_return_the_energy_of_their_state(monkeypatch, rng):
+    # the energy a step returns, held by its chain or read after a move that
+    # changed the state, has the bits of its state's energy() and of a fresh
+    # state's: chains advanced in random parts on the table networks and on
+    # grid16-weighted (no table), under both schemes, and bare states
+    # stepped one gibbs_step call at a time
+    step = annealing.gibbs_step
+    changed = []
+
+    def checked_step(chain, t, policy, rng):
+        move, u = step(chain, t, policy, rng)
+        state = chain.state if isinstance(chain, Chain) else chain
+        fresh = SystemState(state.net, state.scheme, state.assoc, state.chan)
+        assert u.hex() == state.energy().hex() == fresh.energy().hex()
+        changed.append(move.changed)
+        return move, u
+
+    monkeypatch.setattr(annealing, "gibbs_step", checked_step)
+    for net in _table_networks(rng) + [builtin("grid16-weighted").to_network()]:
+        iterations = 100 if net._candidate_table is None else 300
+        for (kind, selection), scheme in itertools.product(_TABLE_RUNS, ("server", "client")):
+            seed = int(rng.integers(100))
+            policy = OptimizerPolicy(kind=kind, scheme=scheme, selection=selection,
+                                     iterations=iterations, seed=seed)
+            chain = Chain(net, policy)
+            while chain.t < iterations and not chain.stopped:
+                chain.advance(int(rng.integers(1, 40)))
+            state = SystemState(net, scheme, *initial_configuration(net, np.random.default_rng(seed)))
+            step_rng = np.random.default_rng(seed)
+            for t in range(1, 41):
+                checked_step(state, t, policy, step_rng)
+    assert any(changed) and not all(changed)
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+def test_a_warm_round_reads_energies_only_where_a_step_needs_one(monkeypatch, scheme):
+    # seeds 0-9 of dp-exact and 0-4 of dp-approx twice on one line3-2ch
+    # network: on the second round SystemState.energy runs once per chain, in
+    # Chain.__init__, once per step that changed the state, and once per
+    # one-target return of a candidate method, which reads the energy entry
+    # itself; a step that changes nothing returns the chain's held energy
+    net = builtin("line3-2ch").to_network()
+    policies = [OptimizerPolicy(scheme=scheme, iterations=2000, seed=s) for s in range(10)]
+    policies += [OptimizerPolicy(kind="dp-approx", scheme=scheme, iterations=2000, seed=s)
+                 for s in range(5)]
+    for policy in policies:
+        run(net, policy)
+    counts = dict.fromkeys(("energy", "changed", "one-target"), 0)
+    energy, step = SystemState.energy, annealing.gibbs_step
+
+    def counted_energy(state):
+        counts["energy"] += 1
+        return energy(state)
+
+    def counted_step(chain, t, policy, rng):
+        move, u = step(chain, t, policy, rng)
+        counts["changed"] += move.changed
+        return move, u
+
+    def counted_candidates(method):
+        def counted(state, idx):
+            targets, values = method(state, idx)
+            counts["one-target"] += targets.size == 1
+            return targets, values
+        return counted
+
+    monkeypatch.setattr(SystemState, "energy", counted_energy)
+    monkeypatch.setattr(annealing, "gibbs_step", counted_step)
+    for name in ("association_candidates", "association_scores_approx", "channel_candidates"):
+        monkeypatch.setattr(SystemState, name, counted_candidates(getattr(SystemState, name)))
+    for policy in policies:
+        run(net, policy)
+    assert counts["changed"] > 0 and counts["one-target"] > 0
+    assert counts["energy"] == counts["changed"] + counts["one-target"] + len(policies)
+
+
 @pytest.mark.parametrize("schedule", ["invsqrtlog", "geometric:0.5", "const:1000"])
 def test_steps_never_call_softmax_probabilities(monkeypatch, schedule):
     # the step draws by _draw alone: with softmax_probabilities made to raise,

@@ -125,6 +125,28 @@ def test_weights_whose_energy_overflows_exit_2_naming_the_weight(tmp_path, capsy
     assert "Traceback" not in err
 
 
+def test_weights_within_the_rounding_of_a_load_exit_2_naming_the_weight(tmp_path, capsys):
+    # clients of weight 1e100, 1 and 1 on two APs 60 m apart on one channel:
+    # 1 is below the rounding of a load sum of 1e100, which under the client
+    # scheme made every dp-approx score -inf and ended in a ZeroDivisionError
+    # traceback before the network refused such weights
+    path = tmp_path / "s.yaml"
+    path.write_text(yaml.safe_dump({
+        "format": "fairband-scenario/1", "name": "spread",
+        "channels": [{"id": "ch-2400", "center_frequency_mhz": 2400.0, "bandwidth_mhz": 22.0}],
+        "aps": [{"id": "a", "position": [0.0, 0.0]}, {"id": "b", "position": [60.0, 0.0]}],
+        "clients": [{"id": "c1", "position": [30.0, 0.0], "weight": 1e100},
+                    {"id": "c2", "position": [20.0, 0.0], "weight": 1.0},
+                    {"id": "c3", "position": [40.0, 0.0], "weight": 1.0}],
+    }, sort_keys=False))
+    code = main(["run", "--scenario", str(path), "--policy", "dp-approx", "--scheme", "client",
+                 "--iters", "50", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: clients.weight: the smallest weight 1.0 is within the ")
+    assert "Traceback" not in err
+
+
 def test_yaml_scenario_path(tmp_path, capsys):
     path = tmp_path / "my.yaml"
     save_scenario(path, builtin("micro"))

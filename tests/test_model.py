@@ -1,5 +1,6 @@
 """Domain model: virtual AP expansion, interference adjacency, rate tables,
 and the per-radio loads SystemState derives from them."""
+import itertools
 import math
 import struct
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairband import (
+    BUILTIN_NAMES,
     AccessPoint,
     Channel,
     Client,
@@ -138,6 +140,9 @@ def test_link_and_pair_lists_equal_a_brute_force_loop(data):
     expected[within] = np.arange(within.sum())
     everyone, every_radio = np.indices(within.shape)
     assert (net.link_index(everyone, every_radio) == expected).all()
+    # the dict of the deferred association moves finds the same positions
+    keys = (everyone * net.n_vaps + every_radio).ravel().tolist()
+    assert [net._link_at.get(key, -1) for key in keys] == expected.ravel().tolist()
     # pairs: every radio pair within the largest interference range, itself included
     near = ref.adjacency.any(axis=2)  # within the largest interference range
     assert np.diag(near).all()
@@ -226,6 +231,37 @@ def test_network_bounds_the_total_weight_at_finite_energies():
             res = run(net, OptimizerPolicy(scheme=scheme, iterations=20, seed=0))
             assert all(math.isfinite(p.energy) for p in res.trajectory)
             assert math.isfinite(res.final_weighted_throughput)
+
+
+def test_network_refuses_weights_within_the_rounding_of_a_load_sum(rng):
+    # a client of weight 2^60 and two of weight w on two APs 60 m apart on
+    # one channel: I + V + 3 = 8 and W = 2^60 + 2 w rounds to 2^60 + 4096
+    # for every w near 4096 / 2, so ulp(W) = 256 and the bound is exactly
+    # 2048. At the bound and one ulp below the network is refused; one ulp
+    # above it is accepted, and runs of every policy under both schemes keep
+    # every energy finite (RuntimeWarnings are errors here)
+    def network(w):
+        return Network([Channel("x", 2400.0, 22.0)],
+                       [AccessPoint("a", (0, 0)), AccessPoint("b", (60, 0))],
+                       [Client("c1", (30, 0), 2.0**60), Client("c2", (20, 0), w),
+                        Client("c3", (40, 0), w)])
+
+    for w in (2048.0, math.nextafter(2048.0, 0.0)):
+        with pytest.raises(ScenarioError, match=r"^clients\.weight: the smallest weight "):
+            network(w)
+    net = network(math.nextafter(2048.0, math.inf))
+    for kind, scheme in itertools.product(("dp-exact", "dp-approx", "greedy"),
+                                          ("server", "client")):
+        res = run(net, OptimizerPolicy(kind=kind, scheme=scheme, iterations=200, seed=1))
+        assert all(math.isfinite(p.energy) for p in res.trajectory)
+    # the built-ins, and random networks with weights up to 1e6 apart, compile
+    for name in BUILTIN_NAMES:
+        builtin(name).to_network()
+    for _ in range(20):
+        base = random_network(rng, n_aps=4, n_clients=12, n_channels=2, dyadic=False)
+        weights = rng.uniform(0.4, 2.5, 12) * 10.0 ** rng.uniform(0.0, 6.0, 12)
+        Network(list(base.channels), list(base.aps),
+                [Client(c.id, c.position, float(w)) for c, w in zip(base.clients, weights)])
 
 
 def test_association_candidates_mark_reachable_radios():
