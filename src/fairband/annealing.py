@@ -31,14 +31,15 @@ s, s = 1 under the client scheme (SystemState._table_key). The codes:
 * 4 (I + V): the trajectory record, (weighted throughput, digest) (_record);
 * 4 (I + V) + 2: the energy (SystemState.energy).
 
-While a chain advances on such a network, its state keeps only its digits
-current on each move and brings its arrays up to date when something reads
-them, and at the end of advance (SystemState._sync). The chain holds the
-current energy, and a step reads the energy entry only after a move that
-changed the state. So a step that finds its candidate entry evaluates
-nothing, and one that changes nothing reads no other entry: it returns the
-held energy, and a one-target mover returns before its entry is unpacked
-(its candidate method reads the energy entry itself).
+A move sets only its mover's digits, and one SystemState._sync brings the
+arrays up to them with a fresh state's bits: after each move, or, while a
+chain advances on such a network, for all the moves since the last sync
+when something reads the arrays and at the end of advance. The chain
+holds the current energy, and a step reads the energy entry only after a
+move that changed the state. So a step that finds its candidate entry
+evaluates nothing, and one that changes nothing reads no other entry: it
+returns the held energy, and a one-target mover returns before its entry
+is unpacked (its candidate method reads the energy entry itself).
 """
 from __future__ import annotations
 
@@ -167,11 +168,14 @@ def softmax_probabilities(values: np.ndarray, temperature: float) -> np.ndarray:
     are finite on a feasible state. The max value is subtracted before
     exponentiating, so adding any constant to all values changes nothing;
     a -inf entry gets probability exactly 0, and so does every entry when
-    there is no finite one.
+    there is no finite one. A NaN or +inf value has no such probability,
+    and the values are refused (ValueError).
     """
     if not temperature > 0:
         raise ValueError(f"temperature: must be > 0, got {temperature!r}")
     values = np.asarray(values, dtype=float)
+    if not (values < np.inf).all():  # false at NaN and +inf
+        raise ValueError(f"values: must be finite or -inf, got {values.tolist()!r}")
     if not (values > -np.inf).any():
         return np.zeros_like(values)
     ex, total = _exponentials(values.tolist(), float(temperature))
@@ -517,7 +521,7 @@ class Chain:
         t, streak, stop = self.t, self._streak, False
         best_u, best_t = self.best_energy, self.best_t
         # on a numbered network the state defers its arrays until a read
-        state._held = None if state.net._candidate_table is None else {}
+        state._defer = state.net._candidate_table is not None
         try:
             while t < end and not stop:
                 k = min(BLOCK, end - t)
@@ -538,7 +542,7 @@ class Chain:
                             break
         finally:
             state._sync()
-            state._held = None
+            state._defer = False
         self.t, self.stopped, self._streak = t, stop, streak
         self.best_energy, self.best_t, self._temperature = best_u, best_t, move.temperature
         return self

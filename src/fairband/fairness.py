@@ -217,8 +217,8 @@ class SystemState:
 
     Neighbour lists: ``same_ch_adj`` (V x V bool, diagonal set) is the
     same-channel interference adjacency of the current channels, scattered
-    from the network's pair lists. A channel move rewrites the mover's row
-    and column from its own pair list; both hold exact booleans, so it cannot
+    from the network's pair lists. A sync rewrites a moved radio's row and
+    column from its own pair list; both hold exact booleans, so it cannot
     drift. A computation over neighbourhoods reads the neighbour lists
     of just the rows it needs with one flat ``nonzero`` (``_neighbours``) and
     sums over them with ``np.bincount``, which adds each row's entries one by
@@ -231,11 +231,10 @@ class SystemState:
     rate is read there, at a link's position and its radio's current channel.
     The state keeps each client's position ``_link`` in those lists (-1 for a
     pair that is not a link) and the rate ``_b_clients`` and log rate
-    ``_log_b_clients`` of that link (0 and -inf for none). An association
-    move rewrites the mover's entries, a channel move those of the radio's
-    own clients.
+    ``_log_b_clients`` of that link (0 and -inf for none), which a sync
+    rewrites for the moved clients and the moved radios' clients.
 
-    Cached per state and refreshed after each applied move: the loads
+    Cached per state and brought up to date by each sync: the loads
     ``w_ap`` (a bincount over the clients) and ``z`` (z_n sums w_ap over n's
     neighbour list); per transmitter (a radio under the server scheme, a
     client under the client scheme) psi(w) in ``_psi_w`` and the energy term
@@ -250,44 +249,31 @@ class SystemState:
     only on the transmitters of the radios marked in ``_stale`` since the
     last refresh (``_refresh_products``; ``_update`` marks the neighbours of
     the radios it touches); and, from the first ``digest()`` on, the JSON
-    text it hashes, as ``_pieces`` (model.DigestParts), of which an applied
-    move rewrites one.
+    text it hashes, as ``_pieces`` (model.DigestParts), of which a sync
+    rewrites the movers'.
 
     Kept for annealing.gibbs_step's candidate table, on a network that
     numbers its configurations (Network._config_places): from the first
     ``config_index()`` on, the configuration's index ``_index``, to which
     an applied move adds (new - old) * place of the one digit it changes.
 
-    Deferred while annealing.Chain.advance runs on such a network: each
-    applied move then keeps only the digits current, ``assoc``, ``chan``,
-    each client's ``_link`` and ``_index``, and ``_held`` (None while the
-    state is eager) keeps, for each mover moved since the last sync, the
-    digit the arrays still hold; an association move reads and writes its
-    digits as Python ints and finds its link in the network's dict of links
-    by client * V + radio (``Network._link_at``), where an eager one
-    searches ``link_index``. The deferred arrays are ``same_ch_adj``,
-    the link rates, ``w_ap``, ``z``, the energy terms and their sums, the
-    stale marks and the digest pieces. ``_sync`` brings them up to date at
-    the first read that needs them: a candidate evaluation past its
+    A move sets only its mover's digits (``assoc`` or ``chan``, a client's
+    ``_link`` from the network's dict ``Network._link_at``, and ``_index``)
+    and keeps in ``_moved`` the digit the arrays still hold. ``_sync``, the
+    one code that updates the arrays after a move, brings them up to the
+    digits in one ``_update`` for all the moves since the last sync, with a
+    fresh state's arithmetic (see _sync), so their bits are a fresh state's
+    after one move or many and no error builds up over a chain. A move
+    syncs at once unless the state defers (``_defer``), as it does while
+    annealing.Chain.advance runs on a numbered network: it then syncs at the
+    first read that needs the arrays (a candidate evaluation past its
     one-target return, ``rates``, ``weighted_throughput``, ``allocation``,
-    ``access_probabilities``, ``digest`` and a miss of the energy entry;
-    and advance syncs at its end. Meanwhile ``energy()`` reads the
-    configuration's energy entry in the network's candidate table, and a
-    one-target return reads only the digits and ``energy()``. A deferred
-    state is feasible, since advance checks it first and every move keeps
-    it so, so ``feasible`` stays true while the arrays wait.
-
-    A move changes z only on the neighbourhoods of the radios it touches:
-    N(a) and N(b) when a client moves from radio a to b, the old and the new
-    neighbourhood of a radio that changes channel. ``_update`` recomputes z
-    and the energy terms there, with the same bincount over the same
-    neighbour lists in the same order as a fresh state, and leaves every
-    other entry alone. A clientless radio that changes channel changes only
-    its own z: its load is 0.0, and adding or removing 0.0 leaves every
-    other z as it is, bit for bit, while its own energy term is 0 on any
-    channel (see apply_channel). So the maintained arrays equal those of a
-    fresh state bit for bit, and no error can build up over a chain. All
-    arrays are indexed in network order.
+    ``access_probabilities``, ``digest``, a miss of the energy entry) and at
+    the end of advance, and ``energy()`` reads the configuration's energy
+    entry in the candidate table. A deferred state is feasible, since
+    advance checks it first and every move keeps it so, so ``feasible``
+    stays true while the arrays wait. All arrays are indexed in network
+    order.
     """
 
     def __init__(self, network: Network, scheme: str, assoc: np.ndarray, chan: np.ndarray):
@@ -296,12 +282,18 @@ class SystemState:
         self.scheme = scheme
         self.assoc = _index_array("association array", assoc, network.n_clients, network.n_vaps)
         self.chan = _index_array("channel array", chan, network.n_vaps, network.n_channels)
-        # None while eager; while deferred, the digits the arrays hold
-        self._held = None
+        # whether the moves wait for a read that needs the arrays, and the
+        # digit the arrays hold of each mover since the last sync (_sync)
+        self._defer, self._moved = False, {}
         self.same_ch_adj = _same_channel_adjacency(network, self.chan)
-        # each client's link to its radio (-1 for none), its rate and log rate
-        self._link = network.link_index(np.arange(network.n_clients), self.assoc)
-        self._b_clients, self._log_b_clients = self._on_links()
+        # each client's link to its radio (-1 for none), and its rate and log
+        # rate there on the radio's channel (0 and -inf for none)
+        self._link = link = network.link_index(np.arange(network.n_clients), self.assoc)
+        self._b_clients, self._log_b_clients = np.zeros(link.size), np.full(link.size, -np.inf)
+        linked = (link >= 0).nonzero()[0]
+        at = link[linked], self.chan[self.assoc[linked]]
+        self._b_clients[linked] = network.rates[at]
+        self._log_b_clients[linked] = network.log_rates[at]
         # the JSON text digest() hashes, as pieces, from the first digest() on
         self._pieces = None
         # the configuration's index, from the first config_index() on
@@ -341,13 +333,12 @@ class SystemState:
         return _entries(self.same_ch_adj.take(radios, axis=0))
 
     def _update(self, touched: np.ndarray, loads: bool = True):
-        """Bring the state up to date after a move that changed z only on the
-        radios marked in touched (a bool mask), and some client's link
+        """Bring the state up to date after moves that changed z only on the
+        radios marked in touched (a bool mask), and some clients' links
         (_log_b_clients is already up to date): z and the energy terms
-        there, and the totals. loads: the move changed w_ap (an association
-        move). The sums call np.add.reduce, the ufunc loop of ndarray.sum.
-        The neighbours of the touched radios are marked for
-        _refresh_products."""
+        there, and the totals. loads: a client moved, which changed w_ap.
+        The sums call np.add.reduce, the ufunc loop of ndarray.sum. The
+        neighbours of the touched radios are marked for _refresh_products."""
         net = self.net
         radios = touched.nonzero()[0]
         if loads:
@@ -373,72 +364,39 @@ class SystemState:
         self._u = self.b_term + self._sched + float(np.add.reduce(self._f))
 
     def apply_association(self, client: int, target_vap: int):
-        net, held = self.net, self._held
-        if held is not None:  # deferred: the digits alone, in Python ints
-            old = self._link.item(client)
-            if client not in held:
-                held[client] = (self.assoc.item(client), old)
-            self.assoc[client] = target_vap
-            key = client * len(net.vap_ids) + target_vap
-            link = self._link[client] = net._link_at.get(key, -1)
-            if self._index is not None:  # the client's digit is its link's position
-                self._index += (link - old) * net._config_places[client]
-            return
-        radio, old = self.assoc[client], self._link[client]
+        """Move the client to the target radio: set its digits, then sync
+        unless the state defers. ValueError, before any write, unless both
+        are in range."""
+        net, n, V = self.net, self.assoc.size, self.chan.size
+        if not 0 <= client < n:
+            raise ValueError(f"client: must be in [0, {n}), got {client!r}")
+        if not 0 <= target_vap < V:
+            raise ValueError(f"target_vap: must be in [0, {V}), got {target_vap!r}")
+        old = self._link.item(client)
+        self._moved.setdefault(client, self.assoc.item(client))
         self.assoc[client] = target_vap
-        link = self._link[client] = net.link_index(client, target_vap)
-        if self._index is not None:
-            self._index += (int(link) - int(old)) * net._config_places[client]
-        adj = self.same_ch_adj
-        touched = adj[radio] | adj[target_vap]
-        # the mover's rate and log rate as _on_links reads them, one scalar each
-        ch = self.chan[target_vap]
-        self._b_clients[client], self._log_b_clients[client] = \
-            (net.rates[link, ch], net.log_rates[link, ch]) if link >= 0 else (0.0, -np.inf)
-        if self._pieces is not None:
-            parts = net._digest_parts
-            k = parts.client_piece[client]
-            self._pieces[k] = parts.heads[k] + parts.vap_json[target_vap]
-        self._update(touched)
+        link = self._link[client] = net._link_at.get(client * V + target_vap, -1)
+        if self._index is not None:  # the client's digit is its link's position
+            self._index += (link - old) * net._config_places[client]
+        if not self._defer:
+            self._sync()
 
     def apply_channel(self, vap: int, target_channel: int):
-        """Move the radio to the target channel. A clientless radio changes
-        only its own z: its load is 0.0, so every neighbour's z, the link
-        terms and every energy term stay as they are bit for bit (its own
-        server term is psi(0) + psi(z) - psi(z) = 0 on any channel, and no
-        client term reads its z), and so does the energy."""
-        net, held = self.net, self._held
-        pos, old = net.n_clients + vap, self.chan.item(vap)
-        if held is not None and pos not in held:
-            held[pos] = old
+        """Move the radio to the target channel: set its digit, then sync
+        unless the state defers. ValueError, before any write, unless both
+        are in range."""
+        net, n, V, C = self.net, self.assoc.size, self.chan.size, self.net.n_channels
+        if not 0 <= vap < V:
+            raise ValueError(f"vap: must be in [0, {V}), got {vap!r}")
+        if not 0 <= target_channel < C:
+            raise ValueError(f"target_channel: must be in [0, {C}), got {target_channel!r}")
+        old = self.chan.item(vap)
+        self._moved.setdefault(n + vap, old)
         if self._index is not None:
-            self._index += (int(target_channel) - old) * net._config_places[pos]
+            self._index += (int(target_channel) - old) * net._config_places[n + vap]
         self.chan[vap] = target_channel
-        if held is not None:
-            return
-        adj = self.same_ch_adj
-        # the radio's new row, from its pair list: the partners on the target
-        # channel that interfere with it there
-        lo, hi = net.pair_ptr[vap], net.pair_ptr[vap + 1]
-        partners = net.pair_vap[lo:hi]
-        row = np.zeros(net.n_vaps, dtype=bool)
-        on = net.adjacency[lo:hi, target_channel] & (self.chan[partners] == target_channel)
-        row.put(partners, on)
-        touched = adj[vap] | row
-        adj[vap, :] = row
-        adj[:, vap] = row
-        if self._pieces is not None:
-            parts = net._digest_parts
-            k = parts.vap_piece[vap]
-            self._pieces[k] = parts.heads[k] + parts.channel_json[target_channel]
-        if self.w_ap[vap]:  # the radio has clients, whose links changed
-            members = (self.assoc == vap).nonzero()[0]
-            self._b_clients[members], self._log_b_clients[members] = self._on_links(members)
-            self._update(touched, loads=False)
-        else:
-            # z over the new neighbour list: a bincount keyed by the bool row
-            # adds its set entries in ascending order, as _update's does
-            self.z[vap] = np.bincount(row, weights=self.w_ap, minlength=2)[1]
+        if not self._defer:
+            self._sync()
 
     # -- energy -----------------------------------------------------------
 
@@ -447,7 +405,7 @@ class SystemState:
         client sits on a zero-rate link. Cached: O(1). A deferred state reads
         its configuration's energy entry in the candidate table instead, and
         on a miss syncs (_sync) and stores the energy there."""
-        if self._held is None:
+        if not self._defer:
             return self._u
         table = self.net._candidate_table
         key = self._table_key(4 * (self.assoc.size + self.chan.size) + 2)
@@ -747,18 +705,6 @@ class SystemState:
             self.scheme, dict(zip(net.client_ids, phi)), dict(zip(net.vap_ids, p))
         )
 
-    def _on_links(self, clients=slice(None)):
-        """Each given client's rate and log rate on its link at its radio's
-        current channel, read from the network's link lists: 0 and -inf where
-        the client has no link."""
-        net = self.net
-        links = self._link[clients]
-        if not net.rates.size:  # no links, nothing to index
-            return np.zeros(np.shape(links)), np.full(np.shape(links), -np.inf)
-        at, linked = (links, self.chan[self.assoc[clients]]), links >= 0
-        return (np.where(linked, net.rates[at], 0.0),
-                np.where(linked, net.log_rates[at], -np.inf))
-
     def _contention_lists(self, rows: np.ndarray):
         """The contention sets of the given transmitters (ascending; radios
         under the server scheme, clients under the client scheme): (position
@@ -863,40 +809,87 @@ class SystemState:
             index = self.config_index()
         return index * self._stride + code + self._offset
 
-    # -- deferral -----------------------------------------------------------
+    # -- sync ---------------------------------------------------------------
 
     def _sync(self):
-        """Bring the deferred arrays up to the digits: put back each held
-        digit that differs from the current one, then apply the current ones
-        through apply_channel and apply_association, radios then clients,
-        each in index order. The maintained state equals a fresh one
-        whatever its path, infeasible configurations on the way included, so
-        the arrays get the bits they would have had after every move."""
-        held = self._held
-        if not held:
+        """Bring the arrays up to the digits in one _update, after the moves
+        since the last sync; a mover whose digit is back where the arrays
+        hold it drops out. Each moved radio's row and column of same_ch_adj
+        are rewritten from its pair list. A z changes only where a
+        neighbourhood changes, by a moved radio, or a load, at radios a and
+        b of a client moved from a to b. So the touched radios are the old
+        and the new row of each moved radio with load, and N(a) | N(b) under
+        the final rows. A radio without load changes no other z, as adding
+        or removing its 0.0 leaves a sum as it is, and no energy term: its
+        own is psi(0) + psi(z) - psi(z) = 0, and no client's reads its z. A
+        moved one gets its own z from a bincount keyed by its new row, which
+        adds the set entries in ascending order as _update does, and which
+        _update repeats with the final loads if a load in the row changed,
+        since the radio is then touched. The links of the moved clients and
+        of the moved radios' clients, and the movers' digest pieces, are
+        read anew. Every entry recomputed takes a fresh state's arithmetic
+        on the final digits, and no other entry changed, so the bits are a
+        fresh state's, infeasible configurations on the way included."""
+        moved = self._moved
+        if not moved:
             return
-        n, radios, clients = self.assoc.size, [], []
-        for pos, digit in sorted(held.items()):
-            if pos >= n:
-                channel = int(self.chan[pos - n])
-                if channel != digit:
-                    self.chan[pos - n] = digit
-                    radios.append((pos - n, channel))
-            elif (vap := int(self.assoc[pos])) != digit[0]:
-                self.assoc[pos], self._link[pos] = digit
-                clients.append((pos, vap))
-        # eager while the moves are applied again, which the index already counts
-        index, self._index, self._held = self._index, None, None
-        for vap, channel in radios:
-            self.apply_channel(vap, channel)
-        for client, vap in clients:
-            self.apply_association(client, vap)
-        self._index, self._held = index, {}
+        self._moved = {}
+        net, assoc, chan, n = self.net, self.assoc, self.chan, self.assoc.size
+        adj, clients, linked, rows, parts = self.same_ch_adj, [], [], [], []
+        for pos, digit in moved.items():
+            if pos < n:
+                if assoc.item(pos) != digit:
+                    clients.append((pos, digit))
+                    linked.append(pos)
+                continue
+            vap = pos - n
+            ch = chan.item(vap)
+            if ch == digit:
+                continue
+            # the radio's new row, from its pair list: the partners on its
+            # channel that interfere with it there
+            lo, hi = net.pair_ptr[vap], net.pair_ptr[vap + 1]
+            partners = net.pair_vap[lo:hi]
+            row = np.zeros(net.n_vaps, dtype=bool)
+            row.put(partners, net.adjacency[lo:hi, ch] & (chan[partners] == ch))
+            rows.append((vap, row))
+            if self.w_ap[vap]:  # its load leaves the old row and joins the new
+                parts.append(adj[vap] | row)
+                linked += (assoc == vap).nonzero()[0].tolist()
+            else:  # its z alone, over its new row, which a touch sums again
+                self.z[vap] = np.bincount(row, weights=self.w_ap, minlength=2)[1]
+        for vap, row in rows:
+            adj[vap, :] = row
+            adj[:, vap] = row
+        for client, radio in clients:
+            parts.append(adj[radio] | adj[assoc.item(client)])
+        # each client's rate and log rate as __init__ reads them, as scalars
+        for client in linked:
+            link = self._link.item(client)
+            if link >= 0:
+                ch = chan.item(assoc.item(client))
+                self._b_clients[client] = net.rates[link, ch]
+                self._log_b_clients[client] = net.log_rates[link, ch]
+            else:
+                self._b_clients[client], self._log_b_clients[client] = 0.0, -np.inf
+        if self._pieces is not None:
+            heads, vap_json, channel_json, client_piece, vap_piece = net._digest_parts
+            for client, _ in clients:
+                k = client_piece[client]
+                self._pieces[k] = heads[k] + vap_json[assoc.item(client)]
+            for vap, _ in rows:
+                k = vap_piece[vap]
+                self._pieces[k] = heads[k] + channel_json[chan.item(vap)]
+        if parts:
+            touched = parts[0]
+            for part in parts[1:]:
+                touched |= part
+            self._update(touched, loads=bool(clients))
 
     def digest(self) -> str:
         """to_configuration().digest(), hashed from the same JSON text as
         pieces (model.DigestParts): built from the arrays by the first call,
-        after which every applied move rewrites its one piece."""
+        after which each sync rewrites the movers' pieces."""
         self._sync()
         if self._pieces is None:
             heads, vap_json, channel_json, client_piece, vap_piece = self.net._digest_parts

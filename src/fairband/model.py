@@ -139,10 +139,11 @@ class Network:
     ``distances``, ``rates``, ``log_rates`` and ``adjacency`` keep the names
     of the dense (I, V), (I, V, C) and (V, V, C) tables they replace, with a
     row per link or pair, so code that measures the compiled tables by those
-    names measures these. ``link_index`` finds a link's position, and so
-    does ``_link_at``, a dict by client * V + radio built on first use for
-    one pair at a time; a configuration may still use a pair that is not a
-    link, which has rate 0 and log rate -inf. Under a channel map,
+    names measures these. ``link_index`` finds the link positions of many
+    pairs at once (a state's construction) and ``_link_at``, a dict by
+    client * V + radio built on first use, that of one pair (a move); a
+    configuration may still use a pair that is not a link, which has rate 0
+    and log rate -inf. Under a channel map,
     ``nearest_links`` and ``same_channel_pairs`` answer which links with a rate are each client's
     nearest and which pairs share a channel on which they interfere.
 
@@ -296,8 +297,7 @@ class Network:
     @cached_property
     def _link_at(self) -> dict[int, int]:
         """Each link's position by its key client * V + radio, as link_index
-        finds it, for the deferred association moves of
-        fairness.SystemState.apply_association, one pair at a time."""
+        finds it, for fairness.SystemState.apply_association."""
         keys = self._link_keys[:-1].tolist()
         return dict(zip(keys, range(len(keys))))
 

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairband import (
     AccessPoint,
@@ -130,6 +132,16 @@ def test_softmax_refuses_a_temperature_that_is_not_positive(temperature):
     # nans
     with pytest.raises(ValueError, match=r"^temperature: must be > 0, got "):
         softmax_probabilities(np.array([0.0, 1.0]), temperature)
+
+
+@pytest.mark.parametrize("values", [[1.0, math.nan], [math.nan, 1.0], [0.0, math.inf],
+                                    [math.inf, -math.inf], [-math.inf, math.nan]])
+def test_softmax_refuses_values_that_are_nan_or_plus_infinity(values):
+    # a NaN or +inf value has no probability: the call refuses the values
+    # rather than return [1, 0] or nans, whatever their order
+    with pytest.raises(ValueError, match=r"^values: must be finite or -inf, got "):
+        softmax_probabilities(np.array(values), 1.0)
+    assert softmax_probabilities(np.array([-math.inf, -math.inf]), 1.0).tolist() == [0.0, 0.0]
 
 
 def _clear_of_the_cdf(probs, uniform, gap=1e-12) -> bool:
@@ -944,7 +956,7 @@ def test_runs_on_a_warm_table_equal_runs_on_fresh_networks(monkeypatch, tmp_path
     # the sync at the end of an advance
     assert sum(c[0] == "__init__" for c in updates) == len(policies)
     replays = [c for c in updates if c[0] != "__init__"]
-    assert replays and all(c[1:3] == ("_sync", "advance") for c in replays)
+    assert replays and all(c[:2] == ("_sync", "advance") for c in replays)
     assert 0 < size == len(net._candidate_table)
     for policy, *results in zip(policies, cold, warm):
         fresh = run(builtin("line3-2ch").to_network(), policy)
@@ -976,7 +988,7 @@ def test_deferred_chains_equal_chains_that_sync_after_every_step(monkeypatch, rn
 
     def traced_sync(state):
         if sys._getframe(1).f_code.co_name == "advance":
-            pending.append(bool(state._held))
+            pending.append(bool(state._moved))
         return sync(state)
 
     monkeypatch.setattr(SystemState, "_sync", traced_sync)
@@ -1004,6 +1016,93 @@ def test_deferred_chains_equal_chains_that_sync_after_every_step(monkeypatch, rn
                 assert _state_bits(chain.state) == bits
     # the split advances often stopped with moves pending
     assert split_pending >= 50
+
+
+def _pending_moves(state, rng):
+    """Random groups of moves for a deferred state, each group in its order
+    and the groups shuffled: a client and a radio moved and moved back to
+    the digit the arrays hold, two partner radios moved (half the time onto
+    one channel), a client moved onto a radio that changes channel, a
+    clientless radio moved and a client moved onto one, a client moved onto
+    a radio it does not reach (when there is one), and random moves."""
+    net = state.net
+    I, V, C = net.n_clients, net.n_vaps, net.n_channels
+
+    def move(kind, mover, target):
+        return lambda: (state.apply_association if kind == "a" else state.apply_channel)(
+            mover, target() if callable(target) else target)
+
+    def back(kind, mover):
+        pos = mover if kind == "a" else I + mover
+        digits = state.assoc if kind == "a" else state.chan
+        return move(kind, mover, lambda: state._moved.get(pos, int(digits[mover])))
+
+    c, v = int(rng.integers(I)), int(rng.integers(V))
+    groups = [[move("a", c, int(rng.integers(V))), back("a", c)],
+              [move("c", v, int(rng.integers(C))), back("c", v)]]
+    v = int(rng.integers(V))
+    partners = net.pair_vap[net.pair_ptr[v]:net.pair_ptr[v + 1]]
+    partners = partners[partners != v]
+    if partners.size:
+        u, ch = int(rng.choice(partners)), int(rng.integers(C))
+        groups.append([move("c", v, ch), move("c", u, ch if rng.random() < 0.5
+                                                 else int(rng.integers(C)))])
+    b = int(rng.integers(V))
+    groups.append([move("a", int(rng.integers(I)), b), move("c", b, int(rng.integers(C)))])
+    clientless = np.setdiff1d(np.arange(V), state.assoc)
+    if clientless.size:
+        groups.append([move("c", int(rng.choice(clientless)), int(rng.integers(C)))])
+        groups.append([move("a", int(rng.integers(I)), int(rng.choice(clientless)))])
+    c = int(rng.integers(I))
+    out = [v for v in range(V) if net._link_at.get(c * V + v, -1) < 0
+           or net.rates[net._link_at[c * V + v], state.chan[v]] == 0]
+    if out:
+        groups.append([move("a", c, int(rng.choice(out)))])
+    for _ in range(int(rng.integers(0, 6))):
+        kind = "a" if rng.random() < 0.5 else "c"
+        groups.append([move(kind, int(rng.integers(I if kind == "a" else V)),
+                            int(rng.integers(V if kind == "a" else C)))])
+    return [groups[k] for k in rng.permutation(len(groups))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(["server", "client"]),
+    n_aps=st.integers(2, 5),
+    n_clients=st.integers(2, 10),
+    n_channels=st.integers(1, 3),
+)
+def test_one_sync_equals_a_fresh_state_for_any_pending_moves(
+    seed, scheme, n_aps, n_clients, n_channels
+):
+    # a deferred state on a random numbered network (multi-radio APs,
+    # non-dyadic weights) takes a pending set of moves (_pending_moves),
+    # feasible or not on the way, and then one sync makes at most one
+    # _update, after which its digits, arrays, energy, products and digest
+    # equal a fresh state's bit for bit
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, n_aps=n_aps, n_clients=n_clients, n_channels=n_channels,
+                         dyadic=False, max_radios=3)
+    state = random_state(net, rng, scheme)
+    # the products, digest pieces and index that a sync keeps up to date
+    state.rates(), state.digest(), state.config_index()
+    state._defer = True
+    for group in _pending_moves(state, rng):
+        for move in group:
+            move()
+    updates, update = [], state._update
+    state._update = lambda *args, **kwargs: updates.append(update(*args, **kwargs))
+    state._defer = False
+    state._sync()
+    assert len(updates) <= 1 and not state._moved
+    fresh = SystemState(net, scheme, state.assoc, state.chan)
+    assert _state_bits(state) == _state_bits(fresh)
+    assert state.config_index() == fresh.config_index()
+    assert state.digest() == state.to_configuration().digest()
+    read = np.arange(net.n_clients) if scheme == "client" else (state.w_ap > 0).nonzero()[0]
+    assert state._idle[read].tobytes() == fresh._idle[read].tobytes()
+    assert not state._stale.any()
 
 
 def test_steps_return_the_energy_of_their_state(monkeypatch, rng):

@@ -1,4 +1,5 @@
 """Closed-form allocations, energy identities, candidate evaluation."""
+import copy
 import itertools
 import math
 
@@ -220,6 +221,40 @@ def test_state_refuses_index_arrays_out_of_range(name, assoc, chan):
     assert (net.n_vaps, net.n_channels) == (3, 2)
     with pytest.raises(ValueError, match=f"^{name} has entries that are not integers in"):
         SystemState(net, "server", assoc, chan)
+
+
+def _state_snapshot(state):
+    """Everything a state holds but its network, with arrays as bytes."""
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else copy.deepcopy(v)
+            for k, v in vars(state).items() if k != "net"}
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+@pytest.mark.parametrize("defer", [False, True])
+@pytest.mark.parametrize("method, args, name", [
+    ("apply_association", (3, 0), "client"),  # micro: I = 3, V = 2, C = 2
+    ("apply_association", (-1, 0), "client"),
+    ("apply_association", (0, 2), "target_vap"),
+    ("apply_association", (0, -1), "target_vap"),
+    ("apply_channel", (2, 0), "vap"),
+    ("apply_channel", (-1, 0), "vap"),
+    ("apply_channel", (0, 2), "target_channel"),
+    ("apply_channel", (0, -1), "target_channel"),
+])
+def test_moves_refuse_indices_out_of_range(scheme, defer, method, args, name):
+    # a move names the argument out of range and writes nothing: not the
+    # digits, the arrays, the index or the pending moves of a deferred state
+    net = builtin("micro").to_network()
+    assert (net.n_clients, net.n_vaps, net.n_channels) == (3, 2, 2)
+    state = SystemState(net, scheme, *initial_configuration(net, np.random.default_rng(3)))
+    state.rates(), state.digest(), state.config_index()
+    state._defer = defer
+    state.apply_channel(1, 1 - int(state.chan[1]))
+    before = _state_snapshot(state)
+    assert bool(state._moved) == defer
+    with pytest.raises(ValueError, match=f"^{name}: must be in "):
+        getattr(state, method)(*args)
+    assert _state_snapshot(state) == before
 
 
 _SPARSE = dict(n_aps=3, n_clients=5, max_radios=2)
