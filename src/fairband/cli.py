@@ -6,9 +6,12 @@ fairband enumerate --scenario micro --scheme server
 Per-run randomness is derived from the top-level seed with SeedSequence, so
 the same flags always produce the same runs (and byte-identical CSV). The
 scenario draw for run k depends only on the seed and k, never on the policy,
-so different policies face identical client layouts. The runs execute one
-after another in the calling thread: a chain is a series of small numpy
-calls that hold the interpreter lock, so threads would only add switching.
+so different policies face identical client layouts. A scenario that lists
+its clients has one layout, which the runs share as one compiled Network, so
+a run reads what earlier runs stored in its candidate table. The runs
+execute one after another in the calling thread: a chain is a series of
+small numpy calls that hold the interpreter lock, so threads would only add
+switching.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .annealing import (POLICY_KINDS, SELECTION_KINDS, OptimizerPolicy, RunResul
                         Schedule, potential_scale_reduction, run)
 from .baselines import minint_wifi_run
 from .fairness import SCHEME_SERVER, SCHEMES
-from .model import ScenarioError
+from .model import Network, ScenarioError
 from .oracle import enumerate_optimum
 from .scenarios import (
     BUILTIN_NAMES,
@@ -91,12 +94,10 @@ def _default_iterations(scenario: Scenario) -> int:
     return 200000 if scenario.regions is not None else 20000
 
 
-def _run_one(scenario: Scenario, args, run_seed: tuple[int, int], k: int) -> RunResult:
-    scenario_seed, policy_seed = run_seed
-    drawn = scenario.reseeded(scenario_seed)
+def _run_one(layout: Scenario | Network, args, policy_seed: int, k: int) -> RunResult:
     run_id = f"r{k:03d}"
     if args.policy == "minint-wifi":
-        return minint_wifi_run(drawn, seed=policy_seed, run_id=run_id)
+        return minint_wifi_run(layout, seed=policy_seed, run_id=run_id)
     policy = OptimizerPolicy(
         kind=args.policy,
         scheme=args.scheme,
@@ -105,7 +106,7 @@ def _run_one(scenario: Scenario, args, run_seed: tuple[int, int], k: int) -> Run
         iterations=args.iters,
         seed=policy_seed,
     )
-    return run(drawn, policy, record_every=args.record_every, run_id=run_id)
+    return run(layout, policy, record_every=args.record_every, run_id=run_id)
 
 
 def _fmt(x: float | None) -> str:
@@ -172,7 +173,13 @@ def cmd_run(args) -> int:
 
     children = np.random.SeedSequence(args.seed).spawn(args.runs)
     seeds = [tuple(int(s) for s in c.generate_state(2, dtype=np.uint32)) for c in children]
-    results = [_run_one(scenario, args, seeds[k], k) for k in range(args.runs)]
+    # a scenario that lists its clients gives every run the same layout, so the
+    # runs share one compiled Network and the candidate table it holds
+    shared = scenario.to_network() if scenario.reseeded(args.seed) is scenario else None
+    results = [
+        _run_one(shared or scenario.reseeded(scenario_seed), args, policy_seed, k)
+        for k, (scenario_seed, policy_seed) in enumerate(seeds)
+    ]
 
     for res in results:
         print(

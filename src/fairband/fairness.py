@@ -212,6 +212,16 @@ def _index_array(name: str, a, n: int, bound: int) -> np.ndarray:
     return a.astype(np.int64)
 
 
+def _check_index(name: str, value, bound: int):
+    """ValueError naming the argument unless value is an integer in [0, bound):
+    an int or a numpy integer, not a bool. A chain's moves pass ints, so
+    their test comes first."""
+    integer = type(value) is int or (
+        isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+    if not (integer and 0 <= value < bound):
+        raise ValueError(f"{name}: must be an integer in [0, {bound}), got {value!r}")
+
+
 class SystemState:
     """Mutable configuration with incremental energy and candidate evaluation.
 
@@ -366,12 +376,10 @@ class SystemState:
     def apply_association(self, client: int, target_vap: int):
         """Move the client to the target radio: set its digits, then sync
         unless the state defers. ValueError, before any write, unless both
-        are in range."""
+        are integers in range."""
         net, n, V = self.net, self.assoc.size, self.chan.size
-        if not 0 <= client < n:
-            raise ValueError(f"client: must be in [0, {n}), got {client!r}")
-        if not 0 <= target_vap < V:
-            raise ValueError(f"target_vap: must be in [0, {V}), got {target_vap!r}")
+        _check_index("client", client, n)
+        _check_index("target_vap", target_vap, V)
         old = self._link.item(client)
         self._moved.setdefault(client, self.assoc.item(client))
         self.assoc[client] = target_vap
@@ -384,12 +392,10 @@ class SystemState:
     def apply_channel(self, vap: int, target_channel: int):
         """Move the radio to the target channel: set its digit, then sync
         unless the state defers. ValueError, before any write, unless both
-        are in range."""
+        are integers in range."""
         net, n, V, C = self.net, self.assoc.size, self.chan.size, self.net.n_channels
-        if not 0 <= vap < V:
-            raise ValueError(f"vap: must be in [0, {V}), got {vap!r}")
-        if not 0 <= target_channel < C:
-            raise ValueError(f"target_channel: must be in [0, {C}), got {target_channel!r}")
+        _check_index("vap", vap, V)
+        _check_index("target_channel", target_channel, C)
         old = self.chan.item(vap)
         self._moved.setdefault(n + vap, old)
         if self._index is not None:

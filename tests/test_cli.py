@@ -6,7 +6,7 @@ import re
 import pytest
 import yaml
 
-from fairband import builtin, save_scenario
+from fairband import Network, builtin, save_scenario
 from fairband.annealing import potential_scale_reduction
 from fairband.cli import main
 
@@ -195,6 +195,23 @@ def test_runs_fan_out_with_distinct_seeds(tmp_path):
     finals = {p["final_energy"] for p in payloads}
     assert len(finals) == 3
     assert len({p["seed"] for p in payloads}) == 3
+
+
+@pytest.mark.parametrize("flags, compiles", [
+    (["--scenario", "micro", "--runs", "3"], 1),  # explicit clients: one layout
+    (["--scenario", "grid16-weighted", "--runs", "2", "--iters", "10"], 2),  # a draw per run
+])
+def test_runs_compile_one_network_per_layout(flags, compiles, monkeypatch):
+    calls = []
+    init = Network.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "__init__", counted)
+    assert main(["run", *flags]) == 0
+    assert len(calls) == compiles
 
 
 @pytest.mark.parametrize("flag, value", [

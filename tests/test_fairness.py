@@ -229,6 +229,9 @@ def _state_snapshot(state):
             for k, v in vars(state).items() if k != "net"}
 
 
+_NOT_INTEGERS = (1.5, 1.0, np.float64(1.0), "1", None, True)
+
+
 @pytest.mark.parametrize("scheme", ["server", "client"])
 @pytest.mark.parametrize("defer", [False, True])
 @pytest.mark.parametrize("method, args, name", [
@@ -240,10 +243,17 @@ def _state_snapshot(state):
     ("apply_channel", (-1, 0), "vap"),
     ("apply_channel", (0, 2), "target_channel"),
     ("apply_channel", (0, -1), "target_channel"),
+    # not integers: numpy would truncate 1.5 into the digits while the link
+    # lookup found no link of key 1.5
+    *(("apply_association", (0, bad), "target_vap") for bad in _NOT_INTEGERS),
+    *(("apply_association", (bad, 0), "client") for bad in _NOT_INTEGERS),
+    *(("apply_channel", (0, bad), "target_channel") for bad in _NOT_INTEGERS),
+    *(("apply_channel", (bad, 0), "vap") for bad in _NOT_INTEGERS),
 ])
 def test_moves_refuse_indices_out_of_range(scheme, defer, method, args, name):
-    # a move names the argument out of range and writes nothing: not the
-    # digits, the arrays, the index or the pending moves of a deferred state
+    # a move names the argument out of range or not an integer and writes
+    # nothing: not the digits, the arrays, the index or the pending moves of
+    # a deferred state
     net = builtin("micro").to_network()
     assert (net.n_clients, net.n_vaps, net.n_channels) == (3, 2, 2)
     state = SystemState(net, scheme, *initial_configuration(net, np.random.default_rng(3)))
@@ -252,9 +262,23 @@ def test_moves_refuse_indices_out_of_range(scheme, defer, method, args, name):
     state.apply_channel(1, 1 - int(state.chan[1]))
     before = _state_snapshot(state)
     assert bool(state._moved) == defer
-    with pytest.raises(ValueError, match=f"^{name}: must be in "):
+    with pytest.raises(ValueError, match=f"^{name}: must be an integer in "):
         getattr(state, method)(*args)
     assert _state_snapshot(state) == before
+
+
+@pytest.mark.parametrize("scheme", ["server", "client"])
+@pytest.mark.parametrize("defer", [False, True])
+def test_moves_take_numpy_integers_as_ints(scheme, defer):
+    net = builtin("micro").to_network()
+    config = initial_configuration(net, np.random.default_rng(3))
+    states = [SystemState(net, scheme, *config) for _ in range(2)]
+    for state, kind in zip(states, (int, np.int32)):
+        state._defer = defer
+        state.apply_channel(kind(1), kind(1 - int(state.chan[1])))
+        state.apply_association(kind(0), kind(1 - int(state.assoc[0])))
+        state._sync()
+    assert _state_snapshot(states[0]) == _state_snapshot(states[1])
 
 
 _SPARSE = dict(n_aps=3, n_clients=5, max_radios=2)
