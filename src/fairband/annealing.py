@@ -21,15 +21,10 @@ client counts as lists, and per block of at most BLOCK steps the
 temperatures and, round-robin, the uniforms. gibbs_step is the one step,
 of a chain or of a bare SystemState wrapped in a one-step view.
 
-A network with at most model.INDEX_LIMIT configurations numbers them and
-keeps a candidate table (model.Network._candidate_table, cleared at
-model.TABLE_CAP entries), keyed by config_index() * 4 (I + V + 1) + code +
-s, s = 1 under the client scheme (SystemState._table_key). The codes:
-
-* 4 m + 2 a: mover m's candidate entry, its values then its targets (a = 1
-  for dp-approx scores), when it has two or more targets (_candidates);
-* 4 (I + V): the trajectory record, (weighted throughput, digest) (_record);
-* 4 (I + V) + 2: the energy (SystemState.energy).
+A network with at most model.INDEX_LIMIT configurations keeps a candidate
+table, which SystemState owns and describes: a step reads its mover's
+values and targets through SystemState.candidates, and a record through
+SystemState.record, so its chains evaluate a configuration's mover once.
 
 A move sets only its mover's digits, and one SystemState._sync brings the
 arrays up to them with a fresh state's bits: after each move, or, while a
@@ -38,14 +33,13 @@ when something reads the arrays and at the end of advance. The chain
 holds the current energy, and a step reads the energy entry only after a
 move that changed the state. So a step that finds its candidate entry
 evaluates nothing, and one that changes nothing reads no other entry: it
-returns the held energy, and a one-target mover returns before its entry
-is unpacked (its candidate method reads the energy entry itself).
+returns the held energy, and a one-target mover, which has no entry,
+returns after its candidate method has read the energy entry itself.
 """
 from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass, field
 from math import exp
 from typing import NamedTuple
@@ -53,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .checks import check_integer, check_number
-from .model import Configuration, Network, ScenarioError, _store
+from .model import Configuration, Network, ScenarioError
 from .fairness import SCHEME_SERVER, SystemState, _check_scheme
 
 POLICY_KINDS = ("dp-exact", "dp-approx", "greedy")
@@ -205,12 +199,6 @@ def _exponentials(values, temperature: float) -> tuple[list[float], float]:
     return ex, total
 
 
-@functools.cache
-def _entry_reader(k: int):
-    """The unpack that reads a candidate entry of k targets (_candidates)."""
-    return struct.Struct(f"{k}d{k}q").unpack
-
-
 def _draw(values, temperature: float, uniform: float) -> int:
     """The softmax draw at T > 0: the first index j whose running sum of the
     terms e_0 + ... + e_j (_exponentials) over their total exceeds the
@@ -239,24 +227,24 @@ def gibbs_step(state: Chain | SystemState, t: int, policy: OptimizerPolicy,
 
     The mover is at position (t - 1) mod m of the fixed order (clients by
     index, then radios by index), or at rng.integers(m) under random
-    selection, and every step makes one uniform draw. Its candidate entry
-    (_candidates) gives its feasible targets (ascending) and their values.
-    At T(t) > 0 the step draws an index from their softmax with its uniform
-    (_draw, whose probabilities softmax_probabilities returns). At T = 0,
-    and under a greedy policy, it takes the argmax in Python floats instead:
-    candidates within 1e-12 max(1, |u|) of the best, u the current target's
-    value, count as tied and the lowest target wins, and the mover stays
-    unless the best beats u by more than that margin, so float noise between
-    equal energies never makes a move.
+    selection, and every step makes one uniform draw. SystemState.candidates
+    gives its feasible targets (ascending) and their values. At T(t) > 0 the
+    step draws an index from their softmax with its uniform (_draw, whose
+    probabilities softmax_probabilities returns). At T = 0, and under a
+    greedy policy, it takes the argmax in Python floats instead: candidates
+    within 1e-12 max(1, |u|) of the best, u the current target's value,
+    count as tied and the lowest target wins, and the mover stays unless the
+    best beats u by more than that margin, so float noise between equal
+    energies never makes a move.
 
     A mover with one target stays: in a feasible state the current target is
-    usable, so it is the one, and the step returns before it unpacks the
-    entry. A clientless radio changes no one's energy on any channel: the
-    step decides over C zeros and the targets range(C), whose softmax does
-    not depend on U, and at T = 0 the margin keeps it.
+    usable, so it is the one, and the step returns before it decides. A
+    clientless radio changes no one's energy on any channel: the step
+    decides over C zeros and the targets range(C), whose softmax does not
+    depend on U, and at T = 0 the margin keeps it.
 
-    The step's uniform is drawn before its entry is read, and whatever the
-    entry. The energy it returns is the chain's held one (Chain._u) unless
+    The step's uniform is drawn before its candidates are read, and whatever
+    they are. The energy it returns is the chain's held one (Chain._u) unless
     the move changed the state, which alone reads state.energy() again.
     """
     chain = state if isinstance(state, Chain) else Chain._view(state, t, policy)
@@ -269,18 +257,15 @@ def gibbs_step(state: Chain | SystemState, t: int, policy: OptimizerPolicy,
     uniform = rng.random() if uniforms is None else uniforms[i]
     if pos < n:
         kind, idx = "association", pos
-        entry = _candidates(chain.state, kind, idx, chain._approx)
+        values, targets = chain.state.candidates(pos, chain._approx)
     else:
         kind, idx = "channel", pos - n
-        entry = _candidates(chain.state, kind, idx, False) if chain._counts[idx] else None
-    k = chain._n_channels if entry is None else len(entry) >> 4  # 16 bytes per target
-    if k == 1:
+        if chain._counts[idx]:
+            values, targets = chain.state.candidates(pos)
+        else:  # a clientless radio: C equal values, none evaluated
+            values, targets = (0.0,) * chain._n_channels, range(chain._n_channels)
+    if len(targets) == 1:
         return Move(kind, idx, current, False, temperature), chain._u
-    if entry is None:  # a clientless radio: C equal values, none evaluated
-        values, targets = (0.0,) * k, range(k)
-    else:
-        flat = _entry_reader(k)(entry)
-        values, targets = flat[:k], flat[k:]
     if temperature:
         choice = targets[_draw(values, temperature, uniform)]
     else:
@@ -300,51 +285,6 @@ def gibbs_step(state: Chain | SystemState, t: int, policy: OptimizerPolicy,
         chain.state.apply_channel(idx, choice)
     chain._u = u = chain.state.energy()
     return Move(kind, idx, choice, True, temperature), u
-
-
-def _candidates(state: SystemState, kind: str, idx: int, approx: bool) -> bytes:
-    """The bytes of the values, then the targets (int64), that the mover's
-    candidate method returns (association_scores_approx when approx), read
-    as k floats and k ints by _entry_reader(k). A numbered network keeps
-    them in its candidate table when there are two or more targets, under
-    the mover's code, so its chains evaluate a configuration's mover once.
-    The maintained state equals a fresh one bit for bit, so an entry holds
-    the bits the method returns."""
-    table = state.net._candidate_table
-    if table is not None:
-        pos = idx if kind == "association" else state.assoc.size + idx
-        key = state._table_key(4 * pos + 2 * approx)
-        entry = table.get(key)
-        if entry is not None:
-            return entry
-    if approx:
-        targets, values = state.association_scores_approx(idx)
-    elif kind == "association":
-        targets, values = state.association_candidates(idx)
-    else:
-        targets, values = state.channel_candidates(idx)
-    entry = values.tobytes() + targets.tobytes()
-    if table is not None and targets.size > 1:
-        _store(table, key, entry)
-    return entry
-
-
-def _record(state: SystemState) -> tuple[float, str]:
-    """The state's (weighted_throughput(), digest()) for a trajectory record.
-
-    Both depend on the configuration and the scheme alone, so a numbered
-    network's candidate table holds them too, under the record code. A
-    computed record refreshes what the moves since the last one left
-    pending."""
-    table = state.net._candidate_table
-    if table is None:
-        return state.weighted_throughput(), state.digest()
-    key = state._table_key(4 * (state.assoc.size + state.chan.size))
-    entry = table.get(key)
-    if entry is None:
-        entry = (state.weighted_throughput(), state.digest())
-        _store(table, key, entry)
-    return entry
 
 
 # bench/tracing.py::targets() still patches this name
@@ -462,10 +402,10 @@ class Chain:
     parts: advance(a) then advance(b) does what advance(a + b) does, bit for
     bit, and result() gives the run so far. It owns the run's Generator
     (rng), SystemState (state), best configuration (best_energy, best_t),
-    records and greedy stop. It records (t, T, U, weighted throughput, hash,
-    the last two through _record) at t = 0, every record_every steps (by
-    default iterations // 100, at least 1), at t = policy.iterations and at
-    the greedy stop: a sweep without a change, so a local optimum.
+    records and greedy stop. It records (t, T, U, weighted throughput, hash;
+    the last two by SystemState.record) at t = 0, every record_every steps
+    (by default iterations // 100, at least 1), at t = policy.iterations and
+    at the greedy stop: a sweep without a change, so a local optimum.
 
     It keeps each mover's current target and each radio's client count as
     lists beside the state, which gibbs_step reads and updates, the current
@@ -488,7 +428,7 @@ class Chain:
         self.t, self.stopped, self._streak, self._temperature = 0, False, 0, None
         self._u = self.best_energy = state.energy()
         self.best_t, self._best = 0, self._current[:]
-        self.trajectory = [TrajectoryPoint(0, None, self._u, *_record(state))]
+        self.trajectory = [TrajectoryPoint(0, None, self._u, *state.record())]
 
     def _set_constants(self, state: SystemState, policy: OptimizerPolicy):
         self._n, self._n_channels = state.assoc.size, state.net.n_channels
@@ -537,7 +477,7 @@ class Chain:
                     stop = greedy and streak >= len(self._current)
                     if t % cadence == 0 or t == iters or stop:
                         trajectory.append(
-                            TrajectoryPoint(t, move.temperature, u, *_record(state)))
+                            TrajectoryPoint(t, move.temperature, u, *state.record()))
                         if stop:
                             break
         finally:
@@ -553,7 +493,7 @@ class Chain:
         trajectory = list(self.trajectory)
         if trajectory[-1].t != self.t:
             trajectory.append(
-                TrajectoryPoint(self.t, self._temperature, self._u, *_record(state)))
+                TrajectoryPoint(self.t, self._temperature, self._u, *state.record()))
         final_cfg, alloc, rates = state.to_configuration(), state.allocation(), state.rates()
         return RunResult(
             run_id=self.run_id, policy_kind=self.policy.kind, scheme=self.scheme,

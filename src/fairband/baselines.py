@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .annealing import RunResult, TrajectoryPoint, _coerce_network
+from .checks import check_integer
 from .fairness import SCHEME_SERVER, Allocation, SystemState, throughput
 from .model import Network, ScenarioError
 
@@ -62,8 +63,8 @@ def minint_channel_selection(
     handful of restarts makes that vanishingly unlikely on small networks.
     Ties between restarts keep the earliest result.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    check_integer("restarts", restarts, 1)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     best: MinIntResult | None = None
     for _ in range(restarts):
@@ -115,6 +116,7 @@ def minint_wifi_run(
 ) -> RunResult:
     """The full baseline: interference-minimal channels, closest-AP
     association, equal-throughput scheduling. One-shot, no trajectory."""
+    check_integer("seed", seed, 0)
     net = _coerce_network(scenario_or_network)
     picked = minint_channel_selection(net, seed=seed)
     assoc = wifi_association(net, picked.channels)

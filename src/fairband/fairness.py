@@ -24,6 +24,7 @@ SystemState.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,27 +93,32 @@ def _allocation_vectors(network: Network, config: Configuration, alloc: Allocati
     """A validated allocation as vectors in network order: the access
     probabilities (per radio under the server scheme, per client under the
     client scheme) and the schedule (per client; None under the client
-    scheme)."""
+    scheme). A map that lacks an id is a ValueError naming both."""
     for key, p in alloc.access.items():
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"access probability out of range for {key!r}: {p}")
-    clients = network.client_ids
-    if alloc.scheme == SCHEME_CLIENT:
-        return np.array([alloc.access[c] for c in clients], dtype=float), None
-    if alloc.schedule is None:
+    clients, client_scheme = network.client_ids, alloc.scheme == SCHEME_CLIENT
+    if not client_scheme and alloc.schedule is None:
         raise ValueError("server scheme requires a schedule")
+    name = "access"
+    try:
+        p = [alloc.access[k] for k in (clients if client_scheme else network.vap_ids)]
+        name = "schedule"
+        phi = None if client_scheme else [alloc.schedule[c] for c in clients]
+    except KeyError as exc:
+        raise ValueError(f"{name}: no entry for {exc.args[0]!r}") from None
+    if client_scheme:
+        return np.array(p, dtype=float), None
     sums: dict[str, float] = {}
-    for cid in clients:
-        phi = alloc.schedule[cid]
-        if phi < 0:
+    for cid, share in zip(clients, phi):
+        if share < 0:
             raise ValueError(f"schedule weight negative for {cid!r}")
         v = config.association[cid]
-        sums[v] = sums.get(v, 0.0) + phi
+        sums[v] = sums.get(v, 0.0) + share
     for v, s in sums.items():
         if abs(s - 1.0) > 1e-9:
             raise ValueError(f"schedule for {v!r} sums to {s}, expected 1")
-    p = np.array([alloc.access[v] for v in network.vap_ids], dtype=float)
-    return p, np.array([alloc.schedule[c] for c in clients], dtype=float)
+    return np.array(p, dtype=float), np.array(phi, dtype=float)
 
 
 def throughput(
@@ -262,10 +268,23 @@ class SystemState:
     text it hashes, as ``_pieces`` (model.DigestParts), of which a sync
     rewrites the movers'.
 
-    Kept for annealing.gibbs_step's candidate table, on a network that
-    numbers its configurations (Network._config_places): from the first
-    ``config_index()`` on, the configuration's index ``_index``, to which
-    an applied move adds (new - old) * place of the one digit it changes.
+    The state owns the candidate table of a network that numbers its
+    configurations (Network._candidate_table; model._store clears it at
+    model.TABLE_CAP entries): it keys, stores and decodes every entry. From
+    the first ``config_index()`` on it keeps the configuration's index
+    ``_index``, to which an applied move adds (new - old) * place of the one
+    digit it changes. An entry's key is config_index() * 4 (I + V + 1) +
+    code + s, s = 1 under the client scheme (``_table_key``). The codes:
+
+    * 4 m + 2 a: the candidates of mover m (client m, or radio m - I; a = 1
+      for a client's dp-approx scores), when there are two or more targets:
+      the values as float64 bytes, then the targets as int64 (``candidates``);
+    * 4 (I + V): the record, (weighted throughput, digest) (``record``);
+    * 4 (I + V) + 2: the energy, which ``energy()`` reads while deferring.
+
+    An entry holds the bits of a fresh state of its configuration, as the
+    arrays do (see _sync). Only a feasible state reads or stores one: a
+    client off its links has no digit, so its index may be another's.
 
     A move sets only its mover's digits (``assoc`` or ``chan``, a client's
     ``_link`` from the network's dict ``Network._link_at``, and ``_index``)
@@ -279,11 +298,9 @@ class SystemState:
     first read that needs the arrays (a candidate evaluation past its
     one-target return, ``rates``, ``weighted_throughput``, ``allocation``,
     ``access_probabilities``, ``digest``, a miss of the energy entry) and at
-    the end of advance, and ``energy()`` reads the configuration's energy
-    entry in the candidate table. A deferred state is feasible, since
-    advance checks it first and every move keeps it so, so ``feasible``
-    stays true while the arrays wait. All arrays are indexed in network
-    order.
+    the end of advance. A deferred state is feasible, since advance checks
+    it first and every move keeps it so, so ``feasible`` stays true while
+    the arrays wait. All arrays are indexed in network order.
     """
 
     def __init__(self, network: Network, scheme: str, assoc: np.ndarray, chan: np.ndarray):
@@ -789,6 +806,8 @@ class SystemState:
     def weighted_throughput(self) -> float:
         return float((self.net.weights * self.rates()).sum())
 
+    # -- the candidate table -------------------------------------------------
+
     def config_index(self) -> int:
         """The configuration's index, the sum of digit * place over the
         digits and places of net._config_places (ValueError on a network
@@ -808,12 +827,50 @@ class SystemState:
 
     def _table_key(self, code: int) -> int:
         """The candidate table's key of the configuration and a code below
-        4 (I + V + 1) (the annealing module lists them): config_index() *
-        4 (I + V + 1) + code + s, s = 1 under the client scheme."""
+        4 (I + V + 1) (the class docstring lists them)."""
         index = self._index
         if index is None:
             index = self.config_index()
         return index * self._stride + code + self._offset
+
+    def candidates(self, pos: int, approx: bool = False) -> tuple[list[float], list[int]]:
+        """The (values, targets) of the mover at position pos (client pos, or
+        radio pos - I) as Python floats and ints: what its candidate method
+        returns (association_scores_approx for a client when approx), read
+        from the candidate table when it holds them. ValueError unless pos
+        is an integer in [0, I + V) and the state is feasible."""
+        table, n = self.net._candidate_table, self.assoc.size
+        _check_index("pos", pos, n + self.chan.size)
+        if table is not None:
+            self._check_feasible()
+            key = self._table_key(4 * pos + 2 * approx)
+            entry = table.get(key)
+            if entry is not None:
+                k = len(entry) >> 4
+                flat = struct.unpack("d" * k + "q" * k, entry)
+                return flat[:k], flat[k:]
+        if pos >= n:
+            targets, values = self.channel_candidates(pos - n)
+        elif approx:
+            targets, values = self.association_scores_approx(pos)
+        else:
+            targets, values = self.association_candidates(pos)
+        if table is not None and targets.size > 1:
+            _store(table, key, values.tobytes() + targets.tobytes())
+        return values.tolist(), targets.tolist()
+
+    def record(self) -> tuple[float, str]:
+        """(weighted_throughput(), digest()) for a trajectory record, read
+        from the candidate table when it holds them."""
+        table = self.net._candidate_table
+        if table is None or not self.feasible:
+            return self.weighted_throughput(), self.digest()
+        key = self._table_key(4 * (self.assoc.size + self.chan.size))
+        entry = table.get(key)
+        if entry is None:
+            entry = self.weighted_throughput(), self.digest()
+            _store(table, key, entry)
+        return entry
 
     # -- sync ---------------------------------------------------------------
 

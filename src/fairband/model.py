@@ -27,7 +27,7 @@ from .checks import ScenarioError, check_id, check_integer, check_numbers, check
 from .radio import ChannelProfile, RadioModel, channel_profile
 
 # a network with at most this many configurations numbers them
-# (Network._config_places) and keeps a candidate table (annealing.gibbs_step)
+# (Network._config_places) and keeps a candidate table (SystemState)
 INDEX_LIMIT = 2**64
 # entries at which a network's candidate table is cleared
 TABLE_CAP = 2**16
@@ -150,11 +150,8 @@ class Network:
     Built on first use: ``_digest_parts``, the JSON text a state's digest
     is hashed from, and, on a network with at most INDEX_LIMIT
     configurations, ``_config_places``, which numbers them
-    (SystemState.config_index), and ``_candidate_table``, the candidate
-    values and targets annealing.gibbs_step has evaluated, by configuration
-    and mover, and the trajectory records and energies its chains have
-    computed, by configuration and scheme; both are None on a larger
-    network.
+    (SystemState.config_index), and ``_candidate_table``; both are None on
+    a larger network.
     """
 
     def __init__(
@@ -338,13 +335,8 @@ class Network:
 
     @cached_property
     def _candidate_table(self) -> dict[int, bytes | tuple[float, str] | float] | None:
-        """annealing.gibbs_step's evaluated candidates, one bytes object each
-        (the values, then the targets, as the candidate method returned
-        them), a chain's records, one (weighted throughput, digest) pair
-        each, and the energies of the configurations its steps reached, one
-        float each, keyed by configuration index and code (the annealing
-        module lists the codes; _store fills it); None when _config_places
-        is."""
+        """What states on the network have evaluated (SystemState lists the
+        keys and entries; _store fills it); None when _config_places is."""
         return None if self._config_places is None else {}
 
 

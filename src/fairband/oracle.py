@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_integer
 from .fairness import SCHEME_SERVER, _check_scheme
 from .model import Network, ScenarioError
 from .radio import channel_profile, link_rate
@@ -122,6 +123,7 @@ def enumerate_optimum(
     and ScenarioError when a client has no positive-rate AP on any channel.
     """
     _check_scheme(scheme)
+    check_integer("limit", limit, 1)
     if net.n_channels ** net.n_vaps > limit:
         raise ValueError("channel space alone exceeds the enumeration limit")
 
@@ -164,9 +166,13 @@ def numeric_allocation_optimum(
     The configuration is fixed; the free variables are the airtime shares
     (per-AP simplex) and access probabilities (box). Random sampling finds
     promising starts, SLSQP polishes the best few. Intended for tiny
-    instances that independently confirm the closed-form optimum. This is
+    instances that independently confirm the closed-form optimum: samples
+    and max_dims are integers >= 1, refine and seed integers >= 0. This is
     the only function that loads scipy.optimize; importing fairband does not.
     """
+    for name, value, minimum in (("samples", samples, 1), ("refine", refine, 0),
+                                 ("seed", seed, 0), ("max_dims", max_dims, 1)):
+        check_integer(name, value, minimum)
     # imported here: scipy.optimize adds about 23 MB of RSS and 0.25 s to an import
     from scipy.optimize import minimize
 

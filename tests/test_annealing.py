@@ -26,7 +26,7 @@ from fairband import (
     save_result,
     softmax_probabilities,
 )
-from fairband import annealing
+from fairband import annealing, model
 from fairband.annealing import (
     BLOCK, MAX_REDRAWS, Chain, _draw, gibbs_step, potential_scale_reduction,
 )
@@ -852,24 +852,31 @@ _TABLE_RUNS = [("dp-exact", "round-robin"), ("dp-exact", "random"), ("greedy", "
 
 def test_table_hits_equal_a_fresh_evaluation(monkeypatch, rng):
     # every candidate lookup of a step, from the table or not, gives the
-    # entry values + targets: the bits and targets of the mover's candidate
-    # method on a fresh state of the step's configuration; and every energy a
+    # bits and targets of the mover's candidate method on a fresh state of
+    # the step's configuration, as Python floats and ints; and every energy a
     # step returns, from an energy entry or not, has the bits of that fresh
     # state's energy(); two chains of each policy, selection and scheme share
-    # one network and its table
-    original, step = annealing._candidates, annealing.gibbs_step
+    # one network and its table, and a network without a table takes the
+    # same runs
+    original, step = SystemState.candidates, annealing.gibbs_step
+    looked_up = []
 
-    def checked(state, kind, idx, approx):
-        entry = original(state, kind, idx, approx)
+    def checked(state, pos, approx=False):
+        values, targets = original(state, pos, approx)
         fresh = SystemState(state.net, state.scheme, state.assoc, state.chan)
-        if approx:
-            targets, values = fresh.association_scores_approx(idx)
-        elif kind == "association":
-            targets, values = fresh.association_candidates(idx)
+        n = fresh.assoc.size
+        if pos >= n:
+            want_targets, want_values = fresh.channel_candidates(pos - n)
+        elif approx:
+            want_targets, want_values = fresh.association_scores_approx(pos)
         else:
-            targets, values = fresh.channel_candidates(idx)
-        assert entry == values.tobytes() + targets.astype(np.int64).tobytes()
-        return entry
+            want_targets, want_values = fresh.association_candidates(pos)
+        assert all(type(v) is float for v in values)
+        assert all(type(c) is int for c in targets)
+        assert [v.hex() for v in values] == [v.hex() for v in want_values.tolist()]
+        assert list(targets) == want_targets.tolist()
+        looked_up.append(state.net)
+        return values, targets
 
     def checked_step(chain, t, policy, rng):
         move, u = step(chain, t, policy, rng)
@@ -878,21 +885,28 @@ def test_table_hits_equal_a_fresh_evaluation(monkeypatch, rng):
         assert u.hex() == fresh.energy().hex()
         return move, u
 
-    monkeypatch.setattr(annealing, "_candidates", checked)
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "INDEX_LIMIT", 0)
+        untabled = builtin("line3-2ch").to_network()
+        assert untabled._candidate_table is None
+    monkeypatch.setattr(SystemState, "candidates", checked)
     monkeypatch.setattr(annealing, "gibbs_step", checked_step)
-    for net in _table_networks(rng):
+    for net in _table_networks(rng) + [untabled]:
         for (kind, selection), scheme, seed in itertools.product(
                 _TABLE_RUNS, ("server", "client"), range(2)):
             run(net, OptimizerPolicy(kind=kind, scheme=scheme, selection=selection,
                                      iterations=400, seed=seed))
-        assert net._candidate_table.hits >= 100, net.name
+        if net is untabled:
+            assert looked_up.count(net) >= 1000
+        else:
+            assert net._candidate_table.hits >= 100, net.name
 
 
 def test_table_records_equal_a_fresh_state(monkeypatch, rng):
     # every trajectory record, from the table or not, gives the weighted
     # throughput bits and the digest of a fresh state of its configuration,
     # under both schemes; the chains share each network and its table
-    original = annealing._record
+    original = SystemState.record
     hits = []
 
     def checked(state):
@@ -905,7 +919,7 @@ def test_table_records_equal_a_fresh_state(monkeypatch, rng):
         assert digest == fresh.to_configuration().digest()
         return wthr, digest
 
-    monkeypatch.setattr(annealing, "_record", checked)
+    monkeypatch.setattr(SystemState, "record", checked)
     for net in _table_networks(rng):
         hits.clear()
         for (kind, selection), scheme, seed in itertools.product(
@@ -913,6 +927,27 @@ def test_table_records_equal_a_fresh_state(monkeypatch, rng):
             run(net, OptimizerPolicy(kind=kind, scheme=scheme, selection=selection,
                                      iterations=300, seed=seed), record_every=1)
         assert sum(hits) >= 100, net.name
+
+
+def test_an_infeasible_state_reads_no_entry():
+    # client c1 on radio c, which it has no link to, has no digit, and this
+    # configuration gets the index of a feasible one whose entries are in
+    # the table: its record is still its own, and its candidates are refused
+    net = Network([Channel("b", 2400.0, 22.0)],
+                  [AccessPoint("a", (0, 0)), AccessPoint("b", (60, 0)),
+                   AccessPoint("c", (400, 0))],
+                  [Client("c1", (10, 0)), Client("c2", (50, 0)), Client("c3", (395, 0))])
+    feasible = SystemState(net, "server", np.array([1, 0, 2]), np.zeros(3, dtype=int))
+    off = SystemState(net, "server", np.array([2, 1, 2]), np.zeros(3, dtype=int))
+    assert feasible.feasible and not off.feasible
+    assert off.config_index() == feasible.config_index()
+    feasible.record()
+    assert len(feasible.candidates(0)[1]) == 2  # two targets, so an entry
+    wthr, digest = off.record()
+    assert wthr.hex() == off.weighted_throughput().hex()
+    assert digest == off.to_configuration().digest() != feasible.record()[1]
+    with pytest.raises(ValueError, match="^state: infeasible"):
+        off.candidates(0)
 
 
 @pytest.mark.parametrize("scheme", ["server", "client"])

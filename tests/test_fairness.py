@@ -249,11 +249,15 @@ _NOT_INTEGERS = (1.5, 1.0, np.float64(1.0), "1", None, True)
     *(("apply_association", (bad, 0), "client") for bad in _NOT_INTEGERS),
     *(("apply_channel", (0, bad), "target_channel") for bad in _NOT_INTEGERS),
     *(("apply_channel", (bad, 0), "vap") for bad in _NOT_INTEGERS),
+    # a mover's position: a wrong one would read another mover's table entry
+    ("candidates", (5,), "pos"),
+    ("candidates", (-1,), "pos"),
+    *(("candidates", (bad,), "pos") for bad in _NOT_INTEGERS),
 ])
 def test_moves_refuse_indices_out_of_range(scheme, defer, method, args, name):
-    # a move names the argument out of range or not an integer and writes
-    # nothing: not the digits, the arrays, the index or the pending moves of
-    # a deferred state
+    # a move or a candidate lookup names the argument out of range or not an
+    # integer and writes nothing: not the digits, the arrays, the index or
+    # the pending moves of a deferred state
     net = builtin("micro").to_network()
     assert (net.n_clients, net.n_vaps, net.n_channels) == (3, 2, 2)
     state = SystemState(net, scheme, *initial_configuration(net, np.random.default_rng(3)))
@@ -1047,6 +1051,22 @@ def test_monte_carlo_rejects_bad_slots_and_seed(field, kwargs):
     alloc = SystemState.from_configuration(net, cfg).allocation()
     with pytest.raises(ValueError, match=f"^{field}: "):
         slot_monte_carlo(net, cfg, alloc, **kwargs)
+
+
+@pytest.mark.parametrize("evaluate, args", [(throughput, ()), (slot_monte_carlo, (10,))],
+                         ids=["throughput", "slot_monte_carlo"])
+@pytest.mark.parametrize("scheme, field, missing", [
+    ("server", "access", "ap0/r0"), ("server", "schedule", "c01"), ("client", "access", "c01"),
+])
+def test_a_missing_allocation_id_is_named(evaluate, args, scheme, field, missing):
+    # an access or schedule map that lacks an id of the network is a
+    # ValueError naming the map and the id, not a bare KeyError
+    net = builtin("micro").to_network()
+    state = SystemState(net, scheme, *initial_configuration(net, np.random.default_rng(0)))
+    cfg, alloc = state.to_configuration(), state.allocation()
+    del getattr(alloc, field)[missing]
+    with pytest.raises(ValueError, match=f"^{field}: no entry for {missing!r}$"):
+        evaluate(net, cfg, alloc, *args)
 
 
 def test_allocation_validation():

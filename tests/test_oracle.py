@@ -14,6 +14,8 @@ from fairband import (
     SystemState,
     builtin,
     enumerate_optimum,
+    minint_channel_selection,
+    minint_wifi_run,
     numeric_allocation_optimum,
     oracle_energy,
 )
@@ -111,3 +113,38 @@ def test_numeric_optimum_guards_dimensions():
     cfg_chan = {v: "ch-2400" for v in net.vap_ids}
     with pytest.raises(ValueError):
         numeric_allocation_optimum(net, cfg_assoc, cfg_chan, "server")
+
+
+_BAD_INTEGERS = [
+    ("samples", numeric_allocation_optimum, {"samples": 0}),
+    ("samples", numeric_allocation_optimum, {"samples": 2.5}),
+    ("samples", numeric_allocation_optimum, {"samples": True}),
+    ("refine", numeric_allocation_optimum, {"refine": -1}),
+    ("seed", numeric_allocation_optimum, {"seed": -1}),
+    ("max_dims", numeric_allocation_optimum, {"max_dims": 0}),
+    ("restarts", minint_channel_selection, {"restarts": 0}),
+    ("restarts", minint_channel_selection, {"restarts": True}),
+    ("restarts", minint_channel_selection, {"restarts": 2.0}),
+    ("seed", minint_channel_selection, {"seed": -1}),
+    ("seed", minint_wifi_run, {"seed": -1}),
+    ("seed", minint_wifi_run, {"seed": 1.5}),
+    ("limit", enumerate_optimum, {"limit": 0}),
+    ("limit", enumerate_optimum, {"limit": True}),
+]
+
+
+@pytest.mark.parametrize("field, function, kwargs", _BAD_INTEGERS, ids=[
+    f"{function.__name__}-{field}={value!r}"
+    for field, function, kwargs in _BAD_INTEGERS for value in kwargs.values()])
+def test_integer_arguments_name_the_field_at_fault(field, function, kwargs):
+    # each is refused before any work with a ValueError that starts with the
+    # argument's name: no IndexError or numpy TypeError from inside, no
+    # bool taken as 1, no numpy message that names no field
+    net = builtin("micro").to_network()
+    if function is numeric_allocation_optimum:
+        best = enumerate_optimum(net)
+        args = (net, best.association, best.channel)
+    else:
+        args = (net,)
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        function(*args, **kwargs)
